@@ -16,7 +16,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .errors import CompatibilityError, InputError, NoKneeError
 from .lora import LoraSet, check_compat, drop_above
-from .model import BaseWeights, generate_greedy
+from .model import BaseWeights, decode_batch
 from .probe import ProbeReport, select_samples
 from .vocab import EOS_ID, decode
 
@@ -148,7 +148,8 @@ def sweep_boundary(base: BaseWeights, full_set: LoraSet, samples, metric, *,
     (preds, golds) -> float. golds defaults to each sample's gold_text.
     The winner is the smallest level attaining the maximum score. With
     refine=True a second pass checks the immediate neighbors of the
-    first-pass winner (useful with a strided `keeps` grid).
+    first-pass winner (useful with a strided `keeps` grid). Each pass
+    decodes all of its (level, sample) rows in one `decode_batch` call.
     """
     check_compat(base, full_set)
     n_layers = base.cfg.n_layers
@@ -176,18 +177,16 @@ def sweep_boundary(base: BaseWeights, full_set: LoraSet, samples, metric, *,
         metric_name = str(metric)
         score_fn = lambda preds, gs: metrics_mod.corpus_score(metric_name, preds, gs).score
 
-    def run_level(k: int) -> float:
-        dropped = drop_above(full_set, k)
-        preds = []
-        for s in chosen:
-            out = generate_greedy(base, dropped, _prompt_of(s), decode_budget,
-                                  stop_token)
-            preds.append(decode(out))
-        return float(score_fn(preds, golds))
+    prompts = [_prompt_of(s) for s in chosen]
 
-    per_k: dict[int, float] = {}
-    for k in keeps:
-        per_k[k] = run_level(k)
+    def score_levels(levels: list[int]) -> dict[int, float]:
+        rows = [(prompt, k) for k in levels for prompt in prompts]
+        outs = decode_batch(base, full_set, rows, decode_budget, stop_token)
+        n = len(prompts)
+        return {k: float(score_fn([decode(o) for o in outs[i * n:(i + 1) * n]], golds))
+                for i, k in enumerate(levels)}
+
+    per_k = score_levels(keeps)
 
     def pick(scores: dict[int, float]) -> int:
         best = max(scores.values())
@@ -195,9 +194,8 @@ def sweep_boundary(base: BaseWeights, full_set: LoraSet, samples, metric, *,
 
     k_star = pick(per_k)
     if refine:
-        for k in (k_star - 1, k_star + 1):
-            if 0 <= k <= n_layers and k not in per_k:
-                per_k[k] = run_level(k)
+        per_k.update(score_levels([k for k in (k_star - 1, k_star + 1)
+                                   if 0 <= k <= n_layers and k not in per_k]))
         k_star = pick(per_k)
 
     return BoundaryDecision(

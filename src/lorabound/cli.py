@@ -22,7 +22,7 @@ from .fileio import (atomic_write_text, load_adapters, load_weights,
                      save_adapters, save_weights, write_manifest)
 from .lora import check_compat, drop_above, init_adapters
 from .metrics import METRIC_NAMES, corpus_score
-from .model import generate_greedy, init_base
+from .model import decode_batch, init_base
 from .probe import default_drop_levels, probe_ground_truth, probe_under_drop, select_samples
 from .reports import (read_probe_tsv, write_diff_tsv, write_drop_probe_tsv,
                       write_eval_tsv, write_probe_tsv, write_sweep_tsv)
@@ -80,12 +80,9 @@ def _resolve_keep(value: str, n_layers: int, lset) -> int:
 
 
 def _predictions(weights, adapters, samples, decode_budget: int) -> list[str]:
-    preds = []
-    for s in samples:
-        out = generate_greedy(weights, adapters, s.prompt_ids,
-                              max_new=decode_budget, stop_token=EOS_ID)
-        preds.append(decode(out))
-    return preds
+    rows = [(s.prompt_ids, weights.cfg.n_layers) for s in samples]
+    return [decode(out) for out in
+            decode_batch(weights, adapters, rows, decode_budget, EOS_ID)]
 
 
 def _manifest(out_path: str, command: str, params: dict, outputs: list[str]) -> None:

@@ -1,10 +1,15 @@
 """Decoder-only transformer with pre-norm RMS blocks and hand-derived gradients.
 
-One forward implementation serves training, probing and generation; the
+One forward implementation serves training, probing and generation. The
 per-layer residual stream it records is what the probing code reads
-back through the model's own final norm and output head. Low-rank
-adapter deltas are applied in factored form at the projection sites and
-are never materialized as dense matrices here.
+back through the model's own final norm and output head. For generation
+the same forward runs over a batch of rows with a per-layer key/value
+cache: `decode_batch` prefills each batch of equal-length prompts once
+and then feeds one position per new token, and it is the only greedy
+decode loop in the package. Low-rank adapter deltas are applied in
+factored form at the projection sites and are never materialized as
+dense matrices here; in a batch, each row applies them only up to its
+own keep level.
 
 Weight layout is [d_in, d_out] everywhere, so a projection is ``x @ w``.
 Layers are numbered 1..L in every public surface.
@@ -178,28 +183,44 @@ def _gelu_bwd(d_y, x, th):
 
 
 @functools.lru_cache(maxsize=None)
-def _causal_mask(t: int, dtype_name: str) -> np.ndarray:
-    m = np.triu(np.full((t, t), -np.inf, dtype=np.dtype(dtype_name)), k=1)
+def _causal_mask(t: int, n_keys: int, dtype_name: str) -> np.ndarray:
+    """Mask for t queries that are the last t of n_keys positions."""
+    m = np.triu(np.full((t, n_keys), -np.inf, dtype=np.dtype(dtype_name)),
+                k=n_keys - t + 1)
     m.setflags(write=False)
     return m
 
 
 def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    t, d = x.shape
-    return np.ascontiguousarray(x.reshape(t, n_heads, d // n_heads).transpose(1, 0, 2))
+    """[..., t, d] -> [..., heads, t, d / heads]."""
+    *lead, t, d = x.shape
+    xh = x.reshape(*lead, t, n_heads, d // n_heads).swapaxes(-3, -2)
+    return np.ascontiguousarray(xh)
 
 
 def _unheads(xh: np.ndarray) -> np.ndarray:
-    h, t, hd = xh.shape
-    return xh.transpose(1, 0, 2).reshape(t, h * hd)
+    *lead, h, t, hd = xh.shape
+    return xh.swapaxes(-3, -2).reshape(*lead, t, h * hd)
 
 
-def _attention_fwd(q, k, v, n_heads):
+def _attention_fwd(q, k, v, n_heads, kv=None, start: int = 0):
+    """Causal attention of the t new positions in q, k, v.
+
+    With a cache kv = (keys, values), each [..., heads, T, d / heads],
+    the new keys and values are written at positions start..start+t and
+    the queries attend over every position up to start+t.
+    """
     qh, kh, vh = _heads(q, n_heads), _heads(k, n_heads), _heads(v, n_heads)
-    t = qh.shape[1]
-    scale = 1.0 / math.sqrt(qh.shape[2])
-    scores = (qh @ kh.transpose(0, 2, 1)) * scale
-    scores += _causal_mask(t, scores.dtype.name)
+    if kv is not None:
+        end = start + qh.shape[-2]
+        kv[0][..., start:end, :] = kh
+        kv[1][..., start:end, :] = vh
+        kh, vh = kv[0][..., :end, :], kv[1][..., :end, :]
+    t, n_keys = qh.shape[-2], kh.shape[-2]
+    scale = 1.0 / math.sqrt(qh.shape[-1])
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    if t > 1:
+        scores += _causal_mask(t, n_keys, scores.dtype.name)
     w = softmax_rows(scores)
     out = _unheads(w @ vh)
     return out, (qh, kh, vh, w)
@@ -217,13 +238,41 @@ def _attention_bwd(d_out, att_cache, n_heads):
     return _unheads(d_qh), _unheads(d_kh), _unheads(d_vh)
 
 
-def _project_fwd(x, w, adapter):
-    """x @ w plus the factored low-rank path; returns (y, mid) with mid = x @ A^T."""
-    y = x @ w
+def _matmul(x, w):
+    """x [..., d_in] @ w [d_in, d_out] as one 2-D product.
+
+    numpy would loop over the leading axes instead; a 2-D product is
+    faster and gives every row the same bits whatever its batch.
+    """
+    if x.ndim == 2:
+        return x @ w
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[1])
+
+
+def _project_fwd(x, w, adapter, rows=None):
+    """x @ w plus the factored low-rank path; returns (y, mid) with mid = x @ A^T.
+
+    rows, when given, lists the batch rows (leading axis of x) that carry
+    the adapter. The others never touch it, so they stay bitwise the base
+    projection even if the adapter holds nan; mid is then None.
+    """
+    y = _matmul(x, w)
     if adapter is None:
         return y, None
-    mid = x @ adapter.a.T
-    return y + adapter.scale * (mid @ adapter.b.T), mid
+    if rows is None:
+        mid = _matmul(x, adapter.a.T)
+        return y + adapter.scale * _matmul(mid, adapter.b.T), mid
+    if rows.size:
+        y[rows] += adapter.scale * _matmul(_matmul(x[rows], adapter.a.T), adapter.b.T)
+    return y, None
+
+
+def _layer_rows(keep, layer: int):
+    """Batch rows whose keep level reaches `layer`; None when all of them do."""
+    if keep is None:
+        return None
+    rows = np.flatnonzero(keep >= layer)
+    return None if rows.size == keep.size else rows
 
 
 def _get_adapter(adapters, active, layer: int, proj: str):
@@ -250,32 +299,40 @@ def _check_tokens(cfg: ModelConfig, tokens) -> np.ndarray:
 # -- forward ------------------------------------------------------------------
 
 def _forward(weights: BaseWeights, adapters, active, ids: np.ndarray,
-             *, collect: bool, keep_cache: bool):
-    """Shared forward. Returns (hidden [L,t,d] or None, h_final, caches or None)."""
+             *, collect: bool, keep_cache: bool, keep=None, kv=None, start: int = 0):
+    """Shared forward. Returns (hidden [L,t,d] or None, h_final, caches or None).
+
+    ids is one sequence [t] or a batch of rows [B, t]. For decoding, keep
+    gives each row's keep level (its adapters apply on layers 1..keep),
+    and kv holds one (keys, values) cache per layer; ids are then the
+    positions start..start+t of each row.
+    """
     cfg = weights.cfg
     ts = weights.tensors
-    t = ids.size
-    h = ts["tok_emb"][ids] + ts["pos_emb"][:t]
+    t = ids.shape[-1]
+    h = ts["tok_emb"][ids] + ts["pos_emb"][start:start + t]
     hidden = np.empty((cfg.n_layers,) + h.shape, dtype=h.dtype) if collect else None
     caches = [] if keep_cache else None
     for l in range(1, cfg.n_layers + 1):
         p = f"layer{l:02d}."
         ad = {name: _get_adapter(adapters, active, l, name) for name in PROJECTIONS}
+        rows = _layer_rows(keep, l)
 
         pre_attn = h
         xn1, inv1 = rmsnorm_fwd(h, ts[p + "attn_norm"], cfg.norm_eps)
-        q, mid_q = _project_fwd(xn1, ts[p + "wq"], ad["q"])
-        k, mid_k = _project_fwd(xn1, ts[p + "wk"], ad["k"])
-        v, mid_v = _project_fwd(xn1, ts[p + "wv"], ad["v"])
-        attn, att_cache = _attention_fwd(q, k, v, cfg.n_heads)
-        o, mid_o = _project_fwd(attn, ts[p + "wo"], ad["o"])
+        q, mid_q = _project_fwd(xn1, ts[p + "wq"], ad["q"], rows)
+        k, mid_k = _project_fwd(xn1, ts[p + "wk"], ad["k"], rows)
+        v, mid_v = _project_fwd(xn1, ts[p + "wv"], ad["v"], rows)
+        attn, att_cache = _attention_fwd(q, k, v, cfg.n_heads,
+                                         None if kv is None else kv[l - 1], start)
+        o, mid_o = _project_fwd(attn, ts[p + "wo"], ad["o"], rows)
         h = pre_attn + o
 
         pre_ffn = h
         xn2, inv2 = rmsnorm_fwd(h, ts[p + "ffn_norm"], cfg.norm_eps)
-        u_pre, mid_up = _project_fwd(xn2, ts[p + "wup"], ad["up"])
+        u_pre, mid_up = _project_fwd(xn2, ts[p + "wup"], ad["up"], rows)
         u, th = _gelu_fwd(u_pre)
-        dn, mid_down = _project_fwd(u, ts[p + "wdown"], ad["down"])
+        dn, mid_down = _project_fwd(u, ts[p + "wdown"], ad["down"], rows)
         h = pre_ffn + dn
 
         if collect:
@@ -319,31 +376,111 @@ def next_token_logits(weights: BaseWeights, adapters, tokens, active=None) -> np
 
 
 def generate_greedy(weights: BaseWeights, adapters, prompt, max_new: int,
-                    stop_token: int | None, active=None) -> list[int]:
-    """Greedy decoding. Ties go to the lowest token id; stops at stop_token
-    (None disables it), max_new tokens, or a full context window, whichever
-    comes first.
+                    stop_token: int | None) -> list[int]:
+    """Greedy decoding of one prompt with every adapter in the set.
 
-    Returns only the generated ids, including the stop token if one was emitted.
+    A one-row `decode_batch`; see there for stopping and tie-breaking.
+    """
+    return decode_batch(weights, adapters, [(prompt, weights.cfg.n_layers)],
+                        max_new, stop_token)[0]
+
+
+# rows decoded together at most; bounds the K/V caches and the prefill
+# scores of one batch, so peak memory does not grow with the row count
+DECODE_BATCH_ROWS = 16
+
+
+def decode_batch(weights: BaseWeights, adapters, rows, max_new: int,
+                 stop_token: int | None) -> list[list[int]]:
+    """Greedy decoding of many (prompt, keep) rows; one list of new ids per row.
+
+    The adapter at layer l applies to a row iff its keep level is >= l,
+    so keep = n_layers uses the whole set and keep = 0 none of it. Each
+    row stops at stop_token (None disables it), after max_new tokens, or
+    at a full context window, whichever comes first, and its list
+    includes the stop token if one was emitted. Ties go to the lowest
+    token id.
+
+    Rows are batched by prompt length, at most DECODE_BATCH_ROWS at a
+    time, so no row is padded and no row's arithmetic depends on its
+    batch-mates. Each batch runs one prefill over its prompts into
+    per-layer K/V caches sized min(prompt + max_new, max_seq), then one
+    single-position step per new token; rows that emit the stop token
+    leave the batch. Every row is validated before any compute.
     """
     cfg = weights.cfg
-    ids = _check_tokens(cfg, prompt)
+    prompts, keeps = _check_rows(cfg, rows, max_new, stop_token)
+    outs: list[list[int]] = [[] for _ in prompts]
+    by_length: dict[int, list[int]] = {}
+    for i, ids in enumerate(prompts):
+        by_length.setdefault(ids.size, []).append(i)
+    for length in sorted(by_length):
+        group = by_length[length]
+        for lo in range(0, len(group), DECODE_BATCH_ROWS):
+            batch = group[lo:lo + DECODE_BATCH_ROWS]
+            ids = np.stack([prompts[i] for i in batch])
+            decoded = _decode_rows(weights, adapters, ids, keeps[batch],
+                                   max_new, stop_token)
+            for i, out in zip(batch, decoded):
+                outs[i] = out
+    return outs
+
+
+def _check_rows(cfg: ModelConfig, rows, max_new: int, stop_token):
+    """Validated prompt id arrays and keep levels of decode rows."""
     if max_new < 0:
         raise InputError(f"max_new must be non-negative, got {max_new}")
     if stop_token is not None and not 0 <= stop_token < cfg.vocab_size:
         raise InputError(f"stop_token {stop_token} outside vocabulary")
-    seq = list(ids)
-    out: list[int] = []
-    for _ in range(max_new):
-        if len(seq) >= cfg.max_seq:
-            break
-        logits = next_token_logits(weights, adapters, seq, active)
-        nxt = int(np.argmax(logits))  # argmax takes the first max, i.e. lowest id
-        seq.append(nxt)
-        out.append(nxt)
-        if nxt == stop_token:
-            break
-    return out
+    prompts, keeps = [], []
+    for i, row in enumerate(rows):
+        try:
+            prompt, keep = row
+        except (TypeError, ValueError):
+            raise InputError(f"decode row {i} is not a (prompt, keep) pair") from None
+        try:
+            prompts.append(_check_tokens(cfg, prompt))
+        except InputError as exc:
+            raise InputError(f"decode row {i}: {exc}") from None
+        if not isinstance(keep, (int, np.integer)) or not 0 <= keep <= cfg.n_layers:
+            raise InputError(
+                f"decode row {i}: keep level {keep!r} out of range 0..{cfg.n_layers}")
+        keeps.append(int(keep))
+    return prompts, np.asarray(keeps, dtype=np.int64)
+
+
+def _decode_rows(weights: BaseWeights, adapters, ids: np.ndarray, keep: np.ndarray,
+                 max_new: int, stop_token) -> list[list[int]]:
+    """The greedy decode loop over one batch of equal-length prompts [B, t]."""
+    cfg = weights.cfg
+    n_rows, t = ids.shape
+    outs: list[list[int]] = [[] for _ in range(n_rows)]
+    budget = min(max_new, cfg.max_seq - t)
+    if budget <= 0:
+        return outs
+    size = min(t + max_new, cfg.max_seq)
+    shape = (n_rows, cfg.n_heads, size, cfg.d_model // cfg.n_heads)
+    dtype = weights.tensors["tok_emb"].dtype
+    kv = [(np.empty(shape, dtype), np.empty(shape, dtype)) for _ in range(cfg.n_layers)]
+    live = np.arange(n_rows)
+    step_ids, pos = ids, 0
+    for _ in range(budget):
+        _, h, _ = _forward(weights, adapters, None, step_ids, collect=False,
+                           keep_cache=False, keep=keep, kv=kv, start=pos)
+        pos += step_ids.shape[1]
+        # argmax takes the first max, i.e. the lowest id
+        nxt = np.argmax(lens_logits(weights, h[:, -1]), axis=-1)
+        for r, tok in zip(live.tolist(), nxt.tolist()):
+            outs[r].append(tok)
+        if stop_token is not None:
+            going = nxt != stop_token
+            if not going.all():
+                live, nxt, keep = live[going], nxt[going], keep[going]
+                kv = [(k[going], v[going]) for k, v in kv]
+                if not live.size:
+                    break
+        step_ids = nxt[:, None]
+    return outs
 
 
 def lens_probs(weights: BaseWeights, trace: LayerTrace,

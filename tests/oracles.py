@@ -1,11 +1,37 @@
-"""Independent brute-force reference implementations for the text metrics.
+"""Independent brute-force reference implementations.
 
 Deliberately naive: exponential subsequence enumeration, explicit
-position scans, no shared helpers with the package. Slow but obviously
-correct on short inputs; the real implementations must agree exactly.
+position scans, no shared helpers with the package's metrics, and a
+greedy decoder that reruns the full forward for every new token. Slow
+but obviously correct on short inputs; the real implementations must
+agree with them.
 """
 
 import math
+
+import numpy as np
+
+from lorabound.model import next_token_logits
+
+
+def greedy_oracle(weights, adapters, prompt, max_new, stop_token):
+    """Greedy decoding without a cache or batch: one full forward per token.
+
+    Stops at stop_token (included in the output), after max_new tokens,
+    or when the sequence fills the context window. Ties go to the lowest
+    token id.
+    """
+    seq = list(prompt)
+    out = []
+    for _ in range(max_new):
+        if len(seq) >= weights.cfg.max_seq:
+            break
+        nxt = int(np.argmax(next_token_logits(weights, adapters, seq)))
+        seq.append(nxt)
+        out.append(nxt)
+        if nxt == stop_token:
+            break
+    return out
 
 
 def norm(text):

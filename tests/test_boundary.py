@@ -10,8 +10,10 @@ from lorabound.errors import (CompatibilityError, InputError, NoKneeError)
 from lorabound.lora import drop_above, init_adapters
 from lorabound.model import ModelConfig, init_base
 from lorabound.probe import ProbeReport
+from lorabound.vocab import decode
 
 from helpers import randomize_adapters, randomize_weights
+from oracles import greedy_oracle
 
 MICRO = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=16,
                     vocab_size=16, max_seq=8)
@@ -154,11 +156,9 @@ class TestSweepBoundary:
         dec = sweep_boundary(base, lset, samples, metric, golds=golds,
                              decode_budget=3, stop_token=0)
         by_hand = {}
-        from lorabound.model import generate_greedy
-        from lorabound.vocab import decode
         for k in range(MICRO.n_layers + 1):
             dropped = drop_above(lset, k)
-            preds = [decode(generate_greedy(base, dropped, p, 3, 0))
+            preds = [decode(greedy_oracle(base, dropped, p, 3, 0))
                      for p, _ in samples]
             by_hand[k] = metric(preds, golds)
         assert dec.per_k_scores == by_hand

@@ -1,10 +1,15 @@
 """Command-line pipeline checks on a two-layer micro configuration."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lorabound
 from lorabound.boundary import BoundaryDecision
 from lorabound.cli import main
 from lorabound.fileio import load_adapters, load_weights
@@ -247,6 +252,15 @@ class TestStdout:
         assert "eval: em = " in capsys.readouterr().out
 
 
+def test_module_entry_point_shows_help():
+    src = str(Path(lorabound.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "lorabound", "--help"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: lorabound" in proc.stdout
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         [],
@@ -285,6 +299,13 @@ class TestDomainErrors:
                  pipeline["base"], "--data", tmp_path / "nodata",
                  "--out", tmp_path / "e.tsv")
         assert rc == 2
+
+    def test_negative_decode_budget_exits_two(self, pipeline, tmp_path, capsys):
+        rc = run("eval", "--config", pipeline["cfg"], "--model",
+                 pipeline["base"], "--data", pipeline["data"],
+                 "--decode-budget", -1, "--out", tmp_path / "e.tsv")
+        assert rc == 2
+        assert "max_new" in capsys.readouterr().err
 
     def test_bad_config_json_exits_two(self, tmp_path):
         cfg = tmp_path / "broken.json"
