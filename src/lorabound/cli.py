@@ -319,7 +319,6 @@ def cmd_report(args) -> int:
     _, samples = _load_split(args.data, args.split)
     full_set = load_adapters(args.adapters)
     check_compat(base, full_set)
-    os.makedirs(args.out_dir, exist_ok=True)
     outputs = []
 
     chosen = select_samples(samples, cfg.probe.sample_budget, cfg.probe.seed)
@@ -333,6 +332,7 @@ def cmd_report(args) -> int:
                               n_tokens=cfg.probe.n_tokens, budget=len(chosen),
                               seed=cfg.probe.seed,
                               descriptor={"split": args.split})
+    os.makedirs(args.out_dir, exist_ok=True)
     curves_path = os.path.join(args.out_dir, "layer_curves.tsv")
     write_drop_probe_tsv(curves_path, probed,
                          meta={"model": base.fingerprint(),

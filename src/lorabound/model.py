@@ -2,14 +2,15 @@
 
 One forward implementation serves training, probing and generation. The
 per-layer residual stream it records is what the probing code reads
-back through the model's own final norm and output head. For generation
-the same forward runs over a batch of rows with a per-layer key/value
-cache: `decode_batch` prefills each batch of equal-length prompts once
-and then feeds one position per new token, and it is the only greedy
-decode loop in the package. Low-rank adapter deltas are applied in
-factored form at the projection sites and are never materialized as
-dense matrices here; in a batch, each row applies them only up to its
-own keep level.
+back through the model's own final norm and output head; probing runs
+it over batches of equal-length rows and resumes it at any layer from a
+recorded residual. For generation the same forward runs over a batch of
+rows with a per-layer key/value cache: `decode_batch` prefills each
+batch of equal-length prompts once and then feeds one position per new
+token, and it is the only greedy decode loop in the package. Low-rank
+adapter deltas are applied in factored form at the projection sites and
+are never materialized as dense matrices here; in a batch, each row
+applies them only up to its own keep level.
 
 Weight layout is [d_in, d_out] everywhere, so a projection is ``x @ w``.
 Layers are numbered 1..L in every public surface.
@@ -157,8 +158,8 @@ def init_base(cfg: ModelConfig, seed: int, std: float = 0.02) -> BaseWeights:
 class LayerTrace:
     """Residual stream after each block (1..L) plus the final logits."""
 
-    hidden: np.ndarray        # [L, t, d_model]
-    final_logits: np.ndarray  # [t, vocab]
+    hidden: np.ndarray        # [L, t, d_model], or [L, B, t, d_model] for a batch
+    final_logits: np.ndarray  # [t, vocab], or [B, t, vocab]
 
     def layer(self, l: int) -> np.ndarray:
         if not 1 <= l <= self.hidden.shape[0]:
@@ -173,8 +174,17 @@ _GELU_K = 0.044715
 
 
 def _gelu_fwd(x):
-    th = np.tanh(_GELU_C * (x + _GELU_K * x * x * x))
-    return 0.5 * x * (1.0 + th), th
+    """tanh-approximated gelu; returns (y, th). Built in place, one temporary
+    at a time, in the rounding order of c * (x + k * x * x * x)."""
+    th = _GELU_K * x
+    th *= x
+    th *= x
+    th += x
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    y = 0.5 * x
+    y *= 1.0 + th
+    return y, th
 
 
 def _gelu_bwd(d_y, x, th):
@@ -218,7 +228,8 @@ def _attention_fwd(q, k, v, n_heads, kv=None, start: int = 0):
         kh, vh = kv[0][..., :end, :], kv[1][..., :end, :]
     t, n_keys = qh.shape[-2], kh.shape[-2]
     scale = 1.0 / math.sqrt(qh.shape[-1])
-    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores *= scale
     if t > 1:
         scores += _causal_mask(t, n_keys, scores.dtype.name)
     w = softmax_rows(scores)
@@ -242,7 +253,11 @@ def _matmul(x, w):
     """x [..., d_in] @ w [d_in, d_out] as one 2-D product.
 
     numpy would loop over the leading axes instead; a 2-D product is
-    faster and gives every row the same bits whatever its batch.
+    faster. For the base weights (d_out of 64 and up) OpenBLAS 0.3.31
+    gives each row of it the same bits at any row count from 2 up. A
+    1-row product takes another kernel, so a lone single-position row
+    (a one-row decode step) may differ in the last bits from the same
+    row inside a batch.
     """
     if x.ndim == 2:
         return x @ w
@@ -252,6 +267,13 @@ def _matmul(x, w):
 def _project_fwd(x, w, adapter, rows=None):
     """x @ w plus the factored low-rank path; returns (y, mid) with mid = x @ A^T.
 
+    The low-rank products run once per sequence (numpy loops over the
+    leading axes of x), so a row's adapter path gets the same bits alone
+    as in any batch. As one flat product it would not: with rank-wide
+    outputs OpenBLAS switches kernels with the row count (rank 8 at
+    M*N*K > 10^6, i.e. past 488 rows for d_in = 256; rank 2 at d_in = 64
+    past 8 rows), and a transposed factor's rows differ at every count.
+
     rows, when given, lists the batch rows (leading axis of x) that carry
     the adapter. The others never touch it, so they stay bitwise the base
     projection even if the adapter holds nan; mid is then None.
@@ -260,10 +282,10 @@ def _project_fwd(x, w, adapter, rows=None):
     if adapter is None:
         return y, None
     if rows is None:
-        mid = _matmul(x, adapter.a.T)
-        return y + adapter.scale * _matmul(mid, adapter.b.T), mid
+        mid = x @ adapter.a.T
+        return y + adapter.scale * (mid @ adapter.b.T), mid
     if rows.size:
-        y[rows] += adapter.scale * _matmul(_matmul(x[rows], adapter.a.T), adapter.b.T)
+        y[rows] += adapter.scale * ((x[rows] @ adapter.a.T) @ adapter.b.T)
     return y, None
 
 
@@ -283,12 +305,17 @@ def _get_adapter(adapters, active, layer: int, proj: str):
     return adapters.get(layer, proj)
 
 
-def _check_tokens(cfg: ModelConfig, tokens) -> np.ndarray:
-    ids = np.asarray(tokens, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise InputError(f"token sequence must be non-empty and flat, got shape {ids.shape}")
-    if ids.size > cfg.max_seq:
-        raise InputError(f"sequence length {ids.size} exceeds max_seq {cfg.max_seq}")
+def _check_tokens(cfg: ModelConfig, tokens, batch: bool = False) -> np.ndarray:
+    """Token ids [t], or with batch also [B, t] rows of equal length."""
+    try:
+        ids = np.asarray(tokens, dtype=np.int64)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"token ids must be integer rows of equal length: {exc}") from None
+    if ids.ndim not in ((1, 2) if batch else (1,)) or ids.size == 0:
+        shape = "[t] or [B, t]" if batch else "flat"
+        raise InputError(f"token ids must be non-empty and {shape}, got shape {ids.shape}")
+    if ids.shape[-1] > cfg.max_seq:
+        raise InputError(f"sequence length {ids.shape[-1]} exceeds max_seq {cfg.max_seq}")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise InputError(
             f"token ids must lie in [0, {cfg.vocab_size}), got "
@@ -298,53 +325,72 @@ def _check_tokens(cfg: ModelConfig, tokens) -> np.ndarray:
 
 # -- forward ------------------------------------------------------------------
 
+def _attention_half(weights: BaseWeights, p: str, h, ad, rows, kv, start: int, cache):
+    """h + o(attend(q, k, v)) of one block; fills cache for the backward if given."""
+    ts, cfg = weights.tensors, weights.cfg
+    xn1, inv1 = rmsnorm_fwd(h, ts[p + "attn_norm"], cfg.norm_eps)
+    q, mid_q = _project_fwd(xn1, ts[p + "wq"], ad["q"], rows)
+    k, mid_k = _project_fwd(xn1, ts[p + "wk"], ad["k"], rows)
+    v, mid_v = _project_fwd(xn1, ts[p + "wv"], ad["v"], rows)
+    attn, att_cache = _attention_fwd(q, k, v, cfg.n_heads, kv, start)
+    o, mid_o = _project_fwd(attn, ts[p + "wo"], ad["o"], rows)
+    if cache is not None:
+        cache.update(pre_attn=h, inv1=inv1, xn1=xn1, att_cache=att_cache, attn=attn)
+        cache["mids"].update(q=mid_q, k=mid_k, v=mid_v, o=mid_o)
+    return h + o
+
+
+def _ffn_half(weights: BaseWeights, p: str, h, ad, rows, cache):
+    """h + down(gelu(up(norm(h)))) of one block; fills cache if given."""
+    ts, cfg = weights.tensors, weights.cfg
+    xn2, inv2 = rmsnorm_fwd(h, ts[p + "ffn_norm"], cfg.norm_eps)
+    u_pre, mid_up = _project_fwd(xn2, ts[p + "wup"], ad["up"], rows)
+    u, th = _gelu_fwd(u_pre)
+    dn, mid_down = _project_fwd(u, ts[p + "wdown"], ad["down"], rows)
+    if cache is not None:
+        cache.update(pre_ffn=h, inv2=inv2, xn2=xn2, u_pre=u_pre, th=th, u=u)
+        cache["mids"].update(up=mid_up, down=mid_down)
+    return h + dn
+
+
 def _forward(weights: BaseWeights, adapters, active, ids: np.ndarray,
-             *, collect: bool, keep_cache: bool, keep=None, kv=None, start: int = 0):
+             *, collect=None, keep_cache: bool = False, keep=None, kv=None,
+             start: int = 0, resume=None):
     """Shared forward. Returns (hidden [L,t,d] or None, h_final, caches or None).
 
+    collect indexes the positions whose residual is recorded after every
+    layer (slice(None) for all of them); None records nothing.
     ids is one sequence [t] or a batch of rows [B, t]. For decoding, keep
     gives each row's keep level (its adapters apply on layers 1..keep),
     and kv holds one (keys, values) cache per layer; ids are then the
-    positions start..start+t of each row.
+    positions start..start+t of each row. resume = (k, h) starts from the
+    residual h after layer k instead of the embeddings of ids and runs
+    layers k+1..L only; hidden then holds those L - k layers.
     """
     cfg = weights.cfg
     ts = weights.tensors
     t = ids.shape[-1]
-    h = ts["tok_emb"][ids] + ts["pos_emb"][start:start + t]
-    hidden = np.empty((cfg.n_layers,) + h.shape, dtype=h.dtype) if collect else None
+    if resume is None:
+        first, h = 0, ts["tok_emb"][ids] + ts["pos_emb"][start:start + t]
+    else:
+        first, h = resume
+    hidden = None
+    if collect is not None:
+        hidden = np.empty((cfg.n_layers - first,) + h[..., collect, :].shape, dtype=h.dtype)
     caches = [] if keep_cache else None
-    for l in range(1, cfg.n_layers + 1):
+    for l in range(first + 1, cfg.n_layers + 1):
         p = f"layer{l:02d}."
         ad = {name: _get_adapter(adapters, active, l, name) for name in PROJECTIONS}
         rows = _layer_rows(keep, l)
-
-        pre_attn = h
-        xn1, inv1 = rmsnorm_fwd(h, ts[p + "attn_norm"], cfg.norm_eps)
-        q, mid_q = _project_fwd(xn1, ts[p + "wq"], ad["q"], rows)
-        k, mid_k = _project_fwd(xn1, ts[p + "wk"], ad["k"], rows)
-        v, mid_v = _project_fwd(xn1, ts[p + "wv"], ad["v"], rows)
-        attn, att_cache = _attention_fwd(q, k, v, cfg.n_heads,
-                                         None if kv is None else kv[l - 1], start)
-        o, mid_o = _project_fwd(attn, ts[p + "wo"], ad["o"], rows)
-        h = pre_attn + o
-
-        pre_ffn = h
-        xn2, inv2 = rmsnorm_fwd(h, ts[p + "ffn_norm"], cfg.norm_eps)
-        u_pre, mid_up = _project_fwd(xn2, ts[p + "wup"], ad["up"], rows)
-        u, th = _gelu_fwd(u_pre)
-        dn, mid_down = _project_fwd(u, ts[p + "wdown"], ad["down"], rows)
-        h = pre_ffn + dn
-
-        if collect:
-            hidden[l - 1] = h
+        # a block's temporaries live only inside these two calls unless cached
+        cache = {"ad": ad, "mids": {}} if keep_cache else None
+        h = _attention_half(weights, p, h, ad, rows, None if kv is None else kv[l - 1],
+                            start, cache)
+        h = _ffn_half(weights, p, h, ad, rows, cache)
+        if hidden is not None:
+            hidden[l - 1 - first] = h[..., collect, :]
         if keep_cache:
-            caches.append({
-                "ad": ad, "pre_attn": pre_attn, "inv1": inv1, "xn1": xn1,
-                "att_cache": att_cache, "attn": attn, "pre_ffn": pre_ffn,
-                "inv2": inv2, "xn2": xn2, "u_pre": u_pre, "th": th, "u": u,
-                "mids": {"q": mid_q, "k": mid_k, "v": mid_v, "o": mid_o,
-                         "up": mid_up, "down": mid_down},
-            })
+            caches.append(cache)
     return hidden, h, caches
 
 
@@ -360,18 +406,20 @@ def lens_logits(weights: BaseWeights, h: np.ndarray) -> np.ndarray:
 
 def forward_collect(weights: BaseWeights, adapters=None, tokens=None,
                     active=None) -> LayerTrace:
-    """Run the model over one sequence and record the per-layer residual stream."""
-    ids = _check_tokens(weights.cfg, tokens)
-    hidden, h_final, _ = _forward(weights, adapters, active, ids,
-                                  collect=True, keep_cache=False)
+    """Run the model and record the per-layer residual stream.
+
+    tokens is one sequence [t] or a batch of equal-length rows [B, t];
+    the trace then carries the batch axis after the layer axis.
+    """
+    ids = _check_tokens(weights.cfg, tokens, batch=True)
+    hidden, h_final, _ = _forward(weights, adapters, active, ids, collect=slice(None))
     return LayerTrace(hidden=hidden, final_logits=lens_logits(weights, h_final))
 
 
 def next_token_logits(weights: BaseWeights, adapters, tokens, active=None) -> np.ndarray:
     """Logits for the continuation of `tokens`; last position only, shape [vocab]."""
     ids = _check_tokens(weights.cfg, tokens)
-    _, h_final, _ = _forward(weights, adapters, active, ids,
-                             collect=False, keep_cache=False)
+    _, h_final, _ = _forward(weights, adapters, active, ids)
     return lens_logits(weights, h_final[-1:])[0]
 
 
@@ -465,8 +513,8 @@ def _decode_rows(weights: BaseWeights, adapters, ids: np.ndarray, keep: np.ndarr
     live = np.arange(n_rows)
     step_ids, pos = ids, 0
     for _ in range(budget):
-        _, h, _ = _forward(weights, adapters, None, step_ids, collect=False,
-                           keep_cache=False, keep=keep, kv=kv, start=pos)
+        _, h, _ = _forward(weights, adapters, None, step_ids, keep=keep, kv=kv,
+                           start=pos)
         pos += step_ids.shape[1]
         # argmax takes the first max, i.e. the lowest id
         nxt = np.argmax(lens_logits(weights, h[:, -1]), axis=-1)
@@ -485,12 +533,13 @@ def _decode_rows(weights: BaseWeights, adapters, ids: np.ndarray, keep: np.ndarr
 
 def lens_probs(weights: BaseWeights, trace: LayerTrace,
                positions) -> np.ndarray:
-    """Per-layer next-token distributions at the given positions: [L, n, vocab]."""
+    """Per-layer next-token distributions at the given positions: [L, n, vocab],
+    or [L, B, n, vocab] for a batch trace."""
     pos = np.asarray(positions, dtype=np.int64)
-    t = trace.hidden.shape[1]
+    t = trace.hidden.shape[-2]
     if pos.size and (pos.min() < 0 or pos.max() >= t):
         raise InputError(f"positions out of range for sequence length {t}")
-    states = trace.hidden[:, pos, :]           # [L, n, d]
+    states = trace.hidden[..., pos, :]         # [L, (B,) n, d]
     return softmax_rows(lens_logits(weights, states))
 
 
@@ -535,8 +584,7 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask,
     ts = weights.tensors
     ids = _check_tokens(cfg, inputs)
     t = ids.size
-    hidden, h_final, caches = _forward(weights, adapters, active, ids,
-                                       collect=False, keep_cache=True)
+    hidden, h_final, caches = _forward(weights, adapters, active, ids, keep_cache=True)
     fin_n, inv_f = rmsnorm_fwd(h_final, ts["final_norm"], cfg.norm_eps)
     head = weights.head_matrix()
     logits = fin_n @ head

@@ -39,9 +39,10 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     _check_float("x", x)
     if x.ndim < 1:
         raise ShapeError("softmax_rows needs at least one axis")
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def rmsnorm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -5,6 +5,17 @@ reference; at every layer the residual stream goes through the model's
 own final norm and output head, and we record the probability of the
 true next token (gt_curve) and of the best token (max_curve), averaged
 over samples. Curves are [n_layers x n_tokens], layer 1 first.
+
+One engine serves a single probe and a probe under many keep levels.
+Samples are batched by sequence length, at most DECODE_BATCH_ROWS rows
+at a time. Each batch runs one forward with the whole adapter set that
+records the residual after every layer. Under drop_above(set, k),
+layers 1..k compute exactly what the whole set computes, so keep level
+k reuses those readouts and resumes from the layer-k residual (the
+embeddings for k = 0), running layers k+1..L without adapters. Each
+readout is reduced at once to the two probabilities at the probed
+positions, and the per-sample values are summed in sample order, so
+the curves are bitwise those of one forward per sample and level.
 """
 
 from __future__ import annotations
@@ -17,7 +28,8 @@ import numpy as np
 
 from .errors import ComparisonError, InputError
 from .lora import LoraSet, drop_above
-from .model import BaseWeights, forward_collect, lens_probs
+from .model import DECODE_BATCH_ROWS, BaseWeights, _forward, forward_collect, lens_logits
+from .numerics import softmax_rows
 
 log = logging.getLogger(__name__)
 
@@ -106,22 +118,20 @@ def samples_hash(samples) -> str:
     return h.hexdigest()[:16]
 
 
-def probe_ground_truth(base: BaseWeights, adapters: LoraSet | None, samples, *,
-                       n_tokens: int = DEFAULT_N_TOKENS,
-                       budget: int = DEFAULT_SAMPLE_BUDGET,
-                       seed: int = 0, active=None,
-                       descriptor: dict | None = None) -> ProbeReport:
-    """Mean per-layer readout probabilities over a sampled set.
-
-    Samples whose reference is shorter than n_tokens are skipped with a
-    warning; an entirely empty probe is an error.
-    """
+def _check_request(base: BaseWeights, n_tokens: int, levels) -> None:
+    """Reject a bad n_tokens or keep level before any compute."""
     if n_tokens < 1:
         raise InputError(f"n_tokens must be at least 1, got {n_tokens}")
-    chosen = select_samples(samples, budget, seed)
+    n_layers = base.cfg.n_layers
+    for k in levels:
+        if not isinstance(k, (int, np.integer)) or not 0 <= k <= n_layers:
+            raise InputError(f"keep level {k!r} out of range 0..{n_layers}")
+
+
+def _long_enough(chosen, n_tokens: int) -> list[tuple[list, list]]:
+    """(prompt, reference) pairs of the samples with at least n_tokens of reference."""
     if not chosen:
         raise InputError("no samples to probe")
-
     kept = []
     for i, s in enumerate(chosen):
         prompt, ref = _sample_pair(s)
@@ -133,18 +143,72 @@ def probe_ground_truth(base: BaseWeights, adapters: LoraSet | None, samples, *,
     if not kept:
         raise InputError(
             f"every probed sample has a reference shorter than {n_tokens} tokens")
+    return kept
 
-    l = base.cfg.n_layers
-    gt_sum = np.zeros((l, n_tokens), dtype=np.float64)
-    max_sum = np.zeros((l, n_tokens), dtype=np.float64)
-    for prompt, ref in kept:
-        trace = forward_collect(base, adapters, prompt + ref[:n_tokens], active)
-        positions = [len(prompt) - 1 + i for i in range(n_tokens)]
-        dists = lens_probs(base, trace, positions)      # [L, n, V]
-        ref_ids = np.asarray(ref[:n_tokens])
-        gt_sum += dists[:, np.arange(n_tokens), ref_ids]
-        max_sum += dists.max(axis=-1)
 
+def _readout(base: BaseWeights, states: np.ndarray, ref: np.ndarray):
+    """Lens readout of the probed states [layers, B, n, d] reduced to
+    (p_true, p_max), each [layers, B, n]; ref [B, n] holds the true tokens.
+
+    One layer at a time, so only one layer's [B, n, vocab] distributions
+    are ever held.
+    """
+    rows, n = ref.shape
+    p_true = np.empty(states.shape[:-1], dtype=states.dtype)
+    p_max = np.empty_like(p_true)
+    for j, layer in enumerate(states):
+        probs = softmax_rows(lens_logits(base, layer))
+        p_true[j] = probs[np.arange(rows)[:, None], np.arange(n), ref]
+        p_max[j] = probs.max(axis=-1)
+    return p_true, p_max
+
+
+def _probe_levels(base: BaseWeights, adapters, kept, levels, n_tokens: int,
+                  active=None) -> dict:
+    """Summed (gt, max) readouts [L, n_tokens] per keep level of `adapters`."""
+    n_layers = base.cfg.n_layers
+    levels = sorted(set(int(k) for k in levels))
+    shape = (len(kept), n_layers, n_tokens)
+    per_sample = {k: (np.empty(shape), np.empty(shape)) for k in levels}
+    by_length: dict[int, list[int]] = {}
+    for i, (prompt, _) in enumerate(kept):
+        by_length.setdefault(len(prompt), []).append(i)
+    for length in sorted(by_length):
+        group = by_length[length]
+        positions = np.arange(length - 1, length - 1 + n_tokens)
+        for lo in range(0, len(group), DECODE_BATCH_ROWS):
+            batch = group[lo:lo + DECODE_BATCH_ROWS]
+            ids = np.array([kept[i][0] + kept[i][1][:n_tokens] for i in batch],
+                           dtype=np.int64)
+            ref = ids[:, length:]
+            if levels[-1] > 0:
+                full = forward_collect(base, adapters, ids, active).hidden
+                full_read = _readout(base, full[..., positions, :], ref)    # [L, B, n]
+            for k in levels:
+                if k == n_layers:
+                    read = full_read
+                else:
+                    resume = None if k == 0 else (k, full[k - 1])
+                    top, _, _ = _forward(base, None, None, ids, collect=positions,
+                                         resume=resume)
+                    top_read = _readout(base, top, ref)                     # [L - k, B, n]
+                    read = [np.concatenate([f[:k], t]) for f, t in zip(full_read, top_read)]
+                for dest, values in zip(per_sample[k], read):
+                    dest[batch] = values.swapaxes(0, 1)
+    sums = {}
+    for k, (gt, mx) in per_sample.items():
+        gt_sum = np.zeros((n_layers, n_tokens), dtype=np.float64)
+        max_sum = np.zeros((n_layers, n_tokens), dtype=np.float64)
+        for gt_row, max_row in zip(gt, mx):    # sample order fixes the rounding
+            gt_sum += gt_row
+            max_sum += max_row
+        sums[k] = (gt_sum, max_sum)
+    return sums
+
+
+def _report(base: BaseWeights, adapters, kept, sums, *, n_tokens: int, budget: int,
+            seed: int, active, descriptor: dict | None) -> ProbeReport:
+    gt_sum, max_sum = sums
     n = len(kept)
     config = {
         "base": base.fingerprint(),
@@ -157,27 +221,50 @@ def probe_ground_truth(base: BaseWeights, adapters: LoraSet | None, samples, *,
     }
     if descriptor:
         config.update(descriptor)
-    return ProbeReport(n_layers=l, n_tokens=n_tokens, sample_count=n,
+    return ProbeReport(n_layers=base.cfg.n_layers, n_tokens=n_tokens, sample_count=n,
                        gt_curve=gt_sum / n, max_curve=max_sum / n, config=config)
+
+
+def probe_ground_truth(base: BaseWeights, adapters: LoraSet | None, samples, *,
+                       n_tokens: int = DEFAULT_N_TOKENS,
+                       budget: int = DEFAULT_SAMPLE_BUDGET,
+                       seed: int = 0, active=None,
+                       descriptor: dict | None = None) -> ProbeReport:
+    """Mean per-layer readout probabilities over a sampled set.
+
+    Samples whose reference is shorter than n_tokens are skipped with a
+    warning; an entirely empty probe is an error.
+    """
+    n_layers = base.cfg.n_layers
+    _check_request(base, n_tokens, [])
+    kept = _long_enough(select_samples(samples, budget, seed), n_tokens)
+    sums = _probe_levels(base, adapters, kept, [n_layers], n_tokens, active)
+    return _report(base, adapters, kept, sums[n_layers], n_tokens=n_tokens,
+                   budget=budget, seed=seed, active=active, descriptor=descriptor)
 
 
 def probe_under_drop(base: BaseWeights, full_set: LoraSet, samples, keeps=None, *,
                      n_tokens: int = DEFAULT_N_TOKENS,
                      budget: int = DEFAULT_SAMPLE_BUDGET, seed: int = 0,
                      descriptor: dict | None = None) -> list[tuple[int, ProbeReport]]:
-    """Probe the same sample set under several keep-bottom levels."""
-    if keeps is None:
-        keeps = default_drop_levels(base.cfg.n_layers)
+    """Probe the same sample set under several keep-bottom levels.
+
+    Every level and n_tokens are checked before any compute. One report
+    per entry of keeps, in the given order.
+    """
+    keeps = default_drop_levels(base.cfg.n_layers) if keeps is None else list(keeps)
+    _check_request(base, n_tokens, keeps)
     chosen = select_samples(samples, budget, seed)
+    kept = _long_enough(chosen, n_tokens)
+    sums = _probe_levels(base, full_set, kept, keeps, n_tokens)
     out = []
     for k in keeps:
-        dropped = drop_above(full_set, k)
         extra = {"keep_bottom": int(k)}
         if descriptor:
             extra.update(descriptor)
-        out.append((int(k), probe_ground_truth(
-            base, dropped, chosen, n_tokens=n_tokens, budget=len(chosen),
-            seed=seed, descriptor=extra)))
+        out.append((int(k), _report(base, drop_above(full_set, k), kept, sums[int(k)],
+                                    n_tokens=n_tokens, budget=len(chosen), seed=seed,
+                                    active=None, descriptor=extra)))
     return out
 
 

@@ -1,17 +1,39 @@
 """Independent brute-force reference implementations.
 
 Deliberately naive: exponential subsequence enumeration, explicit
-position scans, no shared helpers with the package's metrics, and a
-greedy decoder that reruns the full forward for every new token. Slow
-but obviously correct on short inputs; the real implementations must
-agree with them.
+position scans, no shared helpers with the package's metrics, a greedy
+decoder that reruns the full forward for every new token, and a probe
+that runs one forward per sample. Slow but obviously correct on short
+inputs; the real implementations must agree with them.
 """
 
 import math
 
 import numpy as np
 
-from lorabound.model import next_token_logits
+from lorabound.model import forward_collect, lens_probs, next_token_logits
+
+
+def probe_oracle(weights, adapters, samples, n_tokens):
+    """Mean readout curves (gt, max), each [L, n_tokens], one forward per sample.
+
+    Samples are (prompt, reference) pairs; those with a reference shorter
+    than n_tokens are skipped.
+    """
+    n_layers = weights.cfg.n_layers
+    gt_sum = np.zeros((n_layers, n_tokens))
+    max_sum = np.zeros((n_layers, n_tokens))
+    count = 0
+    for prompt, ref in samples:
+        if len(ref) < n_tokens:
+            continue
+        trace = forward_collect(weights, adapters, list(prompt) + list(ref[:n_tokens]))
+        positions = [len(prompt) - 1 + i for i in range(n_tokens)]
+        dists = lens_probs(weights, trace, positions)      # [L, n, V]
+        gt_sum += dists[:, np.arange(n_tokens), np.asarray(ref[:n_tokens])]
+        max_sum += dists.max(axis=-1)
+        count += 1
+    return gt_sum / count, max_sum / count
 
 
 def greedy_oracle(weights, adapters, prompt, max_new, stop_token):

@@ -345,6 +345,20 @@ class TestDomainErrors:
                  "--out", tmp_path / "x.lbad")
         assert rc == 2
 
+    def test_bad_report_keep_level_exits_two_before_writing(self, pipeline, tmp_path,
+                                                           capsys):
+        cfg = json.loads(pipeline["cfg"].read_text())
+        cfg["probe"]["keep_levels"] = [1, 99]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "report"
+        rc = run("report", "--config", path, "--model", pipeline["base"],
+                 "--data", pipeline["data"], "--adapters", pipeline["full"],
+                 "--out-dir", out_dir)
+        assert rc == 2
+        assert "keep level 99 out of range 0..2" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_missing_decision_file_exits_two(self, pipeline, tmp_path):
         rc = run("export", "--model", pipeline["base"],
                  "--adapters", pipeline["full"],

@@ -7,7 +7,7 @@ import pytest
 
 from lorabound import model
 from lorabound.errors import InputError
-from lorabound.lora import drop_above, init_adapters
+from lorabound.lora import LoraAdapter, drop_above, init_adapters
 from lorabound.model import DECODE_BATCH_ROWS, ModelConfig, decode_batch, init_base
 
 from helpers import randomize_adapters, randomize_weights
@@ -142,15 +142,40 @@ class TestExactGating:
         poisoned = self.nan_above_one(lset)
         ids = np.array(ragged_prompts(4, seed=15, lo=5, hi=6))
         keep = np.array([0, 1, 3, 1])
-        _, gated, _ = model._forward(base, poisoned, None, ids, collect=False,
-                                     keep_cache=False, keep=keep)
-        _, plain, _ = model._forward(base, None, None, ids, collect=False,
-                                     keep_cache=False, keep=keep)
-        _, first, _ = model._forward(base, drop_above(poisoned, 1), None, ids,
-                                     collect=False, keep_cache=False)
+        _, gated, _ = model._forward(base, poisoned, None, ids, keep=keep)
+        _, plain, _ = model._forward(base, None, None, ids, keep=keep)
+        _, first, _ = model._forward(base, drop_above(poisoned, 1), None, ids)
         np.testing.assert_array_equal(gated[0], plain[0])
         np.testing.assert_array_equal(gated[[1, 3]], first[[1, 3]])
         assert np.isnan(gated[2]).all()
+
+
+class TestRowInvariance:
+    """A sequence's projection gets the same bits alone as in a batch, at desk dims.
+
+    [16, 42] is a batch of desk kvqa prompts; the low-rank path crosses
+    OpenBLAS's kernel switch there as one flat product for a rank-8
+    down-projection (d_in 256) and for rank 2.
+    """
+
+    @pytest.mark.parametrize("d_in, d_out, rank", [(64, 64, 8), (256, 64, 8), (64, 64, 2)])
+    def test_adapter_projection_alone_equals_in_batch(self, d_in, d_out, rank):
+        rng = np.random.default_rng(d_in + rank)
+        x = rng.normal(size=(16, 42, d_in)).astype(np.float32)
+        w = rng.normal(0.0, d_in ** -0.5, size=(d_in, d_out)).astype(np.float32)
+        adapter = LoraAdapter(a=rng.normal(size=(rank, d_in)).astype(np.float32),
+                              b=rng.normal(size=(d_out, rank)).astype(np.float32),
+                              alpha=16.0)
+        rows = np.array([0, 3, 4, 9, 15])
+        y, mid = model._project_fwd(x, w, adapter)
+        gated, _ = model._project_fwd(x, w, adapter, rows)
+        for i in range(len(x)):
+            alone, alone_mid = model._project_fwd(x[i], w, adapter)
+            np.testing.assert_array_equal(y[i], alone)
+            np.testing.assert_array_equal(mid[i], alone_mid)
+            if i not in rows:
+                alone, _ = model._project_fwd(x[i], w, None)
+            np.testing.assert_array_equal(gated[i], alone)
 
 
 class TestValidation:

@@ -93,6 +93,34 @@ class TestForward:
             model.forward_collect(w, None, [-1])
         with pytest.raises(InputError):
             model.forward_collect(w, None, [1] * 9)
+        with pytest.raises(InputError):
+            model.forward_collect(w, None, [[1, 2], [3]])
+        with pytest.raises(InputError):
+            model.forward_collect(w, None, [[[1, 2]]])
+
+    def test_batch_rows_equal_each_row_alone(self):
+        w = micro_weights(seed=3)
+        lset = randomize_adapters(lora.init_adapters(MICRO, targets=("q", "v", "down"),
+                                                     rank=2, seed=3),
+                                  np.random.default_rng(4))
+        rows = np.random.default_rng(5).integers(0, 16, size=(5, 6))
+        batch = model.forward_collect(w, lset, rows)
+        assert batch.hidden.shape == (2, 5, 6, 8)
+        probs = model.lens_probs(w, batch, [2, 5])
+        for i, row in enumerate(rows):
+            alone = model.forward_collect(w, lset, row)
+            np.testing.assert_array_equal(batch.hidden[:, i], alone.hidden)
+            np.testing.assert_array_equal(batch.final_logits[i], alone.final_logits)
+            np.testing.assert_array_equal(probs[:, i], model.lens_probs(w, alone, [2, 5]))
+
+    def test_resume_from_a_recorded_layer(self):
+        w = micro_weights(seed=6)
+        rows = np.random.default_rng(7).integers(0, 16, size=(3, 5))
+        full, h_final, _ = model._forward(w, None, None, rows, collect=slice(None))
+        top, h_top, _ = model._forward(w, None, None, rows, collect=[1, 4],
+                                       resume=(1, full[0]))
+        np.testing.assert_array_equal(top, full[1:, :, [1, 4]])
+        np.testing.assert_array_equal(h_top, h_final)
 
     def test_adapter_changes_output_only_when_active(self):
         w = micro_weights(seed=3)

@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
+from lorabound import probe
 from lorabound.errors import ComparisonError, InputError
 from lorabound.lora import drop_above, init_adapters
-from lorabound.model import (ModelConfig, init_base, next_token_logits,
-                             teacher_forced_probs)
+from lorabound.model import (ModelConfig, forward_collect, init_base,
+                             next_token_logits, teacher_forced_probs)
 from lorabound.numerics import softmax_rows
 from lorabound.probe import (ProbeReport, default_drop_levels, probe_difference,
                              probe_ground_truth, probe_under_drop,
                              samples_hash, select_samples)
 
 from helpers import randomize_adapters, randomize_weights
+from oracles import probe_oracle
 
 MICRO = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=16,
                     vocab_size=16, max_seq=8)
@@ -179,7 +181,118 @@ class TestProbeUnderDrop:
         base, lset = micro_setup()
         out = probe_under_drop(base, lset, micro_samples(), keeps=[2], n_tokens=2)
         plain = probe_ground_truth(base, lset, micro_samples(), n_tokens=2)
-        assert np.allclose(out[0][1].gt_curve, plain.gt_curve, rtol=0, atol=1e-12)
+        assert np.array_equal(out[0][1].gt_curve, plain.gt_curve)
+        assert np.array_equal(out[0][1].max_curve, plain.max_curve)
+
+
+class TestEngineAgainstOracle:
+    """The batched, level-forking engine against one forward per sample and level."""
+
+    CFG = ModelConfig(n_layers=4, d_model=8, n_heads=2, d_ff=16,
+                      vocab_size=16, max_seq=12)
+
+    def model_and_adapters(self, seed=0):
+        base = randomize_weights(init_base(self.CFG, seed=seed),
+                                 np.random.default_rng(seed + 50), std=0.4)
+        lset = init_adapters(self.CFG, targets=("q", "k", "v", "o", "up", "down"),
+                             rank=2, seed=seed)
+        lset = randomize_adapters(lset, np.random.default_rng(seed + 60), std=0.4)
+        lset.fingerprint = base.fingerprint()
+        return base, lset
+
+    def samples(self, n, seed, prompt_lengths=(1, 7), ref_lengths=(3, 5)):
+        rng = np.random.default_rng(seed)
+        return [(rng.integers(4, 16, size=int(rng.integers(*prompt_lengths))).tolist(),
+                 rng.integers(4, 16, size=int(rng.integers(*ref_lengths))).tolist())
+                for _ in range(n)]
+
+    def assert_matches(self, base, lset, samples, keeps, n_tokens):
+        out = probe_under_drop(base, lset, samples, keeps=keeps, n_tokens=n_tokens,
+                               budget=len(samples))
+        assert [k for k, _ in out] == list(keeps)
+        for k, rep in out:
+            gt, mx = probe_oracle(base, drop_above(lset, k), samples, n_tokens)
+            np.testing.assert_array_equal(rep.gt_curve, gt, err_msg=f"keep {k}")
+            np.testing.assert_array_equal(rep.max_curve, mx, err_msg=f"keep {k}")
+        return out
+
+    def test_ragged_lengths_at_every_level(self):
+        base, lset = self.model_and_adapters()
+        samples = self.samples(20, seed=1)
+        assert len({len(p) for p, _ in samples}) > 3
+        out = self.assert_matches(base, lset, samples, range(5), n_tokens=3)
+        # the levels must differ, or this checks nothing about the fork
+        assert len({rep.gt_curve.tobytes() for _, rep in out}) == 5
+
+    def test_more_rows_of_one_length_than_the_batch_cap(self, monkeypatch):
+        base, lset = self.model_and_adapters(seed=2)
+        samples = self.samples(2 * probe.DECODE_BATCH_ROWS + 5, seed=3,
+                               prompt_lengths=(5, 6))
+        batches = []
+
+        def spy(weights, adapters, tokens, active=None):
+            batches.append(np.shape(tokens))
+            return forward_collect(weights, adapters, tokens, active)
+
+        monkeypatch.setattr(probe, "forward_collect", spy)
+        self.assert_matches(base, lset, samples, [0, 2, 4], n_tokens=2)
+        cap = probe.DECODE_BATCH_ROWS
+        assert batches == [(cap, 7), (cap, 7), (5, 7)]
+
+    def test_short_references_are_skipped(self):
+        base, lset = self.model_and_adapters(seed=4)
+        samples = self.samples(18, seed=5, ref_lengths=(1, 5))
+        long_enough = sum(len(r) >= 3 for _, r in samples)
+        assert 0 < long_enough < len(samples)
+        out = self.assert_matches(base, lset, samples, [1, 3], n_tokens=3)
+        assert all(rep.sample_count == long_enough for _, rep in out)
+
+    def test_unsorted_and_duplicate_levels(self):
+        base, lset = self.model_and_adapters(seed=6)
+        samples = self.samples(12, seed=7)
+        out = self.assert_matches(base, lset, samples, [4, 0, 2, 0, 1, 4], n_tokens=2)
+        assert out[1][1].to_dict() == out[3][1].to_dict()
+
+    def test_single_probe_matches_the_oracle(self):
+        base, lset = self.model_and_adapters(seed=8)
+        samples = self.samples(21, seed=9)
+        for adapters in (lset, drop_above(lset, 2), None):
+            rep = probe_ground_truth(base, adapters, samples, n_tokens=3,
+                                     budget=len(samples))
+            gt, mx = probe_oracle(base, adapters, samples, 3)
+            np.testing.assert_array_equal(rep.gt_curve, gt)
+            np.testing.assert_array_equal(rep.max_curve, mx)
+
+    def test_nan_adapter_on_the_top_layer_reaches_no_lower_level(self):
+        base, lset = self.model_and_adapters(seed=10)
+        top = self.CFG.n_layers
+        for (layer, _), ad in lset.adapters.items():
+            if layer == top:
+                ad.a = np.full_like(ad.a, np.nan)
+        samples = self.samples(15, seed=11)
+        out = probe_under_drop(base, lset, samples, keeps=range(top + 1),
+                               n_tokens=2, budget=len(samples))
+        for k, rep in out[:top]:
+            assert np.isfinite(rep.gt_curve).all() and np.isfinite(rep.max_curve).all()
+            gt, mx = probe_oracle(base, drop_above(lset, k), samples, 2)
+            np.testing.assert_array_equal(rep.gt_curve, gt)
+            np.testing.assert_array_equal(rep.max_curve, mx)
+        full = out[top][1].gt_curve
+        assert np.isfinite(full[:-1]).all() and np.isnan(full[-1]).all()
+
+    @pytest.mark.parametrize("keeps, n_tokens", [
+        ([0, 2, 99], 2), ([1, -1], 2), ([1, 1.5], 2), ([0, None], 2), ([1, 2], 0)])
+    def test_bad_request_fails_before_any_forward(self, monkeypatch, keeps, n_tokens):
+        base, lset = self.model_and_adapters()
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("a forward ran before validation finished")
+
+        monkeypatch.setattr(probe, "forward_collect", no_compute)
+        monkeypatch.setattr(probe, "_forward", no_compute)
+        with pytest.raises(InputError):
+            probe_under_drop(base, lset, self.samples(4, seed=1), keeps=keeps,
+                             n_tokens=n_tokens)
 
 
 class TestProbeDifference:
