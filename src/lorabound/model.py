@@ -533,13 +533,12 @@ def _decode_rows(weights: BaseWeights, adapters, ids: np.ndarray, keep: np.ndarr
 
 def lens_probs(weights: BaseWeights, trace: LayerTrace,
                positions) -> np.ndarray:
-    """Per-layer next-token distributions at the given positions: [L, n, vocab],
-    or [L, B, n, vocab] for a batch trace."""
+    """Per-layer next-token distributions at the given positions: [L, n, vocab]."""
     pos = np.asarray(positions, dtype=np.int64)
-    t = trace.hidden.shape[-2]
+    t = trace.hidden.shape[1]
     if pos.size and (pos.min() < 0 or pos.max() >= t):
         raise InputError(f"positions out of range for sequence length {t}")
-    states = trace.hidden[..., pos, :]         # [L, (B,) n, d]
+    states = trace.hidden[:, pos, :]           # [L, n, d]
     return softmax_rows(lens_logits(weights, states))
 
 

@@ -191,8 +191,9 @@ def _probe_levels(base: BaseWeights, adapters, kept, levels, n_tokens: int,
                     resume = None if k == 0 else (k, full[k - 1])
                     top, _, _ = _forward(base, None, None, ids, collect=positions,
                                          resume=resume)
-                    top_read = _readout(base, top, ref)                     # [L - k, B, n]
-                    read = [np.concatenate([f[:k], t]) for f, t in zip(full_read, top_read)]
+                    read = _readout(base, top, ref)                         # [L - k, B, n]
+                    if k > 0:
+                        read = [np.concatenate([f[:k], t]) for f, t in zip(full_read, read)]
                 for dest, values in zip(per_sample[k], read):
                     dest[batch] = values.swapaxes(0, 1)
     sums = {}

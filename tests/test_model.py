@@ -106,12 +106,10 @@ class TestForward:
         rows = np.random.default_rng(5).integers(0, 16, size=(5, 6))
         batch = model.forward_collect(w, lset, rows)
         assert batch.hidden.shape == (2, 5, 6, 8)
-        probs = model.lens_probs(w, batch, [2, 5])
         for i, row in enumerate(rows):
             alone = model.forward_collect(w, lset, row)
             np.testing.assert_array_equal(batch.hidden[:, i], alone.hidden)
             np.testing.assert_array_equal(batch.final_logits[i], alone.final_logits)
-            np.testing.assert_array_equal(probs[:, i], model.lens_probs(w, alone, [2, 5]))
 
     def test_resume_from_a_recorded_layer(self):
         w = micro_weights(seed=6)

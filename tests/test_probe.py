@@ -191,10 +191,11 @@ class TestEngineAgainstOracle:
     CFG = ModelConfig(n_layers=4, d_model=8, n_heads=2, d_ff=16,
                       vocab_size=16, max_seq=12)
 
-    def model_and_adapters(self, seed=0):
-        base = randomize_weights(init_base(self.CFG, seed=seed),
-                                 np.random.default_rng(seed + 50), std=0.4)
-        lset = init_adapters(self.CFG, targets=("q", "k", "v", "o", "up", "down"),
+    def model_and_adapters(self, seed=0, cfg=None, std=0.4):
+        cfg = cfg or self.CFG
+        base = randomize_weights(init_base(cfg, seed=seed),
+                                 np.random.default_rng(seed + 50), std=std)
+        lset = init_adapters(cfg, targets=("q", "k", "v", "o", "up", "down"),
                              rank=2, seed=seed)
         lset = randomize_adapters(lset, np.random.default_rng(seed + 60), std=0.4)
         lset.fingerprint = base.fingerprint()
@@ -252,6 +253,34 @@ class TestEngineAgainstOracle:
         samples = self.samples(12, seed=7)
         out = self.assert_matches(base, lset, samples, [4, 0, 2, 0, 1, 4], n_tokens=2)
         assert out[1][1].to_dict() == out[3][1].to_dict()
+
+    @pytest.mark.parametrize("keeps", [[0], [0, 0]])
+    def test_level_zero_alone(self, keeps):
+        base, lset = self.model_and_adapters(seed=12)
+        self.assert_matches(base, lset, self.samples(10, seed=13), keeps, n_tokens=2)
+
+    def test_default_levels_of_a_one_layer_model(self):
+        cfg = ModelConfig(n_layers=1, d_model=8, n_heads=2, d_ff=16,
+                          vocab_size=16, max_seq=12)
+        assert default_drop_levels(1) == [0]
+        base, lset = self.model_and_adapters(seed=14, cfg=cfg)
+        samples = self.samples(10, seed=15)
+        out = probe_under_drop(base, lset, samples, n_tokens=2, budget=len(samples))
+        assert [k for k, _ in out] == [0]
+        gt, mx = probe_oracle(base, None, samples, 2)
+        np.testing.assert_array_equal(out[0][1].gt_curve, gt)
+        np.testing.assert_array_equal(out[0][1].max_curve, mx)
+
+    def test_sums_run_in_sample_order(self):
+        # Peaked readouts put true-token probabilities from 1e-15 to 1 in one
+        # cell, where the float64 sum depends on the order of its terms.
+        base, lset = self.model_and_adapters(seed=1, std=8.0)
+        samples = self.samples(20, seed=2)
+        top = self.CFG.n_layers
+        by_length = sorted(samples, key=lambda s: len(s[0]))    # the batch order
+        gt, _ = probe_oracle(base, lset, samples, 3)
+        assert not np.array_equal(gt, probe_oracle(base, lset, by_length, 3)[0])
+        self.assert_matches(base, lset, samples, [0, 2, top], n_tokens=3)
 
     def test_single_probe_matches_the_oracle(self):
         base, lset = self.model_and_adapters(seed=8)
