@@ -7,10 +7,12 @@ it over batches of equal-length rows and resumes it at any layer from a
 recorded residual. For generation the same forward runs over a batch of
 rows with a per-layer key/value cache: `decode_batch` prefills each
 batch of equal-length prompts once and then feeds one position per new
-token, and it is the only greedy decode loop in the package. Low-rank
-adapter deltas are applied in factored form at the projection sites and
-are never materialized as dense matrices here; in a batch, each row
-applies them only up to its own keep level.
+token, and it is the only greedy decode loop in the package. For
+training, `loss_and_grads` runs it over right-padded rows with a loss
+mask and backpropagates all of them at once. Low-rank adapter deltas
+are applied in factored form at the projection sites and are never
+materialized as dense matrices here; in a batch, each row applies them
+only up to its own keep level.
 
 Weight layout is [d_in, d_out] everywhere, so a projection is ``x @ w``.
 Layers are numbered 1..L in every public surface.
@@ -156,10 +158,15 @@ def init_base(cfg: ModelConfig, seed: int, std: float = 0.02) -> BaseWeights:
 
 @dataclass
 class LayerTrace:
-    """Residual stream after each block (1..L) plus the final logits."""
+    """Residual stream after each block (1..L); final logits on first use."""
 
     hidden: np.ndarray        # [L, t, d_model], or [L, B, t, d_model] for a batch
-    final_logits: np.ndarray  # [t, vocab], or [B, t, vocab]
+    weights: BaseWeights
+
+    @functools.cached_property
+    def final_logits(self) -> np.ndarray:
+        """[t, vocab], or [B, t, vocab]: the lens readout of the top layer."""
+        return lens_logits(self.weights, self.hidden[-1])
 
     def layer(self, l: int) -> np.ndarray:
         if not 1 <= l <= self.hidden.shape[0]:
@@ -236,16 +243,18 @@ def _attention_fwd(q, k, v, n_heads, kv=None, start: int = 0):
     out = _unheads(w @ vh)
     return out, (qh, kh, vh, w)
 
+
 def _attention_bwd(d_out, att_cache, n_heads):
+    """Gradients of _attention_fwd (no cache) for d_out [..., t, d]."""
     qh, kh, vh, w = att_cache
     do_h = _heads(d_out, n_heads)
-    d_w = do_h @ vh.transpose(0, 2, 1)
-    d_vh = w.transpose(0, 2, 1) @ do_h
+    d_w = do_h @ vh.swapaxes(-1, -2)
+    d_vh = w.swapaxes(-1, -2) @ do_h
     # softmax backward; masked weights are zero so nothing leaks acausally
     d_scores = w * (d_w - np.sum(w * d_w, axis=-1, keepdims=True))
-    scale = 1.0 / math.sqrt(qh.shape[2])
+    scale = 1.0 / math.sqrt(qh.shape[-1])
     d_qh = (d_scores @ kh) * scale
-    d_kh = (d_scores.transpose(0, 2, 1) @ qh) * scale
+    d_kh = (d_scores.swapaxes(-1, -2) @ qh) * scale
     return _unheads(d_qh), _unheads(d_kh), _unheads(d_vh)
 
 
@@ -254,10 +263,8 @@ def _matmul(x, w):
 
     numpy would loop over the leading axes instead; a 2-D product is
     faster. For the base weights (d_out of 64 and up) OpenBLAS 0.3.31
-    gives each row of it the same bits at any row count from 2 up. A
-    1-row product takes another kernel, so a lone single-position row
-    (a one-row decode step) may differ in the last bits from the same
-    row inside a batch.
+    gives each row of it the same bits at any row count from 2 up, which
+    is why the decoder never steps a batch of one row.
     """
     if x.ndim == 2:
         return x @ w
@@ -321,6 +328,23 @@ def _check_tokens(cfg: ModelConfig, tokens, batch: bool = False) -> np.ndarray:
             f"token ids must lie in [0, {cfg.vocab_size}), got "
             f"[{int(ids.min())}, {int(ids.max())}]")
     return ids
+
+
+def _check_targets(ids: np.ndarray, targets, mask):
+    """targets and mask as id and bool arrays shaped like ids, one row at a time."""
+    batch = ids.ndim == 2
+    out = []
+    for name, value, dtype in (("targets", targets, np.int64), ("mask", mask, bool)):
+        rows = value if batch else [value]
+        if batch and len(rows) != len(ids):
+            raise InputError(f"{name} has {len(rows)} rows, inputs have {len(ids)}")
+        for i, (row, want) in enumerate(zip(rows, ids if batch else [ids])):
+            if np.shape(row) != want.shape:
+                where = f"row {i}: " if batch else ""
+                raise InputError(f"{where}{name} has shape {np.shape(row)}, "
+                                 f"inputs have {want.shape}")
+        out.append(np.asarray(value, dtype=dtype))
+    return out
 
 
 # -- forward ------------------------------------------------------------------
@@ -412,8 +436,8 @@ def forward_collect(weights: BaseWeights, adapters=None, tokens=None,
     the trace then carries the batch axis after the layer axis.
     """
     ids = _check_tokens(weights.cfg, tokens, batch=True)
-    hidden, h_final, _ = _forward(weights, adapters, active, ids, collect=slice(None))
-    return LayerTrace(hidden=hidden, final_logits=lens_logits(weights, h_final))
+    hidden, _, _ = _forward(weights, adapters, active, ids, collect=slice(None))
+    return LayerTrace(hidden=hidden, weights=weights)
 
 
 def next_token_logits(weights: BaseWeights, adapters, tokens, active=None) -> np.ndarray:
@@ -436,6 +460,10 @@ def generate_greedy(weights: BaseWeights, adapters, prompt, max_new: int,
 # rows decoded together at most; bounds the K/V caches and the prefill
 # scores of one batch, so peak memory does not grow with the row count
 DECODE_BATCH_ROWS = 16
+
+# padded positions one training backward holds at most (rows x longest
+# input, but at least one row); bounds the activation cache it keeps
+TRAIN_CHUNK_POSITIONS = 192
 
 
 def decode_batch(weights: BaseWeights, adapters, rows, max_new: int,
@@ -499,36 +527,50 @@ def _check_rows(cfg: ModelConfig, rows, max_new: int, stop_token):
 
 def _decode_rows(weights: BaseWeights, adapters, ids: np.ndarray, keep: np.ndarray,
                  max_new: int, stop_token) -> list[list[int]]:
-    """The greedy decode loop over one batch of equal-length prompts [B, t]."""
+    """The greedy decode loop over one batch of equal-length prompts [B, t].
+
+    A batch never steps with one row: BLAS computes a 1-row product with
+    another kernel than a row inside a larger one, so a lone live row
+    runs twice over (the batch carries it as two equal rows) and row 0
+    is read.
+    """
     cfg = weights.cfg
     n_rows, t = ids.shape
     outs: list[list[int]] = [[] for _ in range(n_rows)]
     budget = min(max_new, cfg.max_seq - t)
     if budget <= 0:
         return outs
+    carried = _two_up(np.arange(n_rows))     # batch row -> row of ids
+    step_ids, keep = ids[carried], keep[carried]
     size = min(t + max_new, cfg.max_seq)
-    shape = (n_rows, cfg.n_heads, size, cfg.d_model // cfg.n_heads)
+    shape = (carried.size, cfg.n_heads, size, cfg.d_model // cfg.n_heads)
     dtype = weights.tensors["tok_emb"].dtype
     kv = [(np.empty(shape, dtype), np.empty(shape, dtype)) for _ in range(cfg.n_layers)]
     live = np.arange(n_rows)
-    step_ids, pos = ids, 0
+    pos = 0
     for _ in range(budget):
         _, h, _ = _forward(weights, adapters, None, step_ids, keep=keep, kv=kv,
                            start=pos)
         pos += step_ids.shape[1]
         # argmax takes the first max, i.e. the lowest id
         nxt = np.argmax(lens_logits(weights, h[:, -1]), axis=-1)
-        for r, tok in zip(live.tolist(), nxt.tolist()):
+        for r, tok in zip(live.tolist(), nxt[:live.size].tolist()):
             outs[r].append(tok)
         if stop_token is not None:
-            going = nxt != stop_token
-            if not going.all():
-                live, nxt, keep = live[going], nxt[going], keep[going]
-                kv = [(k[going], v[going]) for k, v in kv]
-                if not live.size:
+            going = np.flatnonzero(nxt[:live.size] != stop_token)
+            if going.size < live.size:
+                if not going.size:
                     break
+                live, sel = live[going], _two_up(going)
+                nxt, keep = nxt[sel], keep[sel]
+                kv = [(k[sel], v[sel]) for k, v in kv]
         step_ids = nxt[:, None]
     return outs
+
+
+def _two_up(rows: np.ndarray) -> np.ndarray:
+    """rows, with a lone row listed twice."""
+    return np.repeat(rows, 2) if rows.size == 1 else rows
 
 
 def lens_probs(weights: BaseWeights, trace: LayerTrace,
@@ -573,21 +615,31 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask,
                    active=None, *, want_base: bool = True, want_lora: bool = False):
     """Masked next-token cross-entropy and its gradients in one backward pass.
 
-    inputs/targets are aligned length-t id arrays; mask selects which target
-    positions count. Returns (loss, grads) where grads maps canonical base
-    tensor names and/or "layerNN.<proj>.lora_a"/"lora_b" to arrays, depending
-    on the want_* flags. Gradients of parameters not asked for are skipped,
-    not zeroed.
+    inputs/targets are aligned id arrays, one sequence [t] or a batch of
+    right-padded rows [B, t]; mask has their shape and selects which
+    target positions count, at least one per row. Each row's loss is the
+    mean over its own counted positions and a batch's loss is the mean of
+    its rows' losses, so a batch gives what the mean of one call per row
+    gives, whatever its pad tokens are: causal attention keeps pads out
+    of the earlier positions and uncounted positions send no gradient.
+    Returns (loss, grads) where grads maps canonical base tensor names
+    and/or "layerNN.<proj>.lora_a"/"lora_b" to arrays, depending on the
+    want_* flags. Gradients of parameters not asked for are skipped, not
+    zeroed.
     """
     cfg = weights.cfg
     ts = weights.tensors
-    ids = _check_tokens(cfg, inputs)
-    t = ids.size
-    hidden, h_final, caches = _forward(weights, adapters, active, ids, keep_cache=True)
+    ids = _check_tokens(cfg, inputs, batch=True)
+    targets, mask = _check_targets(ids, targets, mask)
+    if ids.shape[:-1] == (1,):
+        # a batch of one row runs as one sequence: same bits, fewer reshapes
+        ids, targets, mask = ids[0], targets[0], mask[0]
+    t = ids.shape[-1]
+    _, h_final, caches = _forward(weights, adapters, active, ids, keep_cache=True)
     fin_n, inv_f = rmsnorm_fwd(h_final, ts["final_norm"], cfg.norm_eps)
     head = weights.head_matrix()
-    logits = fin_n @ head
-    loss, d_logits = cross_entropy_grad(logits, np.asarray(targets), np.asarray(mask))
+    logits = _matmul(fin_n, head)
+    loss, d_logits = cross_entropy_grad(logits, targets, mask)
 
     grads: dict[str, np.ndarray] = {}
 
@@ -597,9 +649,13 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask,
         else:
             grads[name] = g
 
-    d_fin_n = d_logits @ head.T
+    def flat(x):
+        """[B, t, n] -> [B * t, n]: weight gradients are one 2-D product."""
+        return x.reshape(-1, x.shape[-1])
+
+    d_fin_n = _matmul(d_logits, head.T)
     if want_base:
-        d_head = fin_n.T @ d_logits
+        d_head = flat(fin_n).T @ flat(d_logits)
         if cfg.tied_embeddings:
             add("tok_emb", d_head.T)
         else:
@@ -610,15 +666,16 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask,
 
     def back_project(d_y, x, w, adapter, mid, base_name, layer, proj):
         """Backward through y = x @ w (+ adapter path). Returns d_x."""
-        d_x = d_y @ w.T
+        d_x = _matmul(d_y, w.T)
         if want_base:
-            add(base_name, x.T @ d_y)
+            add(base_name, flat(x).T @ flat(d_y))
         if adapter is not None:
-            d_mid = adapter.scale * (d_y @ adapter.b)
-            d_x += d_mid @ adapter.a
+            d_mid = adapter.scale * _matmul(d_y, adapter.b)
+            d_x += _matmul(d_mid, adapter.a)
             if want_lora:
-                add(f"layer{layer:02d}.{proj}.lora_b", adapter.scale * (d_y.T @ mid))
-                add(f"layer{layer:02d}.{proj}.lora_a", d_mid.T @ x)
+                add(f"layer{layer:02d}.{proj}.lora_b",
+                    adapter.scale * (flat(d_y).T @ flat(mid)))
+                add(f"layer{layer:02d}.{proj}.lora_a", flat(d_mid).T @ flat(x))
         return d_x
 
     for l in range(cfg.n_layers, 0, -1):
@@ -659,7 +716,7 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask,
         np.add.at(d_tok, ids, d_h)
         add("tok_emb", d_tok)
         d_pos = np.zeros_like(ts["pos_emb"])
-        d_pos[:t] = d_h
+        d_pos[:t] = d_h.reshape(-1, t, cfg.d_model).sum(axis=0)
         add("pos_emb", d_pos)
 
     return loss, grads

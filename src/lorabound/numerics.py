@@ -76,39 +76,50 @@ def rmsnorm_bwd(d_y: np.ndarray, x: np.ndarray, inv: np.ndarray, gain: np.ndarra
 def cross_entropy_grad(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray):
     """Mean NLL over unmasked positions plus its gradient w.r.t. logits.
 
-    logits: [t, V]; targets: [t] int token ids; mask: [t] bool, True = counted.
-    Loss is accumulated in float64 regardless of input dtype; the returned
-    gradient matches the logits dtype and is (softmax - one_hot) / count on
-    unmasked rows, zero elsewhere.
+    logits: [t, V] for one sequence or [B, t, V] for a batch of rows;
+    targets: [t] or [B, t] int token ids; mask: the same shape, bool,
+    True = counted. Each row's loss is the mean over its own counted
+    positions, and a batch's loss is the mean of its row losses, added
+    in row order. Losses are accumulated in float64 regardless of input
+    dtype; the returned gradient matches the logits dtype and is
+    (softmax - one_hot) / (count * B) on a row's counted positions, zero
+    elsewhere.
     """
     _check_float("logits", logits)
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be [t, V], got {logits.shape}")
-    t, v = logits.shape
+    if logits.ndim not in (2, 3):
+        raise ShapeError(f"logits must be [t, V] or [B, t, V], got {logits.shape}")
+    v = logits.shape[-1]
     targets = np.asarray(targets)
     mask = np.asarray(mask, dtype=bool)
-    if targets.shape != (t,) or mask.shape != (t,):
-        raise ShapeError(f"targets/mask must be length {t}, got {targets.shape} and {mask.shape}")
+    if targets.shape != logits.shape[:-1] or mask.shape != logits.shape[:-1]:
+        raise ShapeError(f"targets/mask must have shape {logits.shape[:-1]}, "
+                         f"got {targets.shape} and {mask.shape}")
     if targets.min(initial=0) < 0 or targets.max(initial=0) >= v:
         raise InputError(f"target ids must lie in [0, {v}), got range "
                          f"[{int(targets.min())}, {int(targets.max())}]")
-    count = int(mask.sum())
-    if count == 0:
-        raise DegenerateInputError("all positions are masked; loss is undefined")
+    batch = logits.ndim == 3
+    if not batch:
+        logits, targets, mask = logits[None], targets[None], mask[None]
+    n_rows, t, _ = logits.shape
+    counts = mask.sum(axis=-1)
+    if not counts.all():
+        row = int(np.flatnonzero(counts == 0)[0])
+        where = f"row {row}: " if batch else ""
+        raise DegenerateInputError(f"{where}all positions are masked; loss is undefined")
 
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    probs = softmax_rows(logits)
-    rows = np.arange(t)
+    grad = softmax_rows(logits)
+    at = (np.arange(n_rows)[:, None], np.arange(t), targets)
     # log p = shifted[target] - log sum exp(shifted); reduce in float64
-    logp = shifted[rows, targets].astype(np.float64) - np.log(
+    logp = shifted[at].astype(np.float64) - np.log(
         np.exp(shifted.astype(np.float64)).sum(axis=-1))
-    loss = float(-(logp * mask).sum() / count)
+    row_loss = -(logp * mask).sum(axis=-1) / counts
+    loss = sum(row_loss.tolist()) / n_rows
 
-    grad = probs.copy()
-    grad[rows, targets] -= 1.0
+    grad[at] -= 1.0
     grad[~mask] = 0.0
-    grad /= count
-    return loss, grad
+    grad /= (counts * n_rows).astype(grad.dtype)[:, None, None]
+    return loss, grad if batch else grad[0]
 
 
 @dataclass

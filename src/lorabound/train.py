@@ -1,9 +1,12 @@
 """Training loops: base-model pretraining and adapter-only fine-tuning.
 
-All loops walk sequences one at a time and average gradients over a
-batch before each optimizer step, so runs are deterministic for a given
-seed regardless of batch size quirks. Fine-tuning touches adapter
-factors only; the base weights are read, never written.
+Each optimizer step averages the gradients of its batch and then takes
+one Adam step. The batch goes through the model in consecutive chunks of
+right-padded rows with a loss mask, one forward and backward per chunk;
+a chunk holds TRAIN_CHUNK_POSITIONS // (the step's longest input) rows,
+at least one, which bounds the activations one backward keeps. Runs are
+deterministic for a given seed. Fine-tuning touches adapter factors
+only; the base weights are read, never written.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .lora import LoraSet, drop_above, init_adapters, lora_param_dict
-from .model import BaseWeights, ModelConfig, init_base, loss_and_grads
+from .model import (TRAIN_CHUNK_POSITIONS, BaseWeights, ModelConfig, init_base,
+                    loss_and_grads)
 from .numerics import AdamState, adam_step, clip_by_global_norm
 
 log = logging.getLogger(__name__)
@@ -63,14 +67,33 @@ def _pairs(dataset) -> list[tuple[list[int], list[int]]]:
     return out
 
 
+def _padded(chunk):
+    """(inputs, targets, mask) rows right-padded to [rows, t]; pads are id 0, not counted."""
+    shape = (len(chunk), max(inputs.size for inputs, _, _ in chunk))
+    out = (np.zeros(shape, np.int64), np.zeros(shape, np.int64), np.zeros(shape, bool))
+    for i, example in enumerate(chunk):
+        for dest, row in zip(out, example):
+            dest[i, :row.size] = row
+    return out
+
+
 def _batched_step(examples, grad_fn, params, state, grad_clip):
-    """Average grad_fn over the batch, clip, apply one Adam step; returns mean loss."""
+    """Average grad_fn over the batch, clip, apply one Adam step; returns mean loss.
+
+    examples are (inputs, targets, mask) rows. grad_fn gets them in
+    consecutive padded chunks of at most TRAIN_CHUNK_POSITIONS // (the
+    longest input) rows and returns a chunk's mean loss and gradients.
+    """
+    rows = max(1, TRAIN_CHUNK_POSITIONS // max(inputs.size for inputs, _, _ in examples))
     total: dict[str, np.ndarray] = {}
     loss_sum = 0.0
-    for ex in examples:
-        loss, grads = grad_fn(ex)
-        loss_sum += loss
+    for lo in range(0, len(examples), rows):
+        chunk = examples[lo:lo + rows]
+        loss, grads = grad_fn(*_padded(chunk))
+        loss_sum += loss * len(chunk)
         for name, g in grads.items():
+            if len(chunk) > 1:
+                g *= g.dtype.type(len(chunk))     # chunk mean -> chunk sum
             if name in total:
                 total[name] += g
             else:
@@ -107,17 +130,20 @@ def pretrain(cfg: ModelConfig, tcfg: TrainConfig, corpus,
     order_rng = np.random.default_rng(tcfg.seed)
     history: list[tuple[int, int, float]] = []
 
-    def grad_fn(seq):
-        ids = np.asarray(seq)
-        mask = np.ones(len(seq) - 1, dtype=bool)
-        return loss_and_grads(weights, None, ids[:-1], ids[1:], mask,
+    examples = []
+    for s in seqs:
+        ids = np.asarray(s, dtype=np.int64)
+        examples.append((ids[:-1], ids[1:], np.ones(ids.size - 1, dtype=bool)))
+
+    def grad_fn(inputs, targets, mask):
+        return loss_and_grads(weights, None, inputs, targets, mask,
                               want_base=True, want_lora=False)
 
     step = 0
     for epoch in range(1, tcfg.epochs + 1):
         order = order_rng.permutation(len(seqs))
         for start in range(0, len(seqs), tcfg.batch):
-            batch = [seqs[i] for i in order[start:start + tcfg.batch]]
+            batch = [examples[i] for i in order[start:start + tcfg.batch]]
             loss = _batched_step(batch, grad_fn, weights.tensors, state,
                                  tcfg.grad_clip)
             step += 1
@@ -146,22 +172,22 @@ def _finetune(base: BaseWeights, adapters: LoraSet, dataset, tcfg: TrainConfig,
     order_rng = np.random.default_rng(tcfg.seed)
     history: list[tuple[int, int, float]] = []
 
-    def grad_fn(pair):
-        prompt, ref = pair
-        seq = np.asarray(prompt + ref)
-        targets = seq[1:]
-        if tcfg.loss_mask_prompt:
-            mask = np.arange(targets.size) >= len(prompt) - 1
-        else:
-            mask = np.ones(targets.size, dtype=bool)
-        return loss_and_grads(base, adapters, seq[:-1], targets, mask,
+    examples = []
+    for prompt, ref in pairs:
+        seq = np.asarray(prompt + ref, dtype=np.int64)
+        # without the prompt mask every target counts
+        first = len(prompt) - 1 if tcfg.loss_mask_prompt else 0
+        examples.append((seq[:-1], seq[1:], np.arange(seq.size - 1) >= first))
+
+    def grad_fn(inputs, targets, mask):
+        return loss_and_grads(base, adapters, inputs, targets, mask,
                               want_base=False, want_lora=True)
 
     step = 0
     for epoch in range(1, tcfg.epochs + 1):
         order = order_rng.permutation(len(pairs))
         for start in range(0, len(pairs), tcfg.batch):
-            batch = [pairs[i] for i in order[start:start + tcfg.batch]]
+            batch = [examples[i] for i in order[start:start + tcfg.batch]]
             loss = _batched_step(batch, grad_fn, params, state, tcfg.grad_clip)
             step += 1
             history.append((epoch, step, loss))

@@ -2,9 +2,10 @@
 
 Deliberately naive: exponential subsequence enumeration, explicit
 position scans, no shared helpers with the package's metrics, a greedy
-decoder that reruns the full forward for every new token, and a probe
-that runs one forward per sample. Slow but obviously correct on short
-inputs; the real implementations must agree with them.
+decoder that reruns the full forward for every new token, a probe that
+runs one forward per sample, and a training step that runs one forward
+and backward per sequence. Slow but obviously correct on short inputs;
+the real implementations must agree with them.
 """
 
 import math
@@ -12,6 +13,7 @@ import math
 import numpy as np
 
 from lorabound.model import forward_collect, lens_probs, next_token_logits
+from lorabound.numerics import adam_step, clip_by_global_norm
 
 
 def probe_oracle(weights, adapters, samples, n_tokens):
@@ -34,6 +36,31 @@ def probe_oracle(weights, adapters, samples, n_tokens):
         max_sum += dists.max(axis=-1)
         count += 1
     return gt_sum / count, max_sum / count
+
+
+def train_step_oracle(examples, grad_fn, params, state, grad_clip):
+    """One optimizer step, one grad_fn call per (inputs, targets, mask) row.
+
+    Sums the rows' gradients, scales by 1 / len(examples), clips, applies
+    one Adam step and returns the mean loss; a drop-in for
+    train._batched_step.
+    """
+    total = {}
+    loss_sum = 0.0
+    for example in examples:
+        loss, grads = grad_fn(*example)
+        loss_sum += loss
+        for name, g in grads.items():
+            if name in total:
+                total[name] += g
+            else:
+                total[name] = g
+    inv = 1.0 / len(examples)
+    for g in total.values():
+        g *= g.dtype.type(inv)
+    clip_by_global_norm(total, grad_clip)
+    adam_step(params, total, state)
+    return loss_sum * inv
 
 
 def greedy_oracle(weights, adapters, prompt, max_new, stop_token):

@@ -111,6 +111,41 @@ class TestAgainstOracle:
         for row, out in zip(rows, together):
             assert decode_batch(base, lset, [row], 5, 1) == [out]
 
+    def test_row_logits_alone_equal_in_batch_at_every_step(self, monkeypatch):
+        # desk widths: there a 1-row BLAS product differs in the last bits
+        # from the same row inside a larger one
+        cfg = ModelConfig(n_layers=2, d_model=64, n_heads=4, d_ff=256,
+                          vocab_size=512, max_seq=24)
+        base = randomize_weights(init_base(cfg, seed=3), np.random.default_rng(4))
+        lset = randomize_adapters(init_adapters(cfg, targets=("q", "v"), rank=8, seed=3),
+                                  np.random.default_rng(5))
+        rng = np.random.default_rng(6)
+        prompts = [rng.integers(4, 512, size=6).tolist() for _ in range(40)]
+        free = decode_batch(base, lset, [(p, 2) for p in prompts], 8, None)
+        target = free[0]
+        # batch-mates that stop at their first token, which the target never emits
+        by_stop: dict[int, list[int]] = {}
+        for i, out in enumerate(free[1:], 1):
+            if out[0] not in target:
+                by_stop.setdefault(out[0], []).append(i)
+        stop, mates = max(by_stop.items(), key=lambda kv: len(kv[1]))
+        logits, real = [], model.lens_logits
+
+        def spy(weights, h):
+            out = real(weights, h)
+            logits.append(out[0].copy())    # the target is row 0 while it decodes
+            return out
+
+        monkeypatch.setattr(model, "lens_logits", spy)
+        alone = decode_batch(base, lset, [(prompts[0], 2)], 8, stop)
+        alone_logits, logits[:] = list(logits), []
+        batch = decode_batch(base, lset, [(prompts[i], 2) for i in [0, *mates]], 8, stop)
+        assert alone[0] == batch[0] == target
+        assert all(len(out) == 1 for out in batch[1:])
+        assert len(logits) == len(alone_logits) == 8
+        for step, (a, b) in enumerate(zip(alone_logits, logits)):
+            np.testing.assert_array_equal(a, b, err_msg=f"step {step}")
+
     def test_generate_greedy_is_a_full_keep_row(self):
         base, lset = micro_setup(seed=10)
         for prompt in ragged_prompts(4, seed=11):

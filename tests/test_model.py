@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lorabound import lora, model, numerics
-from lorabound.errors import ConfigError, InputError
+from lorabound.errors import ConfigError, DegenerateInputError, InputError
 
 from helpers import fd_grad, randomize_adapters, randomize_weights, rel_error
 
@@ -212,10 +212,39 @@ def flatten_params(weights, lset=None):
     return params
 
 
+def sequence(toks, prompt_len):
+    """(inputs, targets, mask) of one sequence; targets before the prompt's end don't count."""
+    toks = np.asarray(toks)
+    return toks[:-1], toks[1:], np.arange(toks.size - 1) >= prompt_len - 1
+
+
+def ragged_rows(seed, lengths):
+    """One (inputs, targets, mask) row per input length, each with a random prompt."""
+    rng = np.random.default_rng(seed)
+    return [sequence(rng.integers(0, MICRO.vocab_size, size=n + 1), int(rng.integers(1, n + 1)))
+            for n in lengths]
+
+
+def padded(rows, pad_seed=None):
+    """Rows right-padded to [B, t]: pads are id 0, or random ids given a seed."""
+    shape = (len(rows), max(inputs.size for inputs, _, _ in rows))
+    rng = np.random.default_rng(pad_seed)
+    pads = [np.zeros(shape, dtype=np.int64) if pad_seed is None
+            else rng.integers(0, MICRO.vocab_size, size=shape) for _ in range(2)]
+    out = (*pads, np.zeros(shape, dtype=bool))
+    for i, row in enumerate(rows):
+        for dest, values in zip(out, row):
+            dest[i, :values.size] = values
+    return out
+
+
 def check_grads(weights, lset, toks, prompt_len, *, eps, tol, dtype):
-    inputs = np.array(toks[:-1])
-    targets = np.array(toks[1:])
-    mask = np.arange(len(targets)) >= prompt_len - 1
+    return check_batch_grads(weights, lset, *sequence(toks, prompt_len), eps=eps, tol=tol)
+
+
+def check_batch_grads(weights, lset, inputs, targets, mask, *, eps, tol):
+    """Every gradient of loss_and_grads against central finite differences of
+    the forward-only loss; inputs is one sequence or a padded batch."""
     loss, grads = model.loss_and_grads(
         weights, lset, inputs, targets, mask,
         want_base=True, want_lora=lset is not None)
@@ -283,3 +312,83 @@ class TestGradients:
                                         want_base=False, want_lora=True)
         assert set(grads) == {"layer01.q.lora_a", "layer01.q.lora_b",
                               "layer01.v.lora_a", "layer01.v.lora_b"}
+
+
+def all_target_adapters(cfg, seed, dtype=np.float64):
+    lset = lora.init_adapters(cfg, targets=model.PROJECTIONS, rank=2, seed=seed)
+    return randomize_adapters(lset, np.random.default_rng(seed + 1), dtype=dtype)
+
+
+class TestBatchedGradients:
+    """[B, t] padded rows against one call per row."""
+
+    @pytest.mark.parametrize("tied, want_base, want_lora", [
+        (False, True, True), (False, True, False), (False, False, True), (True, True, True)])
+    def test_batch_is_the_mean_of_row_calls_float64(self, tied, want_base, want_lora):
+        w = micro_weights(seed=30, dtype=np.float64, tied=tied)
+        lset = all_target_adapters(w.cfg, seed=31)
+        rows = ragged_rows(32, [7, 3, 5, 1, 6])
+        flags = {"want_base": want_base, "want_lora": want_lora}
+        loss, grads = model.loss_and_grads(w, lset, *padded(rows), **flags)
+        per_row = [model.loss_and_grads(w, lset, *row, **flags) for row in rows]
+        assert rel_error(loss, np.mean([l for l, _ in per_row])) < 1e-6
+        assert set(grads) == set(per_row[0][1])
+        assert any(name.endswith(".lora_a") for name in grads) == want_lora
+        assert ("tok_emb" in grads) == want_base
+        assert len(grads) == want_base * (len(w.tensors)) + want_lora * 2 * 6 * 2
+        for name, g in grads.items():
+            mean = sum(row_grads[name] for _, row_grads in per_row) / len(rows)
+            assert rel_error(g, mean) < 1e-6, name
+
+    def test_one_row_batch_is_the_sequence_bit_for_bit(self):
+        w = micro_weights(seed=46)
+        lset = all_target_adapters(MICRO, seed=47, dtype=np.float32)
+        for row in ragged_rows(48, [7, 4]):
+            loss, grads = model.loss_and_grads(w, lset, *row, want_lora=True)
+            one, one_grads = model.loss_and_grads(w, lset, *(a[None] for a in row),
+                                                  want_lora=True)
+            assert one == loss
+            assert set(one_grads) == set(grads)
+            for name, g in grads.items():
+                np.testing.assert_array_equal(one_grads[name], g, err_msg=name)
+
+    def test_ragged_batch_against_finite_differences(self):
+        w = micro_weights(seed=33, dtype=np.float64)
+        lset = all_target_adapters(MICRO, seed=34)
+        worst = check_batch_grads(w, lset, *padded(ragged_rows(35, [7, 4, 2]), pad_seed=36),
+                                  eps=1e-5, tol=1e-6)
+        assert {"tok_emb", "pos_emb", "head", "layer01.wq", "layer02.down.lora_b"} <= set(worst)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_pad_tokens_change_nothing(self, tied):
+        w = micro_weights(seed=37, tied=tied)
+        lset = all_target_adapters(w.cfg, seed=38, dtype=np.float32)
+        rows = ragged_rows(39, [2, 7, 4])
+        flags = {"want_base": True, "want_lora": True}
+        loss, grads = model.loss_and_grads(w, lset, *padded(rows), **flags)
+        for pad_seed in (40, 41):
+            other_loss, other = model.loss_and_grads(w, lset, *padded(rows, pad_seed), **flags)
+            assert other_loss == loss
+            assert set(other) == set(grads)
+            for name, g in grads.items():
+                np.testing.assert_array_equal(other[name], g, err_msg=name)
+
+    def test_row_without_a_counted_target(self):
+        w = micro_weights(seed=42)
+        inputs, targets, mask = padded(ragged_rows(43, [5, 3, 6]))
+        mask[1] = False
+        with pytest.raises(DegenerateInputError, match="row 1"):
+            model.loss_and_grads(w, None, inputs, targets, mask)
+
+    def test_targets_or_mask_shaped_unlike_the_inputs(self):
+        w = micro_weights(seed=44)
+        inputs, targets, mask = padded(ragged_rows(45, [5, 3, 6]))
+        with pytest.raises(InputError, match="row 0: targets"):
+            model.loss_and_grads(w, None, inputs, targets[:, :-1], mask)
+        ragged_mask = [mask[0], mask[1, :-2], mask[2]]
+        with pytest.raises(InputError, match="row 1: mask"):
+            model.loss_and_grads(w, None, inputs, targets, ragged_mask)
+        with pytest.raises(InputError, match="2 rows"):
+            model.loss_and_grads(w, None, inputs, targets[:2], mask)
+        with pytest.raises(InputError, match="mask has shape"):
+            model.loss_and_grads(w, None, inputs[0], targets[0], mask[0, :-1])

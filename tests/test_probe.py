@@ -6,7 +6,7 @@ import pytest
 from lorabound import probe
 from lorabound.errors import ComparisonError, InputError
 from lorabound.lora import drop_above, init_adapters
-from lorabound.model import (ModelConfig, forward_collect, init_base,
+from lorabound.model import (LayerTrace, ModelConfig, forward_collect, init_base,
                              next_token_logits, teacher_forced_probs)
 from lorabound.numerics import softmax_rows
 from lorabound.probe import (ProbeReport, default_drop_levels, probe_difference,
@@ -308,6 +308,22 @@ class TestEngineAgainstOracle:
             np.testing.assert_array_equal(rep.max_curve, mx)
         full = out[top][1].gt_curve
         assert np.isfinite(full[:-1]).all() and np.isnan(full[-1]).all()
+
+    def test_final_logits_are_never_computed(self, monkeypatch):
+        base, lset = self.model_and_adapters(seed=16)
+        calls, touched = [], []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return forward_collect(*args, **kwargs)
+
+        monkeypatch.setattr(probe, "forward_collect", spy)
+        monkeypatch.setattr(LayerTrace, "final_logits",
+                            property(lambda trace: touched.append(trace)))
+        samples = self.samples(10, seed=17)
+        probe_under_drop(base, lset, samples, keeps=[0, 2, 4], n_tokens=2)
+        probe_ground_truth(base, lset, samples, n_tokens=2)
+        assert calls and not touched
 
     @pytest.mark.parametrize("keeps, n_tokens", [
         ([0, 2, 99], 2), ([1, -1], 2), ([1, 1.5], 2), ([0, None], 2), ([1, 2], 0)])

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from lorabound import train
 from lorabound.errors import ConfigError, InputError
 from lorabound.lora import drop_above, init_adapters
-from lorabound.model import ModelConfig, init_base, next_token_logits
+from lorabound.model import PROJECTIONS, ModelConfig, init_base, next_token_logits
 from lorabound.train import (TrainConfig, finetune_lora, finetune_partial,
                              pretrain, write_train_log)
+
+from helpers import randomize_adapters, randomize_weights, rel_error
+from oracles import train_step_oracle
 
 MICRO = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=16,
                     vocab_size=16, max_seq=8)
@@ -197,6 +201,79 @@ class TestFinetunePartial:
             finetune_partial(base, tiny_pairs(), FAST, keep_bottom=3)
         with pytest.raises(InputError):
             finetune_partial(base, tiny_pairs(), FAST, keep_bottom=-1)
+
+
+def shape_spy(monkeypatch):
+    """Record the input shape of every loss_and_grads call training makes."""
+    shapes, real = [], train.loss_and_grads
+
+    def spy(weights, adapters, inputs, *args, **kwargs):
+        shapes.append(np.shape(inputs))
+        return real(weights, adapters, inputs, *args, **kwargs)
+
+    monkeypatch.setattr(train, "loss_and_grads", spy)
+    return shapes
+
+
+class TestChunkedStep:
+    """Chunked, padded training steps against one backward per sequence."""
+
+    LONG = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=16,
+                       vocab_size=16, max_seq=128)
+
+    def test_pretrain_in_one_row_chunks_is_the_oracle_bit_for_bit(self, monkeypatch):
+        # packed-length sequences leave room for one row per backward
+        rng = np.random.default_rng(1)
+        corpus = [rng.integers(4, 16, size=int(rng.integers(100, 129))).tolist()
+                  for _ in range(10)]
+        tcfg = TrainConfig(lr=1e-2, epochs=2, batch=4, seed=2)
+        shapes = shape_spy(monkeypatch)
+        weights, history = pretrain(self.LONG, tcfg, corpus)
+        assert len(shapes) == 2 * len(corpus)
+        assert all(rows == 1 for rows, _ in shapes)
+        monkeypatch.setattr(train, "_batched_step", train_step_oracle)
+        want_weights, want_history = pretrain(self.LONG, tcfg, corpus)
+        assert history == want_history
+        assert_identical(weights.tensors, snapshot(want_weights))
+
+    def test_float64_finetune_matches_the_oracle(self, monkeypatch):
+        cfg = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=16,
+                          vocab_size=16, max_seq=64)
+        base = randomize_weights(init_base(cfg, seed=3).astype(np.float64),
+                                 np.random.default_rng(4))
+        rng = np.random.default_rng(5)
+        pairs = [(rng.integers(4, 16, size=int(rng.integers(2, 50))).tolist(),
+                  rng.integers(4, 16, size=int(rng.integers(1, 14))).tolist())
+                 for _ in range(19)]
+        tcfg = TrainConfig(lr=1e-2, epochs=2, batch=8, seed=6)
+
+        def run():
+            lset = init_adapters(cfg, targets=PROJECTIONS, rank=2, seed=7)
+            randomize_adapters(lset, np.random.default_rng(8), dtype=np.float64)
+            return finetune_lora(base, pairs, tcfg, adapters=lset)
+
+        shapes = shape_spy(monkeypatch)
+        got, history = run()
+        # the chunks the rule gives, from the same shuffle the loop draws
+        inputs = [len(p) + len(r) - 1 for p, r in pairs]
+        order_rng, want_shapes = np.random.default_rng(tcfg.seed), []
+        for _ in range(tcfg.epochs):
+            order = order_rng.permutation(len(pairs))
+            for start in range(0, len(pairs), tcfg.batch):
+                lengths = [inputs[i] for i in order[start:start + tcfg.batch]]
+                rows = max(1, train.TRAIN_CHUNK_POSITIONS // max(lengths))
+                want_shapes += [(len(chunk), max(chunk)) for chunk in
+                                (lengths[lo:lo + rows] for lo in range(0, len(lengths), rows))]
+        assert shapes == want_shapes
+        assert len(shapes) > len(history) and max(rows for rows, _ in shapes) > 1
+
+        monkeypatch.setattr(train, "_batched_step", train_step_oracle)
+        want, want_history = run()
+        for (_, _, loss), (_, _, want_loss) in zip(history, want_history):
+            assert rel_error(loss, want_loss) < 1e-6
+        for key, ad in got.adapters.items():
+            assert rel_error(ad.a, want.adapters[key].a) < 1e-6, key
+            assert rel_error(ad.b, want.adapters[key].b) < 1e-6, key
 
 
 class TestTrainLog:
