@@ -10,13 +10,11 @@ from .boundary import (BoundaryDecision, apply_boundary, default_boundary,
 from .errors import (CompatibilityError, ComparisonError, ConfigError,
                      DegenerateInputError, InputError, LoraBoundError,
                      NoKneeError, ParseError, ShapeError)
-from .lora import (LoraAdapter, LoraSet, active_mask, adapted_projection,
-                   drop_above, init_adapters, merge)
+from .lora import LoraAdapter, LoraSet, drop_above, init_adapters, merge
 from .model import (BaseWeights, LayerTrace, ModelConfig, decode_batch,
                     forward_collect, generate_greedy, init_base, lens_logits,
                     loss_and_grads, teacher_forced_probs)
-from .numerics import (AdamState, adam_step, cross_entropy_grad, matmul,
-                       rmsnorm, softmax_rows)
+from .numerics import AdamState, adam_step, cross_entropy_grad, softmax_rows
 from .probe import ProbeReport, probe_difference, probe_ground_truth, probe_under_drop
 from .train import TrainConfig, finetune_lora, finetune_partial, pretrain
 

@@ -16,8 +16,9 @@ import numpy as np
 from . import metrics as metrics_mod
 from .errors import CompatibilityError, InputError, NoKneeError
 from .lora import LoraSet, check_compat, drop_above
-from .model import BaseWeights, decode_batch
+from .model import BaseWeights, check_keep_level, decode_batch
 from .probe import ProbeReport, select_samples
+from .tasks import sample_ids
 from .vocab import EOS_ID, decode
 
 DEFAULT_MIN_JUMP_RATIO = 0.25
@@ -155,10 +156,7 @@ def sweep_boundary(base: BaseWeights, full_set: LoraSet, samples, metric, *,
     n_layers = base.cfg.n_layers
     if keeps is None:
         keeps = range(n_layers + 1)
-    keeps = sorted(set(int(k) for k in keeps))
-    for k in keeps:
-        if not 0 <= k <= n_layers:
-            raise InputError(f"keep level {k} out of range 0..{n_layers}")
+    keeps = sorted(set(check_keep_level(k, n_layers) for k in keeps))
     if not keeps:
         raise InputError("no keep levels to sweep")
 
@@ -177,7 +175,7 @@ def sweep_boundary(base: BaseWeights, full_set: LoraSet, samples, metric, *,
         metric_name = str(metric)
         score_fn = lambda preds, gs: metrics_mod.corpus_score(metric_name, preds, gs).score
 
-    prompts = [_prompt_of(s) for s in chosen]
+    prompts = [prompt for prompt, _ in sample_ids(chosen)]
 
     def score_levels(levels: list[int]) -> dict[int, float]:
         rows = [(prompt, k) for k in levels for prompt in prompts]
@@ -213,12 +211,6 @@ def apply_boundary(full_set: LoraSet, decision: BoundaryDecision) -> LoraSet:
             f"decision was made for adapter set {decision.set_hash}, "
             f"got {full_set.content_hash()}")
     return drop_above(full_set, decision.k_star)
-
-
-def _prompt_of(sample):
-    if hasattr(sample, "prompt_ids"):
-        return list(sample.prompt_ids)
-    return list(sample[0])
 
 
 def _gold_of(sample) -> str:

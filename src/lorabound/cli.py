@@ -20,10 +20,11 @@ from .boundary import (BoundaryDecision, apply_boundary, coarse_then_fine_levels
 from .errors import InputError, LoraBoundError
 from .fileio import (atomic_write_text, load_adapters, load_weights,
                      save_adapters, save_weights, write_manifest)
-from .lora import check_compat, drop_above, init_adapters
+from .lora import check_compat, drop_above, merge
 from .metrics import METRIC_NAMES, corpus_score
-from .model import decode_batch, init_base
-from .probe import default_drop_levels, probe_ground_truth, probe_under_drop, select_samples
+from .model import check_keep_level, decode_batch, init_base
+from .probe import (default_drop_levels, probe_difference, probe_ground_truth,
+                    probe_under_drop, select_samples)
 from .reports import (read_probe_tsv, write_diff_tsv, write_drop_probe_tsv,
                       write_eval_tsv, write_probe_tsv, write_sweep_tsv)
 from .runconfig import RunConfig
@@ -74,19 +75,13 @@ def _resolve_keep(value: str, n_layers: int, lset) -> int:
     except ValueError:
         raise InputError(
             f"--keep-bottom must be an integer or from:<path>, got {value!r}") from None
-    if not 0 <= k <= n_layers:
-        raise InputError(f"--keep-bottom {k} out of range 0..{n_layers}")
-    return k
+    return check_keep_level(k, n_layers)
 
 
 def _predictions(weights, adapters, samples, decode_budget: int) -> list[str]:
     rows = [(s.prompt_ids, weights.cfg.n_layers) for s in samples]
     return [decode(out) for out in
             decode_batch(weights, adapters, rows, decode_budget, EOS_ID)]
-
-
-def _manifest(out_path: str, command: str, params: dict, outputs: list[str]) -> None:
-    write_manifest(out_path, command, params, outputs)
 
 
 # -- commands -------------------------------------------------------------------
@@ -104,9 +99,9 @@ def cmd_gen_data(args) -> int:
         kwargs["domain"] = args.domain or cfg.task.domain
     ds = GENERATORS[task](seed, **kwargs)
     paths = save_dataset(ds, args.out)
-    _manifest(os.path.join(args.out, "manifest.json"), "gen-data",
-              {"task": task, "seed": seed, "sizes": kwargs["sizes"],
-               "domain": kwargs.get("domain", "in-domain")}, paths)
+    write_manifest(os.path.join(args.out, "manifest.json"), "gen-data",
+                   {"task": task, "seed": seed, "sizes": kwargs["sizes"],
+                    "domain": kwargs.get("domain", "in-domain")}, paths)
     counts = {s: len(v) for s, v in ds.splits.items()}
     print(f"gen-data: task={task} seed={seed} "
           + " ".join(f"{k}={v}" for k, v in counts.items()))
@@ -122,9 +117,9 @@ def cmd_pretrain(args) -> int:
                                 log_path=args.log)
     save_weights(args.out, weights)
     outputs = [args.out] + ([args.log] if args.log else [])
-    _manifest(args.out + ".manifest.json", "pretrain",
-              {"config": cfg.to_dict()["pretrain"], "model": cfg.model.to_dict(),
-               "fingerprint": weights.fingerprint()}, outputs)
+    write_manifest(args.out + ".manifest.json", "pretrain",
+                   {"config": cfg.to_dict()["pretrain"], "model": cfg.model.to_dict(),
+                    "fingerprint": weights.fingerprint()}, outputs)
     print(f"pretrain: {len(corpus)} sequences, final loss {history[-1][2]:.4f}, "
           f"fingerprint {weights.fingerprint()}")
     return 0
@@ -139,10 +134,10 @@ def cmd_finetune(args) -> int:
         rank=cfg.lora.rank, alpha=cfg.lora.alpha, log_path=args.log)
     save_adapters(args.out, adapters)
     outputs = [args.out] + ([args.log] if args.log else [])
-    _manifest(args.out + ".manifest.json", "finetune",
-              {"model": base.fingerprint(), "data": os.path.abspath(args.data),
-               "train": cfg.to_dict()["train"], "lora": cfg.to_dict()["lora"],
-               "content_hash": adapters.content_hash()}, outputs)
+    write_manifest(args.out + ".manifest.json", "finetune",
+                   {"model": base.fingerprint(), "data": os.path.abspath(args.data),
+                    "train": cfg.to_dict()["train"], "lora": cfg.to_dict()["lora"],
+                    "content_hash": adapters.content_hash()}, outputs)
     print(f"finetune: {len(samples)} samples, final loss {history[-1][2]:.4f}, "
           f"adapters {adapters.content_hash()}")
     return 0
@@ -157,11 +152,11 @@ def cmd_finetune_partial(args) -> int:
         rank=cfg.lora.rank, alpha=cfg.lora.alpha, log_path=args.log)
     save_adapters(args.out, adapters)
     outputs = [args.out] + ([args.log] if args.log else [])
-    _manifest(args.out + ".manifest.json", "finetune-partial",
-              {"model": base.fingerprint(), "data": os.path.abspath(args.data),
-               "keep_bottom": args.keep_bottom, "train": cfg.to_dict()["train"],
-               "lora": cfg.to_dict()["lora"],
-               "content_hash": adapters.content_hash()}, outputs)
+    write_manifest(args.out + ".manifest.json", "finetune-partial",
+                   {"model": base.fingerprint(), "data": os.path.abspath(args.data),
+                    "keep_bottom": args.keep_bottom, "train": cfg.to_dict()["train"],
+                    "lora": cfg.to_dict()["lora"],
+                    "content_hash": adapters.content_hash()}, outputs)
     print(f"finetune-partial: layers 1..{args.keep_bottom}, "
           f"final loss {history[-1][2]:.4f}")
     return 0
@@ -184,9 +179,9 @@ def cmd_probe(args) -> int:
                                 seed=cfg.probe.seed,
                                 descriptor={"split": args.split})
     write_probe_tsv(args.out, report)
-    _manifest(args.out + ".manifest.json", "probe",
-              {"model": base.fingerprint(), "adapters": report.config["adapters"],
-               "split": args.split, "probe": cfg.to_dict()["probe"]}, [args.out])
+    write_manifest(args.out + ".manifest.json", "probe",
+                   {"model": base.fingerprint(), "adapters": report.config["adapters"],
+                    "split": args.split, "probe": cfg.to_dict()["probe"]}, [args.out])
     mean_curve = report.mean_gt_by_layer()
     print(f"probe: {report.sample_count} samples, "
           f"top-layer mean reference prob {mean_curve[-1]:.4f}")
@@ -208,13 +203,12 @@ def cmd_diff_probe(args) -> int:
                   seed=cfg.probe.seed)
     ours = probe_ground_truth(base, ours_set, chosen, **kwargs)
     baseline = probe_ground_truth(base, baseline_set, chosen, **kwargs)
-    from .probe import probe_difference
     diff = probe_difference(ours, baseline)
     meta = {"model": base.fingerprint(), "ours": ours.config["adapters"],
             "baseline": baseline.config["adapters"], "split": args.split,
             "sample_count": ours.sample_count, "n_tokens": ours.n_tokens}
     write_diff_tsv(args.out, diff, meta)
-    _manifest(args.out + ".manifest.json", "diff-probe", meta, [args.out])
+    write_manifest(args.out + ".manifest.json", "diff-probe", meta, [args.out])
     print(f"diff-probe: max |delta| {abs(diff).max():.4f}")
     return 0
 
@@ -225,10 +219,10 @@ def cmd_knee(args) -> int:
                                 fallback=args.fallback)
     atomic_write_text(args.out, json.dumps(decision.to_dict(), sort_keys=True,
                                            separators=(",", ":")) + "\n")
-    _manifest(args.out + ".manifest.json", "knee",
-              {"probe": os.path.abspath(args.probe),
-               "min_jump_ratio": args.min_jump_ratio,
-               "fallback": args.fallback}, [args.out])
+    write_manifest(args.out + ".manifest.json", "knee",
+                   {"probe": os.path.abspath(args.probe),
+                    "min_jump_ratio": args.min_jump_ratio,
+                    "fallback": args.fallback}, [args.out])
     tag = " (fallback)" if decision.extra.get("fallback") else ""
     print(f"knee: boundary k* = {decision.k_star}{tag}")
     return 0
@@ -255,10 +249,10 @@ def cmd_sweep(args) -> int:
     if args.tsv:
         write_sweep_tsv(args.tsv, decision)
         outputs.append(args.tsv)
-    _manifest(args.out + ".manifest.json", "sweep",
-              {"model": base.fingerprint(), "adapters": full_set.content_hash(),
-               "metric": metric, "split": args.split,
-               "sweep": cfg.to_dict()["sweep"]}, outputs)
+    write_manifest(args.out + ".manifest.json", "sweep",
+                   {"model": base.fingerprint(), "adapters": full_set.content_hash(),
+                    "metric": metric, "split": args.split,
+                    "sweep": cfg.to_dict()["sweep"]}, outputs)
     best = decision.per_k_scores[decision.k_star]
     print(f"sweep: k* = {decision.k_star} ({metric} {best:.4f} on "
           f"{decision.sample_count} samples)")
@@ -274,13 +268,12 @@ def cmd_export(args) -> int:
     if args.format == "adapters":
         save_adapters(args.out, kept)
     else:
-        from .lora import merge
         save_weights(args.out, merge(base, kept))
-    _manifest(args.out + ".manifest.json", "export",
-              {"model": base.fingerprint(), "adapters": full_set.content_hash(),
-               "keep_bottom": keep, "format": args.format,
-               "kept_params": kept.param_count(),
-               "full_params": full_set.param_count()}, [args.out])
+    write_manifest(args.out + ".manifest.json", "export",
+                   {"model": base.fingerprint(), "adapters": full_set.content_hash(),
+                    "keep_bottom": keep, "format": args.format,
+                    "kept_params": kept.param_count(),
+                    "full_params": full_set.param_count()}, [args.out])
     print(f"export: kept layers 1..{keep}, {kept.param_count()} of "
           f"{full_set.param_count()} adapter params, format {args.format}")
     return 0
@@ -307,7 +300,7 @@ def cmd_eval(args) -> int:
             "task": ds.task, "split": args.split,
             "decode_budget": args.decode_budget}
     write_eval_tsv(args.out, report, preds, golds, meta)
-    _manifest(args.out + ".manifest.json", "eval", meta, [args.out])
+    write_manifest(args.out + ".manifest.json", "eval", meta, [args.out])
     print(f"eval: {metric} = {report.display_score:.4f} on "
           f"{report.sample_count} samples")
     return 0
@@ -326,7 +319,7 @@ def cmd_report(args) -> int:
     levels = cfg.probe.keep_levels
     if levels is None:
         levels = default_drop_levels(n_layers)
-    levels = sorted(set([0] + list(levels) + [n_layers]))
+    levels = sorted({0, n_layers, *(check_keep_level(k, n_layers) for k in levels)})
 
     probed = probe_under_drop(base, full_set, chosen, keeps=levels,
                               n_tokens=cfg.probe.n_tokens, budget=len(chosen),
@@ -346,7 +339,6 @@ def cmd_report(args) -> int:
     outputs.append(full_path)
 
     none_report = next(r for k, r in probed if k == 0)
-    from .probe import probe_difference
     diff = probe_difference(full_report, none_report)
     diff_path = os.path.join(args.out_dir, "probe_diff.tsv")
     write_diff_tsv(diff_path, diff,
@@ -363,10 +355,10 @@ def cmd_report(args) -> int:
         write_sweep_tsv(sweep_path, decision)
         outputs.append(sweep_path)
 
-    _manifest(os.path.join(args.out_dir, "manifest.json"), "report",
-              {"model": base.fingerprint(), "adapters": full_set.content_hash(),
-               "split": args.split, "levels": [int(k) for k, _ in probed]},
-              outputs)
+    write_manifest(os.path.join(args.out_dir, "manifest.json"), "report",
+                   {"model": base.fingerprint(), "adapters": full_set.content_hash(),
+                    "split": args.split, "levels": [k for k, _ in probed]},
+                   outputs)
     print(f"report: wrote {len(outputs)} files to {args.out_dir}")
     return 0
 
@@ -375,9 +367,9 @@ def cmd_init_model(args) -> int:
     cfg = _load_config(args.config)
     weights = init_base(cfg.model, seed=args.seed)
     save_weights(args.out, weights)
-    _manifest(args.out + ".manifest.json", "init-model",
-              {"model": cfg.model.to_dict(), "seed": args.seed,
-               "fingerprint": weights.fingerprint()}, [args.out])
+    write_manifest(args.out + ".manifest.json", "init-model",
+                   {"model": cfg.model.to_dict(), "seed": args.seed,
+                    "fingerprint": weights.fingerprint()}, [args.out])
     print(f"init-model: fingerprint {weights.fingerprint()}")
     return 0
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CompatibilityError, ConfigError, InputError, ShapeError
-from .model import PROJECTIONS, BaseWeights, ModelConfig
+from .errors import CompatibilityError, ConfigError, ShapeError
+from .model import PROJECTIONS, BaseWeights, ModelConfig, check_keep_level
 
 DEFAULT_TARGETS = ("q", "v")
 DEFAULT_RANK = 8
@@ -66,9 +66,6 @@ class LoraSet:
 
     def keys_sorted(self) -> list[tuple[int, str]]:
         return sorted(self.adapters, key=lambda k: (k[0], PROJECTIONS.index(k[1])))
-
-    def layers(self) -> list[int]:
-        return sorted({layer for layer, _ in self.adapters})
 
     def param_count(self) -> int:
         return sum(ad.param_count() for ad in self.adapters.values())
@@ -136,35 +133,14 @@ def init_adapters(cfg: ModelConfig, targets=DEFAULT_TARGETS, rank: int = DEFAULT
                    targets=targets, fingerprint=cfg.config_hash(), adapters=adapters)
 
 
-def adapted_projection(w: np.ndarray, adapter: LoraAdapter, x: np.ndarray) -> np.ndarray:
-    """Apply W [d_out, d_in] plus the adapter to x [..., d_in], factored order."""
-    if w.ndim != 2:
-        raise ShapeError(f"weight must be rank 2, got {w.shape}")
-    d_out, d_in = w.shape
-    if x.shape[-1] != d_in:
-        raise ShapeError(f"input trailing dim {x.shape[-1]} != weight d_in {d_in}")
-    if adapter.a.shape[1] != d_in or adapter.b.shape[0] != d_out:
-        raise ShapeError(
-            f"adapter dims A{adapter.a.shape} / B{adapter.b.shape} do not fit "
-            f"weight {w.shape}")
-    return x @ w.T + adapter.scale * ((x @ adapter.a.T) @ adapter.b.T)
-
-
-def active_mask(n_layers: int, keep_bottom: int) -> list[bool]:
-    """Boolean per layer 1..L: True iff the layer index is <= keep_bottom."""
-    if not 0 <= keep_bottom <= n_layers:
-        raise InputError(f"keep_bottom {keep_bottom} out of range 0..{n_layers}")
-    return [layer <= keep_bottom for layer in range(1, n_layers + 1)]
-
-
 def drop_above(lset: LoraSet, keep_bottom: int) -> LoraSet:
     """New set keeping only adapters on layers 1..keep_bottom; 0 keeps none.
 
-    Adapter tensors are shared, not copied; the input set is untouched.
+    This is the one way to select layers: every forward takes the set it
+    should apply. Adapter tensors are shared, not copied; the input set
+    is untouched.
     """
-    if not 0 <= keep_bottom <= lset.n_layers:
-        raise InputError(
-            f"keep_bottom {keep_bottom} out of range 0..{lset.n_layers}")
+    keep_bottom = check_keep_level(keep_bottom, lset.n_layers)
     kept = {key: ad for key, ad in lset.adapters.items() if key[0] <= keep_bottom}
     return LoraSet(n_layers=lset.n_layers, alpha=lset.alpha, rank=lset.rank,
                    targets=lset.targets, fingerprint=lset.fingerprint, adapters=kept)

@@ -144,37 +144,6 @@ def accuracy(pred: str, gold: str) -> float:
     return 1.0 if p and p[0] == g[0] else 0.0
 
 
-def containment_stats(ours: list[str], baseline: list[str], golds: list[str],
-                      em_fn=em_contains) -> dict:
-    """How often our outputs contain the baseline's, plus a length ratio.
-
-    Returns overall containment fraction, containment among samples both
-    systems got right under em_fn (None if there are none), and the mean
-    normalized-length ratio ours/baseline.
-    """
-    if not (len(ours) == len(baseline) == len(golds)):
-        raise InputError("ours, baseline and golds must have equal lengths")
-    if not ours:
-        raise InputError("empty corpus")
-    contained = []
-    both_right = []
-    ratios = []
-    for o, b, g in zip(ours, baseline, golds):
-        ot, bt = normalize(o), normalize(b)
-        c = 1.0 if _contains(ot, bt) else 0.0
-        contained.append(c)
-        ratios.append(len(ot) / max(1, len(bt)))
-        if em_fn(o, g) == 1.0 and em_fn(b, g) == 1.0:
-            both_right.append(c)
-    return {
-        "containment": sum(contained) / len(contained),
-        "containment_both_correct": (sum(both_right) / len(both_right)
-                                     if both_right else None),
-        "both_correct_count": len(both_right),
-        "mean_length_ratio": sum(ratios) / len(ratios),
-    }
-
-
 @dataclass
 class EvalReport:
     """Corpus score plus per-sample breakdown for one metric."""

@@ -11,8 +11,11 @@ token, and it is the only greedy decode loop in the package. For
 training, `loss_and_grads` runs it over right-padded rows with a loss
 mask and backpropagates all of them at once. Low-rank adapter deltas
 are applied in factored form at the projection sites and are never
-materialized as dense matrices here; in a batch, each row applies them
-only up to its own keep level.
+materialized as dense matrices here. Every adapter in the set a caller
+passes applies; there is no layer mask, and a caller that wants the
+layers above k without adapters passes lora.drop_above(set, k). The
+decoder is the one batched exception: each row applies the set only up
+to its own keep level, which gives the bits drop_above would.
 
 Weight layout is [d_in, d_out] everywhere, so a projection is ``x @ w``.
 Layers are numbered 1..L in every public surface.
@@ -195,8 +198,22 @@ def _gelu_fwd(x):
 
 
 def _gelu_bwd(d_y, x, th):
-    d_inner = _GELU_C * (1.0 + 3.0 * _GELU_K * x * x)
-    return d_y * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * d_inner)
+    """d_y * gelu'(x), built in place with three temporaries, in the rounding
+    order of d_y * (0.5 * (1 + th) + 0.5 * x * (1 - th * th) * d_inner)."""
+    d_inner = 3.0 * _GELU_K * x
+    d_inner *= x
+    d_inner += 1.0
+    d_inner *= _GELU_C                  # c * (1 + 3k * x * x)
+    sech2 = th * th
+    np.subtract(1.0, sech2, out=sech2)  # 1 - th * th
+    tail = 0.5 * x
+    tail *= sech2
+    tail *= d_inner                     # 0.5 * x * (1 - th * th) * d_inner
+    grad = np.add(1.0, th, out=sech2)   # sech2 is spent; its buffer takes the sum
+    grad *= 0.5
+    grad += tail
+    grad *= d_y
+    return grad
 
 
 @functools.lru_cache(maxsize=None)
@@ -304,14 +321,6 @@ def _layer_rows(keep, layer: int):
     return None if rows.size == keep.size else rows
 
 
-def _get_adapter(adapters, active, layer: int, proj: str):
-    if adapters is None:
-        return None
-    if active is not None and not active[layer - 1]:
-        return None
-    return adapters.get(layer, proj)
-
-
 def _check_tokens(cfg: ModelConfig, tokens, batch: bool = False) -> np.ndarray:
     """Token ids [t], or with batch also [B, t] rows of equal length."""
     try:
@@ -328,6 +337,18 @@ def _check_tokens(cfg: ModelConfig, tokens, batch: bool = False) -> np.ndarray:
             f"token ids must lie in [0, {cfg.vocab_size}), got "
             f"[{int(ids.min())}, {int(ids.max())}]")
     return ids
+
+
+def check_keep_level(keep, n_layers: int) -> int:
+    """keep as an int, if it is an integer (not a bool) in 0..n_layers.
+
+    A keep level k selects the adapters on layers 1..k; every public
+    function that takes one checks it here.
+    """
+    if (isinstance(keep, bool) or not isinstance(keep, (int, np.integer))
+            or not 0 <= keep <= n_layers):
+        raise InputError(f"keep level {keep!r} out of range 0..{n_layers}")
+    return int(keep)
 
 
 def _check_targets(ids: np.ndarray, targets, mask):
@@ -377,7 +398,7 @@ def _ffn_half(weights: BaseWeights, p: str, h, ad, rows, cache):
     return h + dn
 
 
-def _forward(weights: BaseWeights, adapters, active, ids: np.ndarray,
+def _forward(weights: BaseWeights, adapters, ids: np.ndarray,
              *, collect=None, keep_cache: bool = False, keep=None, kv=None,
              start: int = 0, resume=None):
     """Shared forward. Returns (hidden [L,t,d] or None, h_final, caches or None).
@@ -404,7 +425,8 @@ def _forward(weights: BaseWeights, adapters, active, ids: np.ndarray,
     caches = [] if keep_cache else None
     for l in range(first + 1, cfg.n_layers + 1):
         p = f"layer{l:02d}."
-        ad = {name: _get_adapter(adapters, active, l, name) for name in PROJECTIONS}
+        ad = {name: None if adapters is None else adapters.get(l, name)
+              for name in PROJECTIONS}
         rows = _layer_rows(keep, l)
         # a block's temporaries live only inside these two calls unless cached
         cache = {"ad": ad, "mids": {}} if keep_cache else None
@@ -428,22 +450,21 @@ def lens_logits(weights: BaseWeights, h: np.ndarray) -> np.ndarray:
     return normed @ weights.head_matrix()
 
 
-def forward_collect(weights: BaseWeights, adapters=None, tokens=None,
-                    active=None) -> LayerTrace:
+def forward_collect(weights: BaseWeights, adapters=None, tokens=None) -> LayerTrace:
     """Run the model and record the per-layer residual stream.
 
     tokens is one sequence [t] or a batch of equal-length rows [B, t];
     the trace then carries the batch axis after the layer axis.
     """
     ids = _check_tokens(weights.cfg, tokens, batch=True)
-    hidden, _, _ = _forward(weights, adapters, active, ids, collect=slice(None))
+    hidden, _, _ = _forward(weights, adapters, ids, collect=slice(None))
     return LayerTrace(hidden=hidden, weights=weights)
 
 
-def next_token_logits(weights: BaseWeights, adapters, tokens, active=None) -> np.ndarray:
+def next_token_logits(weights: BaseWeights, adapters, tokens) -> np.ndarray:
     """Logits for the continuation of `tokens`; last position only, shape [vocab]."""
     ids = _check_tokens(weights.cfg, tokens)
-    _, h_final, _ = _forward(weights, adapters, active, ids)
+    _, h_final, _ = _forward(weights, adapters, ids)
     return lens_logits(weights, h_final[-1:])[0]
 
 
@@ -516,12 +537,9 @@ def _check_rows(cfg: ModelConfig, rows, max_new: int, stop_token):
             raise InputError(f"decode row {i} is not a (prompt, keep) pair") from None
         try:
             prompts.append(_check_tokens(cfg, prompt))
+            keeps.append(check_keep_level(keep, cfg.n_layers))
         except InputError as exc:
             raise InputError(f"decode row {i}: {exc}") from None
-        if not isinstance(keep, (int, np.integer)) or not 0 <= keep <= cfg.n_layers:
-            raise InputError(
-                f"decode row {i}: keep level {keep!r} out of range 0..{cfg.n_layers}")
-        keeps.append(int(keep))
     return prompts, np.asarray(keeps, dtype=np.int64)
 
 
@@ -549,8 +567,7 @@ def _decode_rows(weights: BaseWeights, adapters, ids: np.ndarray, keep: np.ndarr
     live = np.arange(n_rows)
     pos = 0
     for _ in range(budget):
-        _, h, _ = _forward(weights, adapters, None, step_ids, keep=keep, kv=kv,
-                           start=pos)
+        _, h, _ = _forward(weights, adapters, step_ids, keep=keep, kv=kv, start=pos)
         pos += step_ids.shape[1]
         # argmax takes the first max, i.e. the lowest id
         nxt = np.argmax(lens_logits(weights, h[:, -1]), axis=-1)
@@ -585,7 +602,7 @@ def lens_probs(weights: BaseWeights, trace: LayerTrace,
 
 
 def teacher_forced_probs(weights: BaseWeights, adapters, prompt, reference,
-                         n_tokens: int, active=None) -> np.ndarray:
+                         n_tokens: int) -> np.ndarray:
     """Probability of each of the first n reference tokens at every layer depth.
 
     Feeds prompt + reference with teacher forcing; entry [l-1, i] is the
@@ -602,7 +619,7 @@ def teacher_forced_probs(weights: BaseWeights, adapters, prompt, reference,
     if not prompt:
         raise InputError("prompt must be non-empty")
     seq = prompt + reference[:n_tokens]
-    trace = forward_collect(weights, adapters, seq, active)
+    trace = forward_collect(weights, adapters, seq)
     positions = [len(prompt) - 1 + i for i in range(n_tokens)]
     dists = lens_probs(weights, trace, positions)   # [L, n, V]
     ref = np.asarray(reference[:n_tokens], dtype=np.int64)
@@ -611,8 +628,8 @@ def teacher_forced_probs(weights: BaseWeights, adapters, prompt, reference,
 
 # -- backward -----------------------------------------------------------------
 
-def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask,
-                   active=None, *, want_base: bool = True, want_lora: bool = False):
+def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask, *,
+                   want_base: bool = True, want_lora: bool = False):
     """Masked next-token cross-entropy and its gradients in one backward pass.
 
     inputs/targets are aligned id arrays, one sequence [t] or a batch of
@@ -635,7 +652,7 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask,
         # a batch of one row runs as one sequence: same bits, fewer reshapes
         ids, targets, mask = ids[0], targets[0], mask[0]
     t = ids.shape[-1]
-    _, h_final, caches = _forward(weights, adapters, active, ids, keep_cache=True)
+    _, h_final, caches = _forward(weights, adapters, ids, keep_cache=True)
     fin_n, inv_f = rmsnorm_fwd(h_final, ts["final_norm"], cfg.norm_eps)
     head = weights.head_matrix()
     logits = _matmul(fin_n, head)

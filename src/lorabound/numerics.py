@@ -23,17 +23,6 @@ def _check_float(name: str, x: np.ndarray) -> None:
         raise ShapeError(f"{name} must be a float32/float64 ndarray, got {type(x).__name__}")
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[m, k] @ [k, n] -> [m, n] with explicit shape validation."""
-    _check_float("a", a)
-    _check_float("b", b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} vs {b.shape}")
-    return a @ b
-
-
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Row-wise softmax over the last axis, stabilized by max subtraction."""
     _check_float("x", x)
@@ -43,12 +32,6 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
-
-
-def rmsnorm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Scale each trailing d-vector by 1/sqrt(mean of squares + eps), then by gain."""
-    y, _ = rmsnorm_fwd(x, gain, eps)
-    return y
 
 
 def rmsnorm_fwd(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5):

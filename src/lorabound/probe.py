@@ -4,7 +4,9 @@ For each probed sample the model runs teacher-forced over prompt plus
 reference; at every layer the residual stream goes through the model's
 own final norm and output head, and we record the probability of the
 true next token (gt_curve) and of the best token (max_curve), averaged
-over samples. Curves are [n_layers x n_tokens], layer 1 first.
+over samples. Curves are [n_layers x n_tokens], layer 1 first. A probe
+sees every adapter in the set it is given and no other layer selection;
+the report config names that set by its content hash.
 
 One engine serves a single probe and a probe under many keep levels.
 Samples are batched by sequence length, at most DECODE_BATCH_ROWS rows
@@ -28,8 +30,10 @@ import numpy as np
 
 from .errors import ComparisonError, InputError
 from .lora import LoraSet, drop_above
-from .model import DECODE_BATCH_ROWS, BaseWeights, _forward, forward_collect, lens_logits
+from .model import (DECODE_BATCH_ROWS, BaseWeights, _forward, check_keep_level,
+                    forward_collect, lens_logits)
 from .numerics import softmax_rows
+from .tasks import sample_ids
 
 log = logging.getLogger(__name__)
 
@@ -88,13 +92,6 @@ class ProbeReport:
         return report
 
 
-def _sample_pair(sample):
-    if hasattr(sample, "prompt_ids"):
-        return list(sample.prompt_ids), list(sample.reference_ids)
-    prompt, ref = sample
-    return list(prompt), list(ref)
-
-
 def select_samples(samples, budget: int, seed: int) -> list:
     """Deterministic subsample: `budget` items chosen without replacement,
     kept in original order. The full list is returned when it fits."""
@@ -109,8 +106,7 @@ def select_samples(samples, budget: int, seed: int) -> list:
 
 def samples_hash(samples) -> str:
     h = hashlib.sha256()
-    for s in samples:
-        prompt, ref = _sample_pair(s)
+    for prompt, ref in sample_ids(samples):
         h.update(",".join(map(str, prompt)).encode())
         h.update(b"/")
         h.update(",".join(map(str, ref)).encode())
@@ -118,14 +114,11 @@ def samples_hash(samples) -> str:
     return h.hexdigest()[:16]
 
 
-def _check_request(base: BaseWeights, n_tokens: int, levels) -> None:
-    """Reject a bad n_tokens or keep level before any compute."""
+def _check_request(base: BaseWeights, n_tokens: int, levels) -> list[int]:
+    """The keep levels as ints; a bad n_tokens or level fails before any compute."""
     if n_tokens < 1:
         raise InputError(f"n_tokens must be at least 1, got {n_tokens}")
-    n_layers = base.cfg.n_layers
-    for k in levels:
-        if not isinstance(k, (int, np.integer)) or not 0 <= k <= n_layers:
-            raise InputError(f"keep level {k!r} out of range 0..{n_layers}")
+    return [check_keep_level(k, base.cfg.n_layers) for k in levels]
 
 
 def _long_enough(chosen, n_tokens: int) -> list[tuple[list, list]]:
@@ -133,8 +126,7 @@ def _long_enough(chosen, n_tokens: int) -> list[tuple[list, list]]:
     if not chosen:
         raise InputError("no samples to probe")
     kept = []
-    for i, s in enumerate(chosen):
-        prompt, ref = _sample_pair(s)
+    for i, (prompt, ref) in enumerate(sample_ids(chosen)):
         if len(ref) < n_tokens:
             log.warning("probe: sample %d has a %d-token reference, need %d; skipped",
                         i, len(ref), n_tokens)
@@ -163,11 +155,10 @@ def _readout(base: BaseWeights, states: np.ndarray, ref: np.ndarray):
     return p_true, p_max
 
 
-def _probe_levels(base: BaseWeights, adapters, kept, levels, n_tokens: int,
-                  active=None) -> dict:
+def _probe_levels(base: BaseWeights, adapters, kept, levels, n_tokens: int) -> dict:
     """Summed (gt, max) readouts [L, n_tokens] per keep level of `adapters`."""
     n_layers = base.cfg.n_layers
-    levels = sorted(set(int(k) for k in levels))
+    levels = sorted(set(levels))
     shape = (len(kept), n_layers, n_tokens)
     per_sample = {k: (np.empty(shape), np.empty(shape)) for k in levels}
     by_length: dict[int, list[int]] = {}
@@ -182,14 +173,14 @@ def _probe_levels(base: BaseWeights, adapters, kept, levels, n_tokens: int,
                            dtype=np.int64)
             ref = ids[:, length:]
             if levels[-1] > 0:
-                full = forward_collect(base, adapters, ids, active).hidden
+                full = forward_collect(base, adapters, ids).hidden
                 full_read = _readout(base, full[..., positions, :], ref)    # [L, B, n]
             for k in levels:
                 if k == n_layers:
                     read = full_read
                 else:
                     resume = None if k == 0 else (k, full[k - 1])
-                    top, _, _ = _forward(base, None, None, ids, collect=positions,
+                    top, _, _ = _forward(base, None, ids, collect=positions,
                                          resume=resume)
                     read = _readout(base, top, ref)                         # [L - k, B, n]
                     if k > 0:
@@ -208,13 +199,12 @@ def _probe_levels(base: BaseWeights, adapters, kept, levels, n_tokens: int,
 
 
 def _report(base: BaseWeights, adapters, kept, sums, *, n_tokens: int, budget: int,
-            seed: int, active, descriptor: dict | None) -> ProbeReport:
+            seed: int, descriptor: dict | None) -> ProbeReport:
     gt_sum, max_sum = sums
     n = len(kept)
     config = {
         "base": base.fingerprint(),
         "adapters": adapters.content_hash() if adapters is not None else None,
-        "active": list(map(bool, active)) if active is not None else None,
         "n_tokens": n_tokens,
         "budget": budget,
         "seed": seed,
@@ -229,8 +219,7 @@ def _report(base: BaseWeights, adapters, kept, sums, *, n_tokens: int, budget: i
 def probe_ground_truth(base: BaseWeights, adapters: LoraSet | None, samples, *,
                        n_tokens: int = DEFAULT_N_TOKENS,
                        budget: int = DEFAULT_SAMPLE_BUDGET,
-                       seed: int = 0, active=None,
-                       descriptor: dict | None = None) -> ProbeReport:
+                       seed: int = 0, descriptor: dict | None = None) -> ProbeReport:
     """Mean per-layer readout probabilities over a sampled set.
 
     Samples whose reference is shorter than n_tokens are skipped with a
@@ -239,9 +228,9 @@ def probe_ground_truth(base: BaseWeights, adapters: LoraSet | None, samples, *,
     n_layers = base.cfg.n_layers
     _check_request(base, n_tokens, [])
     kept = _long_enough(select_samples(samples, budget, seed), n_tokens)
-    sums = _probe_levels(base, adapters, kept, [n_layers], n_tokens, active)
+    sums = _probe_levels(base, adapters, kept, [n_layers], n_tokens)
     return _report(base, adapters, kept, sums[n_layers], n_tokens=n_tokens,
-                   budget=budget, seed=seed, active=active, descriptor=descriptor)
+                   budget=budget, seed=seed, descriptor=descriptor)
 
 
 def probe_under_drop(base: BaseWeights, full_set: LoraSet, samples, keeps=None, *,
@@ -253,19 +242,20 @@ def probe_under_drop(base: BaseWeights, full_set: LoraSet, samples, keeps=None, 
     Every level and n_tokens are checked before any compute. One report
     per entry of keeps, in the given order.
     """
-    keeps = default_drop_levels(base.cfg.n_layers) if keeps is None else list(keeps)
-    _check_request(base, n_tokens, keeps)
+    if keeps is None:
+        keeps = default_drop_levels(base.cfg.n_layers)
+    keeps = _check_request(base, n_tokens, keeps)
     chosen = select_samples(samples, budget, seed)
     kept = _long_enough(chosen, n_tokens)
     sums = _probe_levels(base, full_set, kept, keeps, n_tokens)
     out = []
     for k in keeps:
-        extra = {"keep_bottom": int(k)}
+        extra = {"keep_bottom": k}
         if descriptor:
             extra.update(descriptor)
-        out.append((int(k), _report(base, drop_above(full_set, k), kept, sums[int(k)],
-                                    n_tokens=n_tokens, budget=len(chosen), seed=seed,
-                                    active=None, descriptor=extra)))
+        out.append((k, _report(base, drop_above(full_set, k), kept, sums[k],
+                               n_tokens=n_tokens, budget=len(chosen), seed=seed,
+                               descriptor=extra)))
     return out
 
 

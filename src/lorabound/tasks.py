@@ -103,6 +103,23 @@ class Sample:
             raise InputError(f"sample record is missing field {exc}") from exc
 
 
+def sample_ids(items) -> list[tuple[list[int], list[int]]]:
+    """(prompt ids, reference ids) of each item: a Sample, or anything with
+    prompt_ids and reference_ids, or a (prompt, reference) pair of id lists."""
+    out = []
+    for i, item in enumerate(items):
+        try:
+            if hasattr(item, "prompt_ids"):
+                prompt, ref = item.prompt_ids, item.reference_ids
+            else:
+                prompt, ref = item
+            out.append((list(prompt), list(ref)))
+        except (AttributeError, TypeError, ValueError):
+            raise InputError(
+                f"item {i} is neither a Sample nor a (prompt, reference) pair") from None
+    return out
+
+
 @dataclass
 class Dataset:
     task: str

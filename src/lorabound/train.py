@@ -21,6 +21,7 @@ from .lora import LoraSet, drop_above, init_adapters, lora_param_dict
 from .model import (TRAIN_CHUNK_POSITIONS, BaseWeights, ModelConfig, init_base,
                     loss_and_grads)
 from .numerics import AdamState, adam_step, clip_by_global_norm
+from .tasks import sample_ids
 
 log = logging.getLogger(__name__)
 
@@ -51,20 +52,6 @@ def write_train_log(path, history) -> None:
         f.write("epoch\tstep\tloss\n")
         for epoch, step, loss in history:
             f.write(f"{epoch}\t{step}\t{loss!r}\n")
-
-
-def _pairs(dataset) -> list[tuple[list[int], list[int]]]:
-    """Accept Sample-like objects or (prompt_ids, reference_ids) tuples."""
-    out = []
-    for item in dataset:
-        if hasattr(item, "prompt_ids"):
-            out.append((list(item.prompt_ids), list(item.reference_ids)))
-        else:
-            prompt, ref = item
-            out.append((list(prompt), list(ref)))
-    if not out:
-        raise InputError("dataset is empty")
-    return out
 
 
 def _padded(chunk):
@@ -157,7 +144,9 @@ def pretrain(cfg: ModelConfig, tcfg: TrainConfig, corpus,
 def _finetune(base: BaseWeights, adapters: LoraSet, dataset, tcfg: TrainConfig,
               log_path=None):
     tcfg.validate()
-    pairs = _pairs(dataset)
+    pairs = sample_ids(dataset)
+    if not pairs:
+        raise InputError("dataset is empty")
     for i, (prompt, ref) in enumerate(pairs):
         if not prompt or not ref:
             raise InputError(f"sample {i} has an empty prompt or reference")
@@ -197,6 +186,13 @@ def _finetune(base: BaseWeights, adapters: LoraSet, dataset, tcfg: TrainConfig,
     return adapters, history
 
 
+def _fresh_adapters(base: BaseWeights, tcfg: TrainConfig, targets, rank, alpha) -> LoraSet:
+    """init_adapters seeded by tcfg, with its defaults for every option left None."""
+    given = {"targets": targets, "rank": rank, "alpha": alpha}
+    return init_adapters(base.cfg, seed=tcfg.seed,
+                         **{k: v for k, v in given.items() if v is not None})
+
+
 def finetune_lora(base: BaseWeights, dataset, tcfg: TrainConfig, *,
                   targets=None, rank: int | None = None, alpha: float | None = None,
                   adapters: LoraSet | None = None, log_path=None):
@@ -206,14 +202,7 @@ def finetune_lora(base: BaseWeights, dataset, tcfg: TrainConfig, *,
     unless loss_mask_prompt is off. Returns (LoraSet, history).
     """
     if adapters is None:
-        kwargs = {}
-        if targets is not None:
-            kwargs["targets"] = targets
-        if rank is not None:
-            kwargs["rank"] = rank
-        if alpha is not None:
-            kwargs["alpha"] = alpha
-        adapters = init_adapters(base.cfg, seed=tcfg.seed, **kwargs)
+        adapters = _fresh_adapters(base, tcfg, targets, rank, alpha)
     return _finetune(base, adapters, dataset, tcfg, log_path=log_path)
 
 
@@ -226,16 +215,5 @@ def finetune_partial(base: BaseWeights, dataset, tcfg: TrainConfig,
     adapters at all; this is the train-time counterpart of dropping them
     after a full fine-tune.
     """
-    if not 0 <= keep_bottom <= base.cfg.n_layers:
-        raise InputError(
-            f"keep_bottom {keep_bottom} out of range 0..{base.cfg.n_layers}")
-    kwargs = {}
-    if targets is not None:
-        kwargs["targets"] = targets
-    if rank is not None:
-        kwargs["rank"] = rank
-    if alpha is not None:
-        kwargs["alpha"] = alpha
-    full = init_adapters(base.cfg, seed=tcfg.seed, **kwargs)
-    adapters = drop_above(full, keep_bottom)
+    adapters = drop_above(_fresh_adapters(base, tcfg, targets, rank, alpha), keep_bottom)
     return _finetune(base, adapters, dataset, tcfg, log_path=log_path)

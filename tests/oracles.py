@@ -3,8 +3,9 @@
 Deliberately naive: exponential subsequence enumeration, explicit
 position scans, no shared helpers with the package's metrics, a greedy
 decoder that reruns the full forward for every new token, a probe that
-runs one forward per sample, and a training step that runs one forward
-and backward per sequence. Slow but obviously correct on short inputs;
+runs one forward per sample, a training step that runs one forward
+and backward per sequence, and a gelu backward written as one
+expression. Slow but obviously correct on short inputs;
 the real implementations must agree with them.
 """
 
@@ -14,6 +15,13 @@ import numpy as np
 
 from lorabound.model import forward_collect, lens_probs, next_token_logits
 from lorabound.numerics import adam_step, clip_by_global_norm
+
+
+def gelu_bwd_oracle(d_y, x, th):
+    """The tanh-gelu backward as one expression; th = tanh(c * (x + k * x^3))."""
+    c, k = math.sqrt(2.0 / math.pi), 0.044715
+    d_inner = c * (1.0 + 3.0 * k * x * x)
+    return d_y * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * d_inner)
 
 
 def probe_oracle(weights, adapters, samples, n_tokens):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lorabound import boundary
 from lorabound.boundary import (BoundaryDecision, apply_boundary,
                                 coarse_then_fine_levels, default_boundary,
                                 detect_knee, knee_from_report, sweep_boundary)
@@ -217,6 +218,26 @@ class TestSweepBoundary:
         with pytest.raises(InputError):
             sweep_boundary(base, lset, tuple_samples(), "em", golds=["z"] * 8,
                            keeps=[0, 5])
+
+    @pytest.mark.parametrize("keeps", [[1.5, True], [True], ["a"], [None], [0, -1],
+                                       [np.int64(3)]])
+    def test_non_levels_raise_before_decoding(self, monkeypatch, keeps):
+        base, lset = micro_setup()
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("decoded before the levels were checked")
+
+        monkeypatch.setattr(boundary, "decode_batch", no_decode)
+        with pytest.raises(InputError, match=r"keep level .* out of range 0\.\.2"):
+            sweep_boundary(base, lset, tuple_samples(), "em", golds=["z"] * 8,
+                           keeps=keeps)
+
+    def test_numpy_levels_are_levels(self):
+        base, lset = micro_setup()
+        dec = sweep_boundary(base, lset, tuple_samples(), "em", golds=["z"] * 8,
+                             keeps=[np.int64(2), np.int32(0)], decode_budget=2)
+        assert list(dec.per_k_scores) == [0, 2]
+        assert all(type(k) is int for k in dec.per_k_scores)
 
     def test_gold_count_mismatch(self):
         base, lset = micro_setup()

@@ -96,6 +96,15 @@ def pipeline(tmp_path_factory):
     return p
 
 
+def config_with(pipeline, tmp_path, section: str, key: str, value):
+    """The pipeline's config with one value replaced, written under tmp_path."""
+    cfg = json.loads(pipeline["cfg"].read_text())
+    cfg[section][key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 class TestArtifacts:
     def test_every_command_leaves_a_manifest(self, pipeline):
         for key in ("base", "full", "partial", "probe", "diff", "knee",
@@ -347,10 +356,7 @@ class TestDomainErrors:
 
     def test_bad_report_keep_level_exits_two_before_writing(self, pipeline, tmp_path,
                                                            capsys):
-        cfg = json.loads(pipeline["cfg"].read_text())
-        cfg["probe"]["keep_levels"] = [1, 99]
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
+        path = config_with(pipeline, tmp_path, "probe", "keep_levels", [1, 99])
         out_dir = tmp_path / "report"
         rc = run("report", "--config", path, "--model", pipeline["base"],
                  "--data", pipeline["data"], "--adapters", pipeline["full"],
@@ -358,6 +364,24 @@ class TestDomainErrors:
         assert rc == 2
         assert "keep level 99 out of range 0..2" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("keeps", [[1.5], [1.5, True], ["a"]])
+    def test_non_integer_sweep_level_exits_two(self, pipeline, tmp_path, capsys, keeps):
+        path = config_with(pipeline, tmp_path, "sweep", "keeps", keeps)
+        rc = run("sweep", "--config", path, "--model", pipeline["base"],
+                 "--data", pipeline["data"], "--adapters", pipeline["full"],
+                 "--out", tmp_path / "s.json")
+        assert rc == 2
+        assert f"keep level {keeps[0]!r} out of range 0..2" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
+
+    def test_non_integer_report_level_exits_two(self, pipeline, tmp_path, capsys):
+        path = config_with(pipeline, tmp_path, "probe", "keep_levels", ["a"])
+        rc = run("report", "--config", path, "--model", pipeline["base"],
+                 "--data", pipeline["data"], "--adapters", pipeline["full"],
+                 "--out-dir", tmp_path / "report")
+        assert rc == 2
+        assert "keep level 'a' out of range 0..2" in capsys.readouterr().err
 
     def test_missing_decision_file_exits_two(self, pipeline, tmp_path):
         rc = run("export", "--model", pipeline["base"],

@@ -177,9 +177,9 @@ class TestExactGating:
         poisoned = self.nan_above_one(lset)
         ids = np.array(ragged_prompts(4, seed=15, lo=5, hi=6))
         keep = np.array([0, 1, 3, 1])
-        _, gated, _ = model._forward(base, poisoned, None, ids, keep=keep)
-        _, plain, _ = model._forward(base, None, None, ids, keep=keep)
-        _, first, _ = model._forward(base, drop_above(poisoned, 1), None, ids)
+        _, gated, _ = model._forward(base, poisoned, ids, keep=keep)
+        _, plain, _ = model._forward(base, None, ids, keep=keep)
+        _, first, _ = model._forward(base, drop_above(poisoned, 1), ids)
         np.testing.assert_array_equal(gated[0], plain[0])
         np.testing.assert_array_equal(gated[[1, 3]], first[[1, 3]])
         assert np.isnan(gated[2]).all()
@@ -226,6 +226,7 @@ class TestValidation:
         ([([1, 2], 1)], -1, None),
         ([([1, 2], 1)], 2, MICRO.vocab_size),
         ([([1, 2], 1)], 2, -1),
+        ([([1, 2], True)], 2, None),
     ])
     def test_bad_rows_raise_before_any_compute(self, monkeypatch, rows, max_new, stop):
         base, lset = micro_setup()

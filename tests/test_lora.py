@@ -3,8 +3,7 @@ import pytest
 
 from lorabound.errors import CompatibilityError, ConfigError, InputError, ShapeError
 from lorabound.lora import (DEFAULT_ALPHA, DEFAULT_RANK, DEFAULT_TARGETS,
-                            LoraAdapter, LoraSet, active_mask, adapted_projection,
-                            check_compat, drop_above, init_adapters,
+                            LoraAdapter, check_compat, drop_above, init_adapters,
                             lora_param_dict, merge, normalize_targets,
                             projection_dims)
 from lorabound.model import (ModelConfig, forward_collect, generate_greedy,
@@ -40,29 +39,6 @@ class TestAdapter:
     def test_bad_alpha(self):
         with pytest.raises(ConfigError):
             LoraAdapter(a=np.zeros((1, 2)), b=np.zeros((2, 1)), alpha=0.0)
-
-
-class TestAdaptedProjection:
-    def test_matches_dense_delta(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            d_in, d_out, r = rng.integers(2, 9, size=3)
-            w = rng.normal(size=(d_out, d_in))
-            ad = LoraAdapter(a=rng.normal(size=(r, d_in)),
-                             b=rng.normal(size=(d_out, r)), alpha=float(2 * r))
-            x = rng.normal(size=(5, d_in))
-            dense = x @ (w + ad.delta()).T
-            np.testing.assert_allclose(adapted_projection(w, ad, x), dense,
-                                       rtol=1e-12, atol=1e-12)
-
-    def test_dim_mismatch_rejected(self):
-        w = np.zeros((4, 3))
-        ad = LoraAdapter(a=np.zeros((1, 3)), b=np.zeros((4, 1)), alpha=1.0)
-        with pytest.raises(ShapeError):
-            adapted_projection(w, ad, np.zeros((2, 5)))
-        bad = LoraAdapter(a=np.zeros((1, 5)), b=np.zeros((4, 1)), alpha=1.0)
-        with pytest.raises(ShapeError):
-            adapted_projection(w, bad, np.zeros((2, 3)))
 
 
 class TestTargets:
@@ -117,15 +93,6 @@ class TestInitAdapters:
 
 
 class TestActiveMaskAndDrop:
-    def test_active_mask(self):
-        assert active_mask(4, 2) == [True, True, False, False]
-        assert active_mask(4, 0) == [False] * 4
-        assert active_mask(4, 4) == [True] * 4
-        with pytest.raises(InputError):
-            active_mask(4, 5)
-        with pytest.raises(InputError):
-            active_mask(4, -1)
-
     def test_drop_above_keeps_bottom(self):
         lset = init_adapters(MICRO, seed=1)
         kept = drop_above(lset, 1)
@@ -146,6 +113,11 @@ class TestActiveMaskAndDrop:
         lset = init_adapters(MICRO, seed=1)
         with pytest.raises(InputError):
             drop_above(lset, 3)
+
+    @pytest.mark.parametrize("keep", [-1, 3, True, 1.5, "1", None])
+    def test_drop_rejects_what_is_not_a_level(self, keep):
+        with pytest.raises(InputError, match=r"keep level .* out of range 0\.\.2"):
+            drop_above(init_adapters(MICRO, seed=1), keep)
 
     def test_metadata_preserved(self):
         lset = init_adapters(MICRO, seed=1, rank=2, alpha=4.0, targets=("k", "o"))

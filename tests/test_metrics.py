@@ -3,7 +3,7 @@ import pytest
 
 from lorabound.errors import InputError
 from lorabound.metrics import (EvalReport, METRIC_NAMES, accuracy, bleu_corpus,
-                               containment_stats, corpus_score, em_contains,
+                               corpus_score, em_contains,
                                em_final_answer, normalize, rouge_l, token_f1)
 
 from oracles import bleu_oracle, contains_oracle, f1_oracle, rouge_oracle
@@ -154,29 +154,6 @@ class TestAccuracy:
     def test_empty_gold_rejected(self):
         with pytest.raises(InputError):
             accuracy("yes", " . ")
-
-
-class TestContainmentStats:
-    def test_hand_case(self):
-        ours = ["answer = v07 because", "v01", "x"]
-        base = ["v07", "v02", "x"]
-        golds = ["v07", "v01", "v09"]
-        stats = containment_stats(ours, base, golds)
-        # ours contains base in samples 1 and 3
-        assert stats["containment"] == pytest.approx(2 / 3)
-        # only sample 1 has both correct, and there ours contains base
-        assert stats["both_correct_count"] == 1
-        assert stats["containment_both_correct"] == 1.0
-        assert stats["mean_length_ratio"] == pytest.approx((3 / 1 + 1 / 1 + 1 / 1) / 3)
-
-    def test_no_both_correct_gives_none(self):
-        stats = containment_stats(["a"], ["b"], ["z"])
-        assert stats["containment_both_correct"] is None
-        assert stats["both_correct_count"] == 0
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            containment_stats(["a"], ["b", "c"], ["d"])
 
 
 class TestCorpusScore:

@@ -7,6 +7,7 @@ from lorabound import lora, model, numerics
 from lorabound.errors import ConfigError, DegenerateInputError, InputError
 
 from helpers import fd_grad, randomize_adapters, randomize_weights, rel_error
+from oracles import gelu_bwd_oracle
 
 MICRO = model.ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=16,
                           vocab_size=16, max_seq=8)
@@ -114,9 +115,8 @@ class TestForward:
     def test_resume_from_a_recorded_layer(self):
         w = micro_weights(seed=6)
         rows = np.random.default_rng(7).integers(0, 16, size=(3, 5))
-        full, h_final, _ = model._forward(w, None, None, rows, collect=slice(None))
-        top, h_top, _ = model._forward(w, None, None, rows, collect=[1, 4],
-                                       resume=(1, full[0]))
+        full, h_final, _ = model._forward(w, None, rows, collect=slice(None))
+        top, h_top, _ = model._forward(w, None, rows, collect=[1, 4], resume=(1, full[0]))
         np.testing.assert_array_equal(top, full[1:, :, [1, 4]])
         np.testing.assert_array_equal(h_top, h_final)
 
@@ -128,8 +128,8 @@ class TestForward:
         plain = model.forward_collect(w, None, toks)
         adapted = model.forward_collect(w, lset, toks)
         assert not np.array_equal(plain.final_logits, adapted.final_logits)
-        # with every layer masked off the adapters are invisible
-        off = model.forward_collect(w, lset, toks, active=[False, False])
+        # with every layer dropped the adapters are invisible
+        off = model.forward_collect(w, lora.drop_above(lset, 0), toks)
         np.testing.assert_array_equal(plain.final_logits, off.final_logits)
 
     def test_fresh_adapters_are_identity(self):
@@ -266,6 +266,17 @@ def check_batch_grads(weights, lset, inputs, targets, mask, *, eps, tol):
 
 
 class TestGradients:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_backward_is_bitwise_the_one_expression(self, dtype):
+        rng = np.random.default_rng(40)
+        x = rng.normal(0.0, 3.0, size=(4, 47, 256)).astype(dtype)
+        d_y = rng.normal(size=x.shape).astype(dtype)
+        _, th = model._gelu_fwd(x)
+        got = model._gelu_bwd(d_y, x, th)
+        want = gelu_bwd_oracle(d_y, x, th)
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
     def test_all_param_classes_float64(self):
         w = micro_weights(seed=20, dtype=np.float64)
         lset = lora.init_adapters(MICRO, targets=("q", "k", "v", "o", "up", "down"),
@@ -307,8 +318,7 @@ class TestGradients:
         randomize_adapters(lset, np.random.default_rng(26))
         inputs, targets = np.array([1, 2, 3]), np.array([2, 3, 4])
         mask = np.ones(3, dtype=bool)
-        _, grads = model.loss_and_grads(w, lset, inputs, targets, mask,
-                                        active=[True, False],
+        _, grads = model.loss_and_grads(w, lora.drop_above(lset, 1), inputs, targets, mask,
                                         want_base=False, want_lora=True)
         assert set(grads) == {"layer01.q.lora_a", "layer01.q.lora_b",
                               "layer01.v.lora_a", "layer01.v.lora_b"}

@@ -150,6 +150,11 @@ class TestProbeGroundTruth:
         assert rep.config["base"] == base.fingerprint()
         assert rep.config["adapters"] == lset.content_hash()
 
+    def test_an_item_that_is_not_a_sample_is_named(self):
+        base, _ = micro_setup()
+        with pytest.raises(InputError, match="item 0 is neither"):
+            probe_ground_truth(base, None, [[1, 2, 3]])
+
     def test_adapterless_probe(self):
         base, _ = micro_setup()
         rep = probe_ground_truth(base, None, micro_samples(), n_tokens=2)
@@ -231,9 +236,9 @@ class TestEngineAgainstOracle:
                                prompt_lengths=(5, 6))
         batches = []
 
-        def spy(weights, adapters, tokens, active=None):
+        def spy(weights, adapters, tokens):
             batches.append(np.shape(tokens))
-            return forward_collect(weights, adapters, tokens, active)
+            return forward_collect(weights, adapters, tokens)
 
         monkeypatch.setattr(probe, "forward_collect", spy)
         self.assert_matches(base, lset, samples, [0, 2, 4], n_tokens=2)

@@ -1,6 +1,7 @@
 import collections
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from lorabound.tasks import (Dataset, GENERATORS, KEY_POOLS, Sample, SOLVERS,
                              gen_arith, gen_cipher_mt, gen_kvqa,
                              gen_pretrain_corpus, gen_resp_select,
                              gen_salient_summary, load_dataset, reorder_pairs,
-                             save_dataset)
+                             sample_ids, save_dataset)
 from lorabound.vocab import EOS_ID, decode
 
 SMALL = {"train": 120, "validation": 30, "test": 30}
@@ -113,6 +114,20 @@ class TestSampleFields:
             Sample(prompt_text="", reference_text="v07", task="kvqa").gold_text()
         with pytest.raises(InputError):
             Sample(prompt_text="", reference_text="no digits", task="arith").gold_text()
+
+
+class TestSampleIds:
+    def test_samples_and_pairs_give_id_lists(self):
+        s = Sample(prompt_text="compute : 1 + 2 = ?", reference_text="3", task="arith")
+        out = sample_ids([s, ((4, 5), np.array([6, 7]))])
+        assert out == [(s.prompt_ids, s.reference_ids), ([4, 5], [6, 7])]
+        assert all(type(ids) is list for pair in out for ids in pair)
+
+    @pytest.mark.parametrize("bad", [[1, 2, 3], [1, 2], 7, ([1], [2], [3]),
+                                     types.SimpleNamespace(prompt_ids=[1])])
+    def test_other_items_are_named_by_index(self, bad):
+        with pytest.raises(InputError, match="item 1 is neither a Sample"):
+            sample_ids([([1], [2]), bad])
 
 
 class TestKvqa:
