@@ -11,9 +11,8 @@ from .errors import (CompatibilityError, ComparisonError, ConfigError,
                      DegenerateInputError, InputError, LoraBoundError,
                      NoKneeError, ParseError, ShapeError)
 from .lora import LoraAdapter, LoraSet, drop_above, init_adapters, merge
-from .model import (BaseWeights, LayerTrace, ModelConfig, decode_batch,
-                    forward_collect, generate_greedy, init_base, lens_logits,
-                    loss_and_grads, teacher_forced_probs)
+from .model import (BaseWeights, ModelConfig, decode_batch, forward_collect,
+                    generate_greedy, init_base, lens_logits, loss_and_grads)
 from .numerics import AdamState, adam_step, cross_entropy_grad, softmax_rows
 from .probe import ProbeReport, probe_difference, probe_ground_truth, probe_under_drop
 from .train import TrainConfig, finetune_lora, finetune_partial, pretrain

@@ -291,7 +291,8 @@ def cmd_eval(args) -> int:
             adapters = drop_above(adapters, _resolve_keep(
                 args.keep_bottom, base.cfg.n_layers, adapters))
     metric = args.metric or TASK_METRICS.get(ds.task, "em")
-    chosen = select_samples(samples, args.budget or len(samples), cfg.sweep.seed)
+    budget = len(samples) if args.budget is None else args.budget
+    chosen = select_samples(samples, budget, cfg.sweep.seed)
     preds = _predictions(base, adapters, chosen, args.decode_budget)
     golds = [s.gold_text() for s in chosen]
     report = corpus_score(metric, preds, golds)

@@ -147,15 +147,29 @@ def drop_above(lset: LoraSet, keep_bottom: int) -> LoraSet:
 
 
 def check_compat(base: BaseWeights, lset: LoraSet) -> None:
-    """Adapters must carry the base's fingerprint (or its config hash, if untrained)."""
+    """Adapters must carry the base's fingerprint (or its config hash, if
+    untrained), span its layers, and fit the projection each is keyed to."""
     full = base.fingerprint()
     cfg_only = base.config_fingerprint()
     if lset.fingerprint not in (full, cfg_only):
         raise CompatibilityError(
             f"adapter set was built for {lset.fingerprint}, model is {full}")
-    if lset.n_layers != base.cfg.n_layers:
+    n_layers = base.cfg.n_layers
+    if lset.n_layers != n_layers:
         raise CompatibilityError(
-            f"adapter set spans {lset.n_layers} layers, model has {base.cfg.n_layers}")
+            f"adapter set spans {lset.n_layers} layers, model has {n_layers}")
+    for (layer, proj), ad in lset.adapters.items():
+        where = f"adapter at layer {layer} {proj!r}"
+        if not 1 <= layer <= n_layers:
+            raise CompatibilityError(f"{where}: layer out of range 1..{n_layers}")
+        if proj not in PROJECTIONS:
+            raise CompatibilityError(
+                f"{where}: unknown projection; expected one of {PROJECTIONS}")
+        d_in, d_out = projection_dims(base.cfg, proj)
+        if ad.a.shape[1] != d_in or ad.b.shape[0] != d_out:
+            raise CompatibilityError(
+                f"{where} has dims A{ad.a.shape} / B{ad.b.shape}, "
+                f"projection needs ({d_in}, {d_out})")
 
 
 def merge(base: BaseWeights, lset: LoraSet) -> BaseWeights:
@@ -168,14 +182,7 @@ def merge(base: BaseWeights, lset: LoraSet) -> BaseWeights:
     merged = base.clone()
     name_for = {"q": "wq", "k": "wk", "v": "wv", "o": "wo", "up": "wup", "down": "wdown"}
     for (layer, proj), ad in lset.adapters.items():
-        name = f"layer{layer:02d}.{name_for[proj]}"
-        w = merged.tensors[name]
-        d_in, d_out = projection_dims(base.cfg, proj)
-        if ad.a.shape[1] != d_in or ad.b.shape[0] != d_out:
-            raise ShapeError(
-                f"adapter at ({layer}, {proj}) has dims A{ad.a.shape} / B{ad.b.shape}, "
-                f"projection needs ({d_in}, {d_out})")
-        w += ad.delta().T
+        merged.tensors[f"layer{layer:02d}.{name_for[proj]}"] += ad.delta().T
     return merged
 
 

@@ -1,10 +1,14 @@
 """Decoder-only transformer with pre-norm RMS blocks and hand-derived gradients.
 
 One forward implementation serves training, probing and generation. The
-per-layer residual stream it records is what the probing code reads
-back through the model's own final norm and output head; probing runs
-it over batches of equal-length rows and resumes it at any layer from a
-recorded residual. For generation the same forward runs over a batch of
+per-layer residual stream it records is the one record a forward
+returns: forward_collect gives it as a plain array [L, t, d_model] (or
+[L, B, t, d_model] for a batch). The probe engine in probe.py is the
+one path that reads it back through the model's own final norm and
+output head (lens_logits); it runs the forward over batches of
+equal-length rows and resumes it at any layer from a recorded residual.
+Decoding and probing cut rows into batches by one rule,
+_length_batches. For generation the same forward runs over a batch of
 rows with a per-layer key/value cache: `decode_batch` prefills each
 batch of equal-length prompts once and then feeds one position per new
 token, and it is the only greedy decode loop in the package. For
@@ -157,24 +161,6 @@ def init_base(cfg: ModelConfig, seed: int, std: float = 0.02) -> BaseWeights:
         else:
             tensors[name] = rng.normal(0.0, std, size=shape).astype(np.float32)
     return BaseWeights(cfg, tensors)
-
-
-@dataclass
-class LayerTrace:
-    """Residual stream after each block (1..L); final logits on first use."""
-
-    hidden: np.ndarray        # [L, t, d_model], or [L, B, t, d_model] for a batch
-    weights: BaseWeights
-
-    @functools.cached_property
-    def final_logits(self) -> np.ndarray:
-        """[t, vocab], or [B, t, vocab]: the lens readout of the top layer."""
-        return lens_logits(self.weights, self.hidden[-1])
-
-    def layer(self, l: int) -> np.ndarray:
-        if not 1 <= l <= self.hidden.shape[0]:
-            raise InputError(f"layer index {l} out of range 1..{self.hidden.shape[0]}")
-        return self.hidden[l - 1]
 
 
 # -- primitive pieces ---------------------------------------------------------
@@ -450,15 +436,14 @@ def lens_logits(weights: BaseWeights, h: np.ndarray) -> np.ndarray:
     return normed @ weights.head_matrix()
 
 
-def forward_collect(weights: BaseWeights, adapters=None, tokens=None) -> LayerTrace:
-    """Run the model and record the per-layer residual stream.
-
-    tokens is one sequence [t] or a batch of equal-length rows [B, t];
-    the trace then carries the batch axis after the layer axis.
+def forward_collect(weights: BaseWeights, adapters=None, tokens=None) -> np.ndarray:
+    """The residual stream after every block: [L, t, d_model] for one
+    sequence [t], or [L, B, t, d_model] for a batch of equal-length rows
+    [B, t]. Layer l is entry l - 1; lens_logits reads any of them out.
     """
     ids = _check_tokens(weights.cfg, tokens, batch=True)
     hidden, _, _ = _forward(weights, adapters, ids, collect=slice(None))
-    return LayerTrace(hidden=hidden, weights=weights)
+    return hidden
 
 
 def next_token_logits(weights: BaseWeights, adapters, tokens) -> np.ndarray:
@@ -487,6 +472,23 @@ DECODE_BATCH_ROWS = 16
 TRAIN_CHUNK_POSITIONS = 192
 
 
+def _length_batches(lengths):
+    """(length, indices) batches of the rows with the given lengths.
+
+    Row indices are grouped by length, lengths visited in ascending
+    order, and each group cut into runs of at most DECODE_BATCH_ROWS
+    indices in their original order. Decoding and probing both batch
+    by this rule.
+    """
+    by_length: dict[int, list[int]] = {}
+    for i, length in enumerate(lengths):
+        by_length.setdefault(length, []).append(i)
+    for length in sorted(by_length):
+        group = by_length[length]
+        for lo in range(0, len(group), DECODE_BATCH_ROWS):
+            yield length, group[lo:lo + DECODE_BATCH_ROWS]
+
+
 def decode_batch(weights: BaseWeights, adapters, rows, max_new: int,
                  stop_token: int | None) -> list[list[int]]:
     """Greedy decoding of many (prompt, keep) rows; one list of new ids per row.
@@ -498,9 +500,9 @@ def decode_batch(weights: BaseWeights, adapters, rows, max_new: int,
     includes the stop token if one was emitted. Ties go to the lowest
     token id.
 
-    Rows are batched by prompt length, at most DECODE_BATCH_ROWS at a
-    time, so no row is padded and no row's arithmetic depends on its
-    batch-mates. Each batch runs one prefill over its prompts into
+    Rows are batched by _length_batches (by prompt length, at most
+    DECODE_BATCH_ROWS at a time), so no row is padded and no row's
+    arithmetic depends on its batch-mates. Each batch runs one prefill over its prompts into
     per-layer K/V caches sized min(prompt + max_new, max_seq), then one
     single-position step per new token; rows that emit the stop token
     leave the batch. Every row is validated before any compute.
@@ -508,18 +510,11 @@ def decode_batch(weights: BaseWeights, adapters, rows, max_new: int,
     cfg = weights.cfg
     prompts, keeps = _check_rows(cfg, rows, max_new, stop_token)
     outs: list[list[int]] = [[] for _ in prompts]
-    by_length: dict[int, list[int]] = {}
-    for i, ids in enumerate(prompts):
-        by_length.setdefault(ids.size, []).append(i)
-    for length in sorted(by_length):
-        group = by_length[length]
-        for lo in range(0, len(group), DECODE_BATCH_ROWS):
-            batch = group[lo:lo + DECODE_BATCH_ROWS]
-            ids = np.stack([prompts[i] for i in batch])
-            decoded = _decode_rows(weights, adapters, ids, keeps[batch],
-                                   max_new, stop_token)
-            for i, out in zip(batch, decoded):
-                outs[i] = out
+    for _, batch in _length_batches([ids.size for ids in prompts]):
+        ids = np.stack([prompts[i] for i in batch])
+        decoded = _decode_rows(weights, adapters, ids, keeps[batch], max_new, stop_token)
+        for i, out in zip(batch, decoded):
+            outs[i] = out
     return outs
 
 
@@ -590,40 +585,16 @@ def _two_up(rows: np.ndarray) -> np.ndarray:
     return np.repeat(rows, 2) if rows.size == 1 else rows
 
 
-def lens_probs(weights: BaseWeights, trace: LayerTrace,
-               positions) -> np.ndarray:
-    """Per-layer next-token distributions at the given positions: [L, n, vocab]."""
+def lens_probs(weights: BaseWeights, hidden: np.ndarray, positions) -> np.ndarray:
+    """Per-layer next-token distributions at the given positions: [L, n, vocab].
+
+    hidden is the [L, t, d_model] residual array of forward_collect.
+    """
     pos = np.asarray(positions, dtype=np.int64)
-    t = trace.hidden.shape[1]
+    t = hidden.shape[1]
     if pos.size and (pos.min() < 0 or pos.max() >= t):
         raise InputError(f"positions out of range for sequence length {t}")
-    states = trace.hidden[:, pos, :]           # [L, n, d]
-    return softmax_rows(lens_logits(weights, states))
-
-
-def teacher_forced_probs(weights: BaseWeights, adapters, prompt, reference,
-                         n_tokens: int) -> np.ndarray:
-    """Probability of each of the first n reference tokens at every layer depth.
-
-    Feeds prompt + reference with teacher forcing; entry [l-1, i] is the
-    probability the layer-l readout assigns to reference[i] at the position
-    that predicts it. Shape [L, n_tokens].
-    """
-    prompt = list(prompt)
-    reference = list(reference)
-    if n_tokens < 1:
-        raise InputError(f"n_tokens must be at least 1, got {n_tokens}")
-    if len(reference) < n_tokens:
-        raise InputError(
-            f"reference has {len(reference)} tokens, need at least {n_tokens}")
-    if not prompt:
-        raise InputError("prompt must be non-empty")
-    seq = prompt + reference[:n_tokens]
-    trace = forward_collect(weights, adapters, seq)
-    positions = [len(prompt) - 1 + i for i in range(n_tokens)]
-    dists = lens_probs(weights, trace, positions)   # [L, n, V]
-    ref = np.asarray(reference[:n_tokens], dtype=np.int64)
-    return dists[:, np.arange(n_tokens), ref]
+    return softmax_rows(lens_logits(weights, hidden[:, pos, :]))
 
 
 # -- backward -----------------------------------------------------------------

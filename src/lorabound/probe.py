@@ -8,16 +8,18 @@ over samples. Curves are [n_layers x n_tokens], layer 1 first. A probe
 sees every adapter in the set it is given and no other layer selection;
 the report config names that set by its content hash.
 
-One engine serves a single probe and a probe under many keep levels.
-Samples are batched by sequence length, at most DECODE_BATCH_ROWS rows
-at a time. Each batch runs one forward with the whole adapter set that
-records the residual after every layer. Under drop_above(set, k),
-layers 1..k compute exactly what the whole set computes, so keep level
-k reuses those readouts and resumes from the layer-k residual (the
-embeddings for k = 0), running layers k+1..L without adapters. Each
-readout is reduced at once to the two probabilities at the probed
-positions, and the per-sample values are summed in sample order, so
-the curves are bitwise those of one forward per sample and level.
+One engine serves a single probe and a probe under many keep levels; it
+is the only probe path in the package. Samples are batched by prompt
+length with the decoder's rule (model._length_batches: at most
+DECODE_BATCH_ROWS rows at a time). Each batch runs one forward_collect
+with the whole adapter set, which returns the residual after every
+layer as one array. Under drop_above(set, k), layers 1..k compute
+exactly what the whole set computes, so keep level k reuses those
+readouts and resumes from the layer-k residual (the embeddings for
+k = 0), running layers k+1..L without adapters. Each readout is
+reduced at once to the two probabilities at the probed positions, and
+the per-sample values are summed in sample order, so the curves are
+bitwise those of one forward per sample and level.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .errors import ComparisonError, InputError
 from .lora import LoraSet, drop_above
-from .model import (DECODE_BATCH_ROWS, BaseWeights, _forward, check_keep_level,
+from .model import (BaseWeights, _forward, _length_batches, check_keep_level,
                     forward_collect, lens_logits)
 from .numerics import softmax_rows
 from .tasks import sample_ids
@@ -161,32 +163,25 @@ def _probe_levels(base: BaseWeights, adapters, kept, levels, n_tokens: int) -> d
     levels = sorted(set(levels))
     shape = (len(kept), n_layers, n_tokens)
     per_sample = {k: (np.empty(shape), np.empty(shape)) for k in levels}
-    by_length: dict[int, list[int]] = {}
-    for i, (prompt, _) in enumerate(kept):
-        by_length.setdefault(len(prompt), []).append(i)
-    for length in sorted(by_length):
-        group = by_length[length]
+    for length, batch in _length_batches([len(prompt) for prompt, _ in kept]):
         positions = np.arange(length - 1, length - 1 + n_tokens)
-        for lo in range(0, len(group), DECODE_BATCH_ROWS):
-            batch = group[lo:lo + DECODE_BATCH_ROWS]
-            ids = np.array([kept[i][0] + kept[i][1][:n_tokens] for i in batch],
-                           dtype=np.int64)
-            ref = ids[:, length:]
-            if levels[-1] > 0:
-                full = forward_collect(base, adapters, ids).hidden
-                full_read = _readout(base, full[..., positions, :], ref)    # [L, B, n]
-            for k in levels:
-                if k == n_layers:
-                    read = full_read
-                else:
-                    resume = None if k == 0 else (k, full[k - 1])
-                    top, _, _ = _forward(base, None, ids, collect=positions,
-                                         resume=resume)
-                    read = _readout(base, top, ref)                         # [L - k, B, n]
-                    if k > 0:
-                        read = [np.concatenate([f[:k], t]) for f, t in zip(full_read, read)]
-                for dest, values in zip(per_sample[k], read):
-                    dest[batch] = values.swapaxes(0, 1)
+        ids = np.array([kept[i][0] + kept[i][1][:n_tokens] for i in batch],
+                       dtype=np.int64)
+        ref = ids[:, length:]
+        if levels[-1] > 0:
+            full = forward_collect(base, adapters, ids)
+            full_read = _readout(base, full[..., positions, :], ref)    # [L, B, n]
+        for k in levels:
+            if k == n_layers:
+                read = full_read
+            else:
+                resume = None if k == 0 else (k, full[k - 1])
+                top, _, _ = _forward(base, None, ids, collect=positions, resume=resume)
+                read = _readout(base, top, ref)                         # [L - k, B, n]
+                if k > 0:
+                    read = [np.concatenate([f[:k], t]) for f, t in zip(full_read, read)]
+            for dest, values in zip(per_sample[k], read):
+                dest[batch] = values.swapaxes(0, 1)
     sums = {}
     for k, (gt, mx) in per_sample.items():
         gt_sum = np.zeros((n_layers, n_tokens), dtype=np.float64)

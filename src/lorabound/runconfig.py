@@ -106,14 +106,10 @@ class SweepSection:
     seed: int = 0
     keeps: tuple[int, ...] | None = None   # None: every level 0..n_layers
     refine: bool = False
-    min_jump_ratio: float = 0.25
 
     def validate(self) -> "SweepSection":
         if self.budget < 1 or self.decode_budget < 1:
             raise ConfigError("sweep budget and decode_budget must be at least 1")
-        if not 0 < self.min_jump_ratio <= 1:
-            raise ConfigError(
-                f"min_jump_ratio must be in (0, 1], got {self.min_jump_ratio}")
         return self
 
 

@@ -93,6 +93,25 @@ def _batched_step(examples, grad_fn, params, state, grad_clip):
     return loss_sum * inv
 
 
+def _train_loop(examples, grad_fn, params, tcfg: TrainConfig, log_path, name: str):
+    """tcfg.epochs passes over examples in seeded random order, one
+    _batched_step per tcfg.batch of them; returns the (epoch, step, loss)
+    history and writes it to log_path if given."""
+    state = AdamState(lr=tcfg.lr)
+    order_rng = np.random.default_rng(tcfg.seed)
+    history: list[tuple[int, int, float]] = []
+    for epoch in range(1, tcfg.epochs + 1):
+        order = order_rng.permutation(len(examples))
+        for start in range(0, len(examples), tcfg.batch):
+            batch = [examples[i] for i in order[start:start + tcfg.batch]]
+            loss = _batched_step(batch, grad_fn, params, state, tcfg.grad_clip)
+            history.append((epoch, len(history) + 1, loss))
+        log.info("%s epoch %d done, loss %.4f", name, epoch, history[-1][2])
+    if log_path is not None:
+        write_train_log(log_path, history)
+    return history
+
+
 def pretrain(cfg: ModelConfig, tcfg: TrainConfig, corpus,
              log_path=None) -> tuple[BaseWeights, list[tuple[int, int, float]]]:
     """Train every parameter on next-token prediction over raw sequences.
@@ -113,10 +132,6 @@ def pretrain(cfg: ModelConfig, tcfg: TrainConfig, corpus,
                 f"corpus sequence {i} has {len(s)} tokens, max_seq is {cfg.max_seq}")
 
     weights = init_base(cfg, seed=tcfg.seed)
-    state = AdamState(lr=tcfg.lr)
-    order_rng = np.random.default_rng(tcfg.seed)
-    history: list[tuple[int, int, float]] = []
-
     examples = []
     for s in seqs:
         ids = np.asarray(s, dtype=np.int64)
@@ -126,18 +141,7 @@ def pretrain(cfg: ModelConfig, tcfg: TrainConfig, corpus,
         return loss_and_grads(weights, None, inputs, targets, mask,
                               want_base=True, want_lora=False)
 
-    step = 0
-    for epoch in range(1, tcfg.epochs + 1):
-        order = order_rng.permutation(len(seqs))
-        for start in range(0, len(seqs), tcfg.batch):
-            batch = [examples[i] for i in order[start:start + tcfg.batch]]
-            loss = _batched_step(batch, grad_fn, weights.tensors, state,
-                                 tcfg.grad_clip)
-            step += 1
-            history.append((epoch, step, loss))
-        log.info("pretrain epoch %d done, loss %.4f", epoch, history[-1][2])
-    if log_path is not None:
-        write_train_log(log_path, history)
+    history = _train_loop(examples, grad_fn, weights.tensors, tcfg, log_path, "pretrain")
     return weights, history
 
 
@@ -156,11 +160,6 @@ def _finetune(base: BaseWeights, adapters: LoraSet, dataset, tcfg: TrainConfig,
                 f"max_seq is {base.cfg.max_seq}")
 
     adapters.fingerprint = base.fingerprint()
-    params = lora_param_dict(adapters)
-    state = AdamState(lr=tcfg.lr)
-    order_rng = np.random.default_rng(tcfg.seed)
-    history: list[tuple[int, int, float]] = []
-
     examples = []
     for prompt, ref in pairs:
         seq = np.asarray(prompt + ref, dtype=np.int64)
@@ -172,17 +171,8 @@ def _finetune(base: BaseWeights, adapters: LoraSet, dataset, tcfg: TrainConfig,
         return loss_and_grads(base, adapters, inputs, targets, mask,
                               want_base=False, want_lora=True)
 
-    step = 0
-    for epoch in range(1, tcfg.epochs + 1):
-        order = order_rng.permutation(len(pairs))
-        for start in range(0, len(pairs), tcfg.batch):
-            batch = [examples[i] for i in order[start:start + tcfg.batch]]
-            loss = _batched_step(batch, grad_fn, params, state, tcfg.grad_clip)
-            step += 1
-            history.append((epoch, step, loss))
-        log.info("finetune epoch %d done, loss %.4f", epoch, history[-1][2])
-    if log_path is not None:
-        write_train_log(log_path, history)
+    history = _train_loop(examples, grad_fn, lora_param_dict(adapters), tcfg, log_path,
+                          "finetune")
     return adapters, history
 
 

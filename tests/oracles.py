@@ -37,9 +37,9 @@ def probe_oracle(weights, adapters, samples, n_tokens):
     for prompt, ref in samples:
         if len(ref) < n_tokens:
             continue
-        trace = forward_collect(weights, adapters, list(prompt) + list(ref[:n_tokens]))
+        hidden = forward_collect(weights, adapters, list(prompt) + list(ref[:n_tokens]))
         positions = [len(prompt) - 1 + i for i in range(n_tokens)]
-        dists = lens_probs(weights, trace, positions)      # [L, n, V]
+        dists = lens_probs(weights, hidden, positions)     # [L, n, V]
         gt_sum += dists[:, np.arange(n_tokens), np.asarray(ref[:n_tokens])]
         max_sum += dists.max(axis=-1)
         count += 1

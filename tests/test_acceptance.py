@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from lorabound import boundary, lora, metrics, model, probe
+from lorabound import boundary, lora, metrics, model, numerics, probe
 from lorabound.vocab import VOCAB_SIZE
 
 from helpers import randomize_adapters, randomize_weights
@@ -185,10 +185,13 @@ class TestProbeCorrectness:
     def test_top_layer_equals_output_probabilities(self, untrained,
                                                    probe_samples,
                                                    untrained_report):
+        # the model's own next-token distribution after each reference prefix
         per_sample = []
         for prompt, ref in probe_samples:
-            probs = model.teacher_forced_probs(untrained, None, prompt, ref, 4)
-            per_sample.append(probs[-1])
+            logits = [model.next_token_logits(untrained, None, prompt + ref[:i])
+                      for i in range(4)]
+            probs = numerics.softmax_rows(np.array(logits))
+            per_sample.append(probs[np.arange(4), ref[:4]])
         np.testing.assert_allclose(untrained_report.gt_curve[-1],
                                    np.mean(per_sample, axis=0), atol=1e-6)
 

@@ -12,8 +12,8 @@ import pytest
 import lorabound
 from lorabound.boundary import BoundaryDecision
 from lorabound.cli import main
-from lorabound.fileio import load_adapters, load_weights
-from lorabound.lora import drop_above
+from lorabound.fileio import load_adapters, load_weights, save_adapters
+from lorabound.lora import LoraAdapter, drop_above
 from lorabound.probe import ProbeReport
 from lorabound.reports import parse_tsv, read_probe_tsv, write_probe_tsv
 
@@ -382,6 +382,41 @@ class TestDomainErrors:
                  "--out-dir", tmp_path / "report")
         assert rc == 2
         assert "keep level 'a' out of range 0..2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, a_shape, b_shape, cause", [
+        ((7, "q"), (2, 8), (8, 2), "adapter at layer 7 'q': layer out of range 1..2"),
+        ((1, "q"), (8, 5), (8, 8),
+         "adapter at layer 1 'q' has dims A(8, 5) / B(8, 8), projection needs (8, 8)"),
+    ])
+    def test_adapter_that_does_not_fit_the_model_exits_two(self, pipeline, tmp_path, capsys,
+                                                          key, a_shape, b_shape, cause):
+        lset = load_adapters(pipeline["full"])
+        lset.adapters[key] = LoraAdapter(a=np.zeros(a_shape, np.float32),
+                                         b=np.zeros(b_shape, np.float32), alpha=lset.alpha)
+        bad = tmp_path / "bad.lbad"
+        save_adapters(bad, lset)
+        out = tmp_path / "p.tsv"
+        rc = run("probe", "--config", pipeline["cfg"], "--model", pipeline["base"],
+                 "--data", pipeline["data"], "--adapters", bad, "--out", out)
+        assert rc == 2
+        assert cause in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["bad.lbad"]
+
+    def test_zero_eval_budget_exits_two(self, pipeline, tmp_path, capsys):
+        rc = run("eval", "--config", pipeline["cfg"], "--model", pipeline["base"],
+                 "--data", pipeline["data"], "--budget", 0, "--out", tmp_path / "e.tsv")
+        assert rc == 2
+        assert "sample budget must be positive" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_sweep_min_jump_ratio_is_an_unknown_key(self, pipeline, tmp_path, capsys):
+        path = config_with(pipeline, tmp_path, "sweep", "min_jump_ratio", 0.25)
+        rc = run("sweep", "--config", path, "--model", pipeline["base"],
+                 "--data", pipeline["data"], "--adapters", pipeline["full"],
+                 "--out", tmp_path / "s.json")
+        assert rc == 2
+        assert "unknown keys in section 'sweep'" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
 
     def test_missing_decision_file_exits_two(self, pipeline, tmp_path):
         rc = run("export", "--model", pipeline["base"],

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from lorabound.lora import (DEFAULT_ALPHA, DEFAULT_RANK, DEFAULT_TARGETS,
                             lora_param_dict, merge, normalize_targets,
                             projection_dims)
 from lorabound.model import (ModelConfig, forward_collect, generate_greedy,
-                             init_base)
+                             init_base, lens_logits)
 
 from helpers import randomize_adapters, randomize_weights
 
@@ -153,6 +155,25 @@ class TestCompat:
         with pytest.raises(CompatibilityError):
             check_compat(base, lset)
 
+    @pytest.mark.parametrize("key, a_shape, b_shape, cause", [
+        ((0, "q"), (2, 8), (8, 2), "adapter at layer 0 'q': layer out of range 1..2"),
+        ((3, "v"), (2, 8), (8, 2), "adapter at layer 3 'v': layer out of range 1..2"),
+        ((1, "gate"), (2, 8), (8, 2), "adapter at layer 1 'gate': unknown projection"),
+        ((1, "q"), (2, 5), (8, 2), "adapter at layer 1 'q' has dims A(2, 5) / B(8, 2)"),
+        ((2, "up"), (2, 8), (8, 2), "adapter at layer 2 'up' has dims A(2, 8) / B(8, 2)"),
+        ((2, "down"), (2, 8), (8, 2), "adapter at layer 2 'down' has dims A(2, 8) / B(8, 2)"),
+    ])
+    def test_every_key_is_checked(self, key, a_shape, b_shape, cause):
+        base = micro_weights()
+        lset = init_adapters(MICRO, seed=0)
+        lset.fingerprint = base.fingerprint()
+        lset.adapters[key] = LoraAdapter(a=np.zeros(a_shape, np.float32),
+                                         b=np.zeros(b_shape, np.float32), alpha=4.0)
+        with pytest.raises(CompatibilityError, match=re.escape(cause)):
+            check_compat(base, lset)
+        with pytest.raises(CompatibilityError, match=re.escape(cause)):
+            merge(base, lset)
+
 
 class TestMerge:
     def test_zero_delta_merge_is_bitwise_identical(self):
@@ -172,8 +193,8 @@ class TestMerge:
             lset.fingerprint = base.fingerprint()
             merged = merge(base, lset)
             tokens = rng.integers(0, MICRO.vocab_size, size=6).tolist()
-            factored = forward_collect(base, lset, tokens).final_logits
-            dense = forward_collect(merged, None, tokens).final_logits
+            factored = lens_logits(base, forward_collect(base, lset, tokens)[-1])
+            dense = lens_logits(merged, forward_collect(merged, None, tokens)[-1])
             assert np.abs(factored - dense).max() <= 1e-3
 
     def test_merge_leaves_base_untouched(self):

@@ -1,4 +1,4 @@
-"""Transformer forward, trace, generation and gradient correctness."""
+"""Transformer forward, residual record, generation and gradient correctness."""
 
 import numpy as np
 import pytest
@@ -61,28 +61,31 @@ class TestInit:
 class TestForward:
     def test_trace_shapes(self):
         w = micro_weights()
-        trace = model.forward_collect(w, None, [1, 2, 3, 4, 5])
-        assert trace.hidden.shape == (2, 5, 8)
-        assert trace.final_logits.shape == (5, 16)
-        assert np.all(np.isfinite(trace.hidden))
-        assert np.all(np.isfinite(trace.final_logits))
+        hidden = model.forward_collect(w, None, [1, 2, 3, 4, 5])
+        logits = model.lens_logits(w, hidden[-1])
+        assert hidden.shape == (2, 5, 8)
+        assert logits.shape == (5, 16)
+        assert np.all(np.isfinite(hidden))
+        assert np.all(np.isfinite(logits))
 
-    def test_final_logits_reproducible_from_top_layer(self):
-        # the recorded top-of-stack state must give back final_logits exactly
+    def test_top_layer_reproduces_the_output_logits(self):
+        # the recorded top-of-stack state must give back the output logits exactly
         w = micro_weights()
-        trace = model.forward_collect(w, None, [3, 1, 4, 1, 5])
-        again = model.lens_logits(w, trace.layer(2))
-        np.testing.assert_array_equal(again, trace.final_logits)
+        ids = np.array([3, 1, 4, 1, 5])
+        hidden = model.forward_collect(w, None, ids)
+        _, h_final, _ = model._forward(w, None, ids)
+        again = model.lens_logits(w, hidden[2 - 1])
+        np.testing.assert_array_equal(again, model.lens_logits(w, h_final))
 
     def test_causality(self):
         w = micro_weights(seed=2)
         toks = [1, 2, 3, 4, 5, 6]
-        base = model.forward_collect(w, None, toks)
+        base = model.lens_logits(w, model.forward_collect(w, None, toks)[-1])
         for j in range(len(toks)):
             changed = list(toks)
             changed[j] = (changed[j] + 7) % 16
-            out = model.forward_collect(w, None, changed)
-            np.testing.assert_array_equal(out.final_logits[:j], base.final_logits[:j])
+            out = model.lens_logits(w, model.forward_collect(w, None, changed)[-1])
+            np.testing.assert_array_equal(out[:j], base[:j])
 
     def test_bad_tokens(self):
         w = micro_weights()
@@ -106,11 +109,12 @@ class TestForward:
                                   np.random.default_rng(4))
         rows = np.random.default_rng(5).integers(0, 16, size=(5, 6))
         batch = model.forward_collect(w, lset, rows)
-        assert batch.hidden.shape == (2, 5, 6, 8)
+        assert batch.shape == (2, 5, 6, 8)
+        batch_logits = model.lens_logits(w, batch[-1])
         for i, row in enumerate(rows):
             alone = model.forward_collect(w, lset, row)
-            np.testing.assert_array_equal(batch.hidden[:, i], alone.hidden)
-            np.testing.assert_array_equal(batch.final_logits[i], alone.final_logits)
+            np.testing.assert_array_equal(batch[:, i], alone)
+            np.testing.assert_array_equal(batch_logits[i], model.lens_logits(w, alone[-1]))
 
     def test_resume_from_a_recorded_layer(self):
         w = micro_weights(seed=6)
@@ -125,12 +129,12 @@ class TestForward:
         lset = lora.init_adapters(MICRO, targets=("q", "v"), rank=2, seed=0)
         randomize_adapters(lset, np.random.default_rng(1))
         toks = [1, 2, 3]
-        plain = model.forward_collect(w, None, toks)
-        adapted = model.forward_collect(w, lset, toks)
-        assert not np.array_equal(plain.final_logits, adapted.final_logits)
+        plain = model.lens_logits(w, model.forward_collect(w, None, toks)[-1])
+        adapted = model.lens_logits(w, model.forward_collect(w, lset, toks)[-1])
+        assert not np.array_equal(plain, adapted)
         # with every layer dropped the adapters are invisible
         off = model.forward_collect(w, lora.drop_above(lset, 0), toks)
-        np.testing.assert_array_equal(plain.final_logits, off.final_logits)
+        np.testing.assert_array_equal(plain, model.lens_logits(w, off[-1]))
 
     def test_fresh_adapters_are_identity(self):
         # B = 0 at init, so the delta is exactly zero
@@ -138,9 +142,9 @@ class TestForward:
         lset = lora.init_adapters(MICRO, targets=("q", "k", "v", "o", "up", "down"),
                                   rank=2, seed=9)
         toks = [5, 6, 7, 8]
-        plain = model.forward_collect(w, None, toks)
-        adapted = model.forward_collect(w, lset, toks)
-        np.testing.assert_array_equal(plain.final_logits, adapted.final_logits)
+        plain = model.lens_logits(w, model.forward_collect(w, None, toks)[-1])
+        adapted = model.lens_logits(w, model.forward_collect(w, lset, toks)[-1])
+        np.testing.assert_array_equal(plain, adapted)
 
 
 class TestGenerate:
@@ -181,28 +185,6 @@ class TestGenerate:
             model.generate_greedy(w, None, [1] * 9, max_new=1, stop_token=0)
         with pytest.raises(InputError):
             model.generate_greedy(w, None, [], max_new=1, stop_token=0)
-
-
-class TestTeacherForcedProbs:
-    def test_shape_and_range(self):
-        w = micro_weights(seed=12)
-        probs = model.teacher_forced_probs(w, None, [1, 2, 3], [4, 5, 6, 7], 4)
-        assert probs.shape == (2, 4)
-        assert np.all(probs > 0) and np.all(probs < 1)
-
-    def test_top_layer_matches_output_probs(self):
-        w = micro_weights(seed=13)
-        prompt, ref = [1, 2, 3], [4, 5, 6, 7]
-        probs = model.teacher_forced_probs(w, None, prompt, ref, 4)
-        trace = model.forward_collect(w, None, prompt + ref)
-        out_probs = numerics.softmax_rows(trace.final_logits)
-        expected = [out_probs[len(prompt) - 1 + i, ref[i]] for i in range(4)]
-        np.testing.assert_allclose(probs[-1], expected, atol=1e-6)
-
-    def test_short_reference_rejected(self):
-        w = micro_weights()
-        with pytest.raises(InputError):
-            model.teacher_forced_probs(w, None, [1, 2], [3], 4)
 
 
 def flatten_params(weights, lset=None):
@@ -250,8 +232,9 @@ def check_batch_grads(weights, lset, inputs, targets, mask, *, eps, tol):
         want_base=True, want_lora=lset is not None)
 
     def loss_fn():
-        trace = model.forward_collect(weights, lset, inputs)
-        l, _ = numerics.cross_entropy_grad(trace.final_logits, targets, mask)
+        hidden = model.forward_collect(weights, lset, inputs)
+        l, _ = numerics.cross_entropy_grad(model.lens_logits(weights, hidden[-1]),
+                                           targets, mask)
         return l
 
     assert abs(loss - loss_fn()) < 1e-12

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from lorabound import probe
+from lorabound import model, probe
 from lorabound.errors import ComparisonError, InputError
 from lorabound.lora import drop_above, init_adapters
-from lorabound.model import (LayerTrace, ModelConfig, forward_collect, init_base,
-                             next_token_logits, teacher_forced_probs)
+from lorabound.model import (DECODE_BATCH_ROWS, ModelConfig, decode_batch,
+                             forward_collect, init_base, next_token_logits)
 from lorabound.numerics import softmax_rows
 from lorabound.probe import (ProbeReport, default_drop_levels, probe_difference,
                              probe_ground_truth, probe_under_drop,
@@ -102,8 +102,8 @@ class TestProbeGroundTruth:
         base, lset = micro_setup()
         sample = ([4, 5, 6], [7, 8, 9])
         rep = probe_ground_truth(base, lset, [sample], n_tokens=3)
-        probs = teacher_forced_probs(base, lset, sample[0], sample[1], 3)
-        assert np.allclose(rep.gt_curve, probs, rtol=0, atol=1e-12)
+        gt, _ = probe_oracle(base, lset, [sample], 3)
+        assert np.allclose(rep.gt_curve, gt, rtol=0, atol=1e-12)
 
     def test_untrained_model_sits_near_uniform(self):
         base = init_base(MICRO, seed=0)
@@ -232,7 +232,7 @@ class TestEngineAgainstOracle:
 
     def test_more_rows_of_one_length_than_the_batch_cap(self, monkeypatch):
         base, lset = self.model_and_adapters(seed=2)
-        samples = self.samples(2 * probe.DECODE_BATCH_ROWS + 5, seed=3,
+        samples = self.samples(2 * DECODE_BATCH_ROWS + 5, seed=3,
                                prompt_lengths=(5, 6))
         batches = []
 
@@ -242,7 +242,7 @@ class TestEngineAgainstOracle:
 
         monkeypatch.setattr(probe, "forward_collect", spy)
         self.assert_matches(base, lset, samples, [0, 2, 4], n_tokens=2)
-        cap = probe.DECODE_BATCH_ROWS
+        cap = DECODE_BATCH_ROWS
         assert batches == [(cap, 7), (cap, 7), (5, 7)]
 
     def test_short_references_are_skipped(self):
@@ -314,21 +314,56 @@ class TestEngineAgainstOracle:
         full = out[top][1].gt_curve
         assert np.isfinite(full[:-1]).all() and np.isnan(full[-1]).all()
 
-    def test_final_logits_are_never_computed(self, monkeypatch):
+    def test_readouts_see_only_the_probed_positions(self, monkeypatch):
+        # the full pass records every position, but the lens reads out only
+        # the n_tokens probed ones of each row
         base, lset = self.model_and_adapters(seed=16)
-        calls, touched = [], []
+        seen = []
 
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return forward_collect(*args, **kwargs)
+        def spy(weights, h):
+            seen.append(h.shape[-2])
+            return model.lens_logits(weights, h)
 
-        monkeypatch.setattr(probe, "forward_collect", spy)
-        monkeypatch.setattr(LayerTrace, "final_logits",
-                            property(lambda trace: touched.append(trace)))
-        samples = self.samples(10, seed=17)
+        monkeypatch.setattr(probe, "lens_logits", spy)
+        samples = self.samples(10, seed=17, prompt_lengths=(3, 7))
         probe_under_drop(base, lset, samples, keeps=[0, 2, 4], n_tokens=2)
         probe_ground_truth(base, lset, samples, n_tokens=2)
-        assert calls and not touched
+        assert seen and max(seen) == 2
+
+    def test_batches_are_the_decoders(self, monkeypatch):
+        # more rows of one length than DECODE_BATCH_ROWS, among other lengths
+        rng = np.random.default_rng(18)
+        lengths = [4] * (DECODE_BATCH_ROWS + 5) + [2] * 3 + [5] * 7 + [3]
+        rng.shuffle(lengths)
+        prompts = [[4 + i % 12, 4 + i // 12] + rng.integers(4, 16, size=n - 2).tolist()
+                   for i, n in enumerate(lengths)]
+        index_of = {tuple(p): i for i, p in enumerate(prompts)}
+        expected = []       # by length, shortest first, runs of at most DECODE_BATCH_ROWS
+        for length in sorted(set(lengths)):
+            group = [i for i, n in enumerate(lengths) if n == length]
+            expected += [group[lo:lo + DECODE_BATCH_ROWS]
+                         for lo in range(0, len(group), DECODE_BATCH_ROWS)]
+        assert len(expected) > len(set(lengths))
+
+        base, lset = self.model_and_adapters(seed=19)
+        probed, decoded = [], []
+
+        def probe_spy(weights, adapters, tokens):
+            probed.append([index_of[tuple(row[:-2])] for row in tokens.tolist()])
+            return forward_collect(weights, adapters, tokens)
+
+        def decode_spy(weights, adapters, ids, *args):
+            decoded.append([index_of[tuple(row)] for row in ids.tolist()])
+            return decode_rows(weights, adapters, ids, *args)
+
+        decode_rows = model._decode_rows
+        monkeypatch.setattr(probe, "forward_collect", probe_spy)
+        monkeypatch.setattr(model, "_decode_rows", decode_spy)
+        samples = [(p, rng.integers(4, 16, size=2).tolist()) for p in prompts]
+        probe_ground_truth(base, lset, samples, n_tokens=2, budget=len(samples))
+        decode_batch(base, lset, [(p, 4) for p in prompts], 1, None)
+        assert probed == expected
+        assert decoded == expected
 
     @pytest.mark.parametrize("keeps, n_tokens", [
         ([0, 2, 99], 2), ([1, -1], 2), ([1, 1.5], 2), ([0, None], 2), ([1, 2], 0)])
