@@ -62,19 +62,29 @@ class BoundaryDecision:
     @classmethod
     def from_dict(cls, data: dict) -> "BoundaryDecision":
         try:
+            for key in ("k_star", "sample_count", "seed"):   # int() would cut 1.5 to 1
+                if type(data[key]) is not int:
+                    raise ValueError(f"{key} {data[key]!r} is not an integer")
             return cls(
-                k_star=int(data["k_star"]),
+                k_star=data["k_star"],
                 per_k_scores={int(k): float(v)
                               for k, v in data["per_k_scores"].items()},
                 metric=str(data["metric"]),
-                sample_count=int(data["sample_count"]),
+                sample_count=data["sample_count"],
                 method=str(data["method"]),
-                seed=int(data["seed"]),
+                seed=data["seed"],
                 set_hash=data.get("set_hash"),
                 extra=dict(data.get("extra", {})),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed boundary decision: {exc}") from exc
+
+    def check_set(self, full_set: LoraSet) -> None:
+        """A decision applies only to the adapter set it was made for."""
+        if self.set_hash and self.set_hash != full_set.content_hash():
+            raise CompatibilityError(
+                f"decision was made for adapter set {self.set_hash}, "
+                f"got {full_set.content_hash()}")
 
 
 def detect_knee(curve, min_jump_ratio: float = DEFAULT_MIN_JUMP_RATIO) -> int:
@@ -206,10 +216,7 @@ def sweep_boundary(base: BaseWeights, full_set: LoraSet, samples, metric, *,
 
 def apply_boundary(full_set: LoraSet, decision: BoundaryDecision) -> LoraSet:
     """Drop every adapter above the decided level; checks the set matches."""
-    if decision.set_hash and decision.set_hash != full_set.content_hash():
-        raise CompatibilityError(
-            f"decision was made for adapter set {decision.set_hash}, "
-            f"got {full_set.content_hash()}")
+    decision.check_set(full_set)
     return drop_above(full_set, decision.k_star)
 
 

@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 for usage mistakes (bad flags, missing
 arguments), 2 for domain failures (bad files, incompatible artifacts,
-undetectable knees). Each artifact-producing command also writes a
+undetectable knees). Each kind of input has one reader that checks it,
+and a command reads all of its inputs before it computes or writes
+anything. Each artifact-producing command also writes a
 timestamp-free manifest listing output hashes, so identical runs
 produce identical trees.
 """
@@ -15,10 +17,10 @@ import logging
 import os
 import sys
 
-from .boundary import (BoundaryDecision, apply_boundary, coarse_then_fine_levels,
-                       knee_from_report, sweep_boundary)
+from .boundary import (BoundaryDecision, coarse_then_fine_levels, knee_from_report,
+                       sweep_boundary)
 from .errors import InputError, LoraBoundError
-from .fileio import (atomic_write_text, load_adapters, load_weights,
+from .fileio import (atomic_write_text, load_adapters, load_weights, read_json,
                      save_adapters, save_weights, write_manifest)
 from .lora import check_compat, drop_above, merge
 from .metrics import METRIC_NAMES, corpus_score
@@ -61,21 +63,36 @@ def _load_split(data_dir: str, split: str):
     return ds, samples
 
 
-def _resolve_keep(value: str, n_layers: int, lset) -> int:
+def _adapters(path, base, keep_bottom=None):
+    """The adapter set at path, checked against the model it will run on and
+    cut once by --keep-bottom; None when no path is given."""
+    if not path:
+        if keep_bottom is not None:
+            raise InputError("--keep-bottom needs --adapters")
+        return None
+    lset = load_adapters(path)
+    check_compat(base, lset)
+    if keep_bottom is not None:
+        lset = drop_above(lset, _keep_level(keep_bottom, lset))
+    return lset
+
+
+def _read_decision(path, full_set) -> BoundaryDecision:
+    """The boundary decision at path; it must have been made for full_set."""
+    decision = BoundaryDecision.from_dict(read_json(path))
+    decision.check_set(full_set)
+    return decision
+
+
+def _keep_level(value: str, full_set) -> int:
     """--keep-bottom accepts a plain integer or from:<decision.json>."""
     if value.startswith("from:"):
-        path = value[len("from:"):]
-        with open(path, encoding="utf-8") as f:
-            decision = BoundaryDecision.from_dict(json.load(f))
-        if lset is not None:
-            apply_boundary(lset, decision)   # validates the set hash
-        return decision.k_star
+        return _read_decision(value[len("from:"):], full_set).k_star
     try:
-        k = int(value)
+        return int(value)
     except ValueError:
         raise InputError(
             f"--keep-bottom must be an integer or from:<path>, got {value!r}") from None
-    return check_keep_level(k, n_layers)
 
 
 def _predictions(weights, adapters, samples, decode_budget: int) -> list[str]:
@@ -166,13 +183,7 @@ def cmd_probe(args) -> int:
     cfg = _load_config(args.config)
     base = load_weights(args.model)
     _, samples = _load_split(args.data, args.split)
-    adapters = None
-    if args.adapters:
-        adapters = load_adapters(args.adapters)
-        check_compat(base, adapters)
-        if args.keep_bottom is not None:
-            adapters = drop_above(adapters, _resolve_keep(
-                args.keep_bottom, base.cfg.n_layers, adapters))
+    adapters = _adapters(args.adapters, base, args.keep_bottom)
     report = probe_ground_truth(base, adapters, samples,
                                 n_tokens=cfg.probe.n_tokens,
                                 budget=cfg.probe.sample_budget,
@@ -192,12 +203,8 @@ def cmd_diff_probe(args) -> int:
     cfg = _load_config(args.config)
     base = load_weights(args.model)
     _, samples = _load_split(args.data, args.split)
-    ours_set = load_adapters(args.adapters)
-    check_compat(base, ours_set)
-    baseline_set = None
-    if args.baseline_adapters:
-        baseline_set = load_adapters(args.baseline_adapters)
-        check_compat(base, baseline_set)
+    ours_set = _adapters(args.adapters, base)
+    baseline_set = _adapters(args.baseline_adapters, base)
     chosen = select_samples(samples, cfg.probe.sample_budget, cfg.probe.seed)
     kwargs = dict(n_tokens=cfg.probe.n_tokens, budget=len(chosen),
                   seed=cfg.probe.seed)
@@ -232,8 +239,7 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     base = load_weights(args.model)
     ds, samples = _load_split(args.data, args.split)
-    full_set = load_adapters(args.adapters)
-    check_compat(base, full_set)
+    full_set = _adapters(args.adapters, base)
     metric = args.metric or TASK_METRICS.get(ds.task, "em")
     keeps = cfg.sweep.keeps
     if keeps is None and args.coarse:
@@ -261,9 +267,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_export(args) -> int:
     base = load_weights(args.model)
-    full_set = load_adapters(args.adapters)
-    check_compat(base, full_set)
-    keep = _resolve_keep(args.keep_bottom, base.cfg.n_layers, full_set)
+    full_set = _adapters(args.adapters, base)
+    keep = _keep_level(args.keep_bottom, full_set)
     kept = drop_above(full_set, keep)
     if args.format == "adapters":
         save_adapters(args.out, kept)
@@ -283,13 +288,7 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args.config)
     base = load_weights(args.model)
     ds, samples = _load_split(args.data, args.split)
-    adapters = None
-    if args.adapters:
-        adapters = load_adapters(args.adapters)
-        check_compat(base, adapters)
-        if args.keep_bottom is not None:
-            adapters = drop_above(adapters, _resolve_keep(
-                args.keep_bottom, base.cfg.n_layers, adapters))
+    adapters = _adapters(args.adapters, base, args.keep_bottom)
     metric = args.metric or TASK_METRICS.get(ds.task, "em")
     budget = len(samples) if args.budget is None else args.budget
     chosen = select_samples(samples, budget, cfg.sweep.seed)
@@ -311,8 +310,8 @@ def cmd_report(args) -> int:
     cfg = _load_config(args.config)
     base = load_weights(args.model)
     _, samples = _load_split(args.data, args.split)
-    full_set = load_adapters(args.adapters)
-    check_compat(base, full_set)
+    full_set = _adapters(args.adapters, base)
+    decision = _read_decision(args.sweep_json, full_set) if args.sweep_json else None
     outputs = []
 
     chosen = select_samples(samples, cfg.probe.sample_budget, cfg.probe.seed)
@@ -349,9 +348,7 @@ def cmd_report(args) -> int:
                     "n_tokens": full_report.n_tokens})
     outputs.append(diff_path)
 
-    if args.sweep_json:
-        with open(args.sweep_json, encoding="utf-8") as f:
-            decision = BoundaryDecision.from_dict(json.load(f))
+    if decision is not None:
         sweep_path = os.path.join(args.out_dir, "sweep_scores.tsv")
         write_sweep_tsv(sweep_path, decision)
         outputs.append(sweep_path)

@@ -4,10 +4,12 @@ Two container formats share one layout: a 4-byte magic, a u32 format
 version, a length-prefixed canonical-JSON header, a u32 tensor count,
 named tensor records, and a trailing crc32 of everything before it.
 All integers are little-endian u32. Loads fail with ParseError naming
-the byte offset or header field that broke.
+the byte offset, header field or tensor that broke; a tensor holding a
+nan or an infinity is rejected too.
 
 Writes go through a temp file plus rename, so a crashed run never
-leaves a half-written artifact behind.
+leaves a half-written artifact behind. read_json is the one reader of a
+stored JSON document.
 """
 
 from __future__ import annotations
@@ -50,6 +52,18 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def read_json(path) -> dict:
+    """The JSON object stored at path; anything else raises ParseError naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"{path} must hold a JSON object, found {type(data).__name__}")
+    return data
 
 
 def file_sha256(path) -> str:
@@ -164,6 +178,9 @@ def _decode_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     if stored != actual:
         raise ParseError(
             f"{path}: checksum mismatch (stored {stored:#010x}, computed {actual:#010x})")
+    for name, arr in tensors.items():
+        if not np.isfinite(arr).all():
+            raise ParseError(f"{path}: tensor {name!r} holds non-finite values")
     return header, tensors
 
 
@@ -237,6 +254,10 @@ def load_adapters(path) -> LoraSet:
             raise ParseError(
                 f"{path}: adapter at layer {key[0]} {key[1]!r} is missing factor "
                 f"{'b' if 'a' in factors else 'a'}")
+        if key[1] not in targets:
+            raise ParseError(
+                f"{path}: adapter at layer {key[0]} {key[1]!r} is not among the "
+                f"header targets {list(targets)}")
         adapters[key] = LoraAdapter(a=factors["a"], b=factors["b"],
                                     alpha=float(header["alpha"]))
     lset = LoraSet(n_layers=int(header["n_layers"]), alpha=float(header["alpha"]),

@@ -158,21 +158,6 @@ class EvalReport:
         """BLEU is conventionally reported x100; everything else as-is."""
         return self.score * 100.0 if self.metric == "bleu" else self.score
 
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "score": self.score,
-            "display_score": self.display_score,
-            "sample_count": self.sample_count,
-            "per_sample": [float(x) for x in self.per_sample],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvalReport":
-        return cls(metric=str(data["metric"]), score=float(data["score"]),
-                   sample_count=int(data["sample_count"]),
-                   per_sample=[float(x) for x in data.get("per_sample", [])])
-
 
 _MEAN_METRICS = {
     "em": em_contains,

@@ -31,7 +31,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -39,6 +39,33 @@ from .errors import ConfigError, InputError, ShapeError
 from .numerics import cross_entropy_grad, rmsnorm_bwd, rmsnorm_fwd, softmax_rows
 
 PROJECTIONS = ("q", "k", "v", "o", "up", "down")
+
+
+# accepted JSON values of a config field, by its annotation (up to any "[")
+_JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+               "bool": ((bool,), "true or false"), "str": ((str,), "a string"),
+               "tuple": ((list, tuple), "a list")}
+
+
+def config_fields(cls, data, section: str) -> dict:
+    """The keyword arguments config dataclass cls takes from one JSON section.
+    An unknown key, or a value of the wrong JSON type for its field (a bool
+    is not a number), raises ConfigError naming section.key. Lists become
+    tuples; their elements are left to the checks of cls itself."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"section {section!r} must be a JSON object")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown keys in section {section!r}: {sorted(unknown)}")
+    for key, value in data.items():
+        kind = types[key]
+        if value is None and kind.endswith("| None"):
+            continue
+        accepted, name = _JSON_TYPES[kind.split("[")[0]]
+        if not isinstance(value, accepted) or isinstance(value, bool) != (kind == "bool"):
+            raise ConfigError(f"{section}.{key} must be {name}, got {value!r}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
 
 
 @dataclass(frozen=True)
@@ -70,11 +97,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**data).validate()
+        return cls(**config_fields(cls, data, "model")).validate()
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -53,6 +53,9 @@ def default_drop_levels(n_layers: int) -> list[int]:
 
 @dataclass
 class ProbeReport:
+    """Per-layer curves of one probe. Its stored form is the probe TSV
+    (reports.write_probe_tsv, read back by reports.read_probe_tsv)."""
+
     n_layers: int
     n_tokens: int
     sample_count: int
@@ -63,35 +66,6 @@ class ProbeReport:
     def mean_gt_by_layer(self) -> np.ndarray:
         """Row means of gt_curve; the knee detector consumes this."""
         return self.gt_curve.mean(axis=1)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers,
-            "n_tokens": self.n_tokens,
-            "sample_count": self.sample_count,
-            "gt_curve": [[float(x) for x in row] for row in self.gt_curve],
-            "max_curve": [[float(x) for x in row] for row in self.max_curve],
-            "config": self.config,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProbeReport":
-        try:
-            report = cls(
-                n_layers=int(data["n_layers"]),
-                n_tokens=int(data["n_tokens"]),
-                sample_count=int(data["sample_count"]),
-                gt_curve=np.asarray(data["gt_curve"], dtype=np.float64),
-                max_curve=np.asarray(data["max_curve"], dtype=np.float64),
-                config=dict(data.get("config", {})),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed probe report: {exc}") from exc
-        if report.gt_curve.shape != (report.n_layers, report.n_tokens):
-            raise InputError(
-                f"gt_curve shape {report.gt_curve.shape} does not match "
-                f"{report.n_layers} layers x {report.n_tokens} tokens")
-        return report
 
 
 def select_samples(samples, budget: int, seed: int) -> list:

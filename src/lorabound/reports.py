@@ -89,10 +89,17 @@ def reemit(text: str, path: str = "<string>") -> str:
 
 # -- probe curves ----------------------------------------------------------------
 
+_PROBE_META = ("n_layers", "n_tokens", "sample_count", "config")
+
+
+def _probe_columns(n_tokens: int) -> list[str]:
+    return (["layer"] + [f"gt_{i + 1}" for i in range(n_tokens)]
+            + [f"max_{i + 1}" for i in range(n_tokens)])
+
+
 def emit_probe(report: ProbeReport) -> str:
     n = report.n_tokens
-    columns = (["layer"] + [f"gt_{i + 1}" for i in range(n)]
-               + [f"max_{i + 1}" for i in range(n)])
+    columns = _probe_columns(n)
     rows = []
     for l in range(report.n_layers):
         rows.append([l + 1] + [float(v) for v in report.gt_curve[l]]
@@ -107,20 +114,35 @@ def write_probe_tsv(path, report: ProbeReport) -> None:
 
 
 def read_probe_tsv(path) -> ProbeReport:
+    """The one reader of a stored probe report. The file must be one that
+    emit_probe could have written: every meta key present, the columns
+    exactly layer, gt_1..n, max_1..n, and one numeric row per layer 1..L."""
     with open(path, encoding="utf-8") as f:
         text = f.read()
     kind, meta, columns, rows = parse_tsv(text, str(path))
     if kind != "probe":
         raise ParseError(f"{path}: expected a probe report, found {kind!r}")
-    n = int(meta["n_tokens"])
-    l = int(meta["n_layers"])
-    if len(rows) != l:
-        raise ParseError(f"{path}: {len(rows)} rows for {l} layers")
-    gt = np.array([[r[1 + i] for i in range(n)] for r in rows], dtype=np.float64)
-    mx = np.array([[r[1 + n + i] for i in range(n)] for r in rows], dtype=np.float64)
-    return ProbeReport(n_layers=l, n_tokens=n,
-                       sample_count=int(meta["sample_count"]),
-                       gt_curve=gt, max_curve=mx, config=dict(meta["config"]))
+    missing = [k for k in _PROBE_META if not isinstance(meta, dict) or k not in meta]
+    if missing:
+        raise ParseError(f"{path}: probe metadata is missing {missing}")
+    l, n, count, config = (meta[k] for k in _PROBE_META)
+    if not (all(type(v) is int for v in (l, n, count)) and l >= 1 and n >= 1
+            and count >= 0 and isinstance(config, dict)):
+        raise ParseError(
+            f"{path}: n_layers and n_tokens must be positive integers, sample_count "
+            f"a non-negative integer and config an object; got {meta}")
+    if columns != _probe_columns(n):
+        raise ParseError(
+            f"{path}: columns {columns} are not layer, gt_1..{n}, max_1..{n}")
+    if [r[0] for r in rows] != list(range(1, l + 1)):
+        raise ParseError(f"{path}: rows must be layers 1..{l} in order")
+    cells = [r[1:] for r in rows]
+    if any(isinstance(c, str) for row in cells for c in row):
+        raise ParseError(f"{path}: probe curves hold a non-numeric cell")
+    return ProbeReport(n_layers=l, n_tokens=n, sample_count=count,
+                       gt_curve=np.array([c[:n] for c in cells], dtype=np.float64),
+                       max_curve=np.array([c[n:] for c in cells], dtype=np.float64),
+                       config=dict(config))
 
 
 # -- drop curves (probe under several keep levels) --------------------------------

@@ -8,12 +8,13 @@ rather than a silent ignore, so typos cannot quietly change a run.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
+from .fileio import read_json
 from .lora import (DEFAULT_ALPHA, DEFAULT_RANK, DEFAULT_TARGETS,
                    normalize_targets)
-from .model import ModelConfig
+from .model import ModelConfig, config_fields
 from .probe import DEFAULT_N_TOKENS, DEFAULT_SAMPLE_BUDGET
 from .train import TrainConfig
 
@@ -113,22 +114,6 @@ class SweepSection:
         return self
 
 
-_TUPLE_KEYS = {"targets", "keep_levels", "keeps"}
-
-
-def _section(cls, data: dict, name: str):
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
-    kwargs = {}
-    for k, v in data.items():
-        if k in _TUPLE_KEYS and v is not None:
-            v = tuple(v)
-        kwargs[k] = v
-    return cls(**kwargs).validate()
-
-
 @dataclass(frozen=True)
 class RunConfig:
     model: ModelConfig
@@ -149,43 +134,25 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("run config must be a JSON object")
-        sections = {
-            "model": lambda d: ModelConfig.from_dict(d),
-            "pretrain": lambda d: _section(PretrainSection, d, "pretrain"),
-            "train": lambda d: _section(TrainConfig, d, "train"),
-            "lora": lambda d: _section(LoraSection, d, "lora"),
-            "task": lambda d: _section(TaskSection, d, "task"),
-            "probe": lambda d: _section(ProbeSection, d, "probe"),
-            "sweep": lambda d: _section(SweepSection, d, "sweep"),
-        }
+        sections = {"model": ModelConfig, "pretrain": PretrainSection,
+                    "train": TrainConfig, "lora": LoraSection, "task": TaskSection,
+                    "probe": ProbeSection, "sweep": SweepSection}
         unknown = set(data) - set(sections)
         if unknown:
             raise ConfigError(f"unknown run config sections: {sorted(unknown)}")
-        built = {}
-        for name, make in sections.items():
-            raw = data.get(name, {})
-            if not isinstance(raw, dict):
-                raise ConfigError(f"section {name!r} must be a JSON object")
-            built[name] = make(raw)
-        return cls(**built)
+        return cls(**{name: sec(**config_fields(sec, data.get(name, {}), name)).validate()
+                      for name, sec in sections.items()})
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        with open(path, encoding="utf-8") as f:
-            try:
-                data = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+        try:
+            data = read_json(path)
+        except ParseError as exc:
+            raise ConfigError(str(exc)) from exc
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        for key in ("targets",):
-            out["lora"][key] = list(out["lora"][key])
-        for sec, key in (("probe", "keep_levels"), ("sweep", "keeps")):
-            if out[sec][key] is not None:
-                out[sec][key] = list(out[sec][key])
-        return out
+        return asdict(self)   # tuple fields serialize as JSON lists
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

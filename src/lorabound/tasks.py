@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import vocab
 from .errors import InputError
+from .fileio import atomic_write_text, read_json
 from .vocab import (ADJECTIVES, ADVERBS, CIPHER_MAP, EOS_ID, KEYS, NAMES,
                     NOUNS_BIO, NOUNS_GENERAL, NOUNS_NEWS, VALUES, VERBS, encode)
 
@@ -819,10 +821,6 @@ def gen_pretrain_corpus(seed: int, n_tokens: int = 250_000,
 
 def save_dataset(dataset: Dataset, out_dir) -> list[str]:
     """Write one JSONL file per split plus the vocabulary table; returns paths."""
-    import os
-
-    from .fileio import atomic_write_text
-
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for split in SPLITS:
@@ -847,13 +845,13 @@ def save_dataset(dataset: Dataset, out_dir) -> list[str]:
 
 def load_dataset(in_dir) -> Dataset:
     """Read a dataset directory back; token ids are recomputed from the table."""
-    import os
-
     meta_path = os.path.join(in_dir, "dataset.json")
     if not os.path.exists(meta_path):
         raise InputError(f"{in_dir} has no dataset.json")
-    with open(meta_path, encoding="utf-8") as f:
-        meta = json.load(f)
+    meta = read_json(meta_path)
+    task, seed = meta.get("task", "unknown"), meta.get("seed", 0)
+    if not isinstance(task, str) or type(seed) is not int:
+        raise InputError(f"{meta_path}: task must be a string and seed an integer")
     vocab_path = os.path.join(in_dir, "vocab.json")
     if os.path.exists(vocab_path):
         vocab.check_vocab_file(vocab_path)
@@ -868,10 +866,12 @@ def load_dataset(in_dir) -> Dataset:
                     if not line:
                         continue
                     try:
-                        samples.append(Sample.from_dict(json.loads(line)))
+                        record = json.loads(line)
                     except json.JSONDecodeError as exc:
                         raise InputError(
                             f"{path}:{line_no} is not valid JSON: {exc}") from exc
+                    if not isinstance(record, dict):
+                        raise InputError(f"{path}:{line_no} is not a JSON object")
+                    samples.append(Sample.from_dict(record))
         splits[split] = samples
-    return Dataset(task=meta.get("task", "unknown"), seed=int(meta.get("seed", 0)),
-                   splits=splits)
+    return Dataset(task=task, seed=seed, splits=splits)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
+from .fileio import atomic_write_text
 from .lora import LoraSet, drop_above, init_adapters, lora_param_dict
 from .model import (TRAIN_CHUNK_POSITIONS, BaseWeights, ModelConfig, init_base,
                     loss_and_grads)
@@ -48,10 +49,8 @@ class TrainConfig:
 
 def write_train_log(path, history) -> None:
     """TSV with one row per optimizer step: epoch, step, loss."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("epoch\tstep\tloss\n")
-        for epoch, step, loss in history:
-            f.write(f"{epoch}\t{step}\t{loss!r}\n")
+    atomic_write_text(path, "epoch\tstep\tloss\n" + "".join(
+        f"{epoch}\t{step}\t{loss!r}\n" for epoch, step, loss in history))
 
 
 def _padded(chunk):

@@ -14,6 +14,7 @@ import json
 import numpy as np
 
 from .errors import CompatibilityError, InputError
+from .fileio import atomic_write_text, read_json
 
 VOCAB_VERSION = 1
 VOCAB_SIZE = 512
@@ -117,16 +118,14 @@ def vocab_hash() -> str:
 
 
 def write_vocab_file(path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump({"version": VOCAB_VERSION, "hash": vocab_hash(), "words": WORDS},
-                  f, indent=0, separators=(",", ":"))
-        f.write("\n")
+    atomic_write_text(path, json.dumps(
+        {"version": VOCAB_VERSION, "hash": vocab_hash(), "words": WORDS},
+        indent=0, separators=(",", ":")) + "\n")
 
 
 def check_vocab_file(path) -> None:
     """Verify a stored vocabulary file matches the built-in table."""
-    with open(path, encoding="utf-8") as f:
-        data = json.load(f)
+    data = read_json(path)
     if data.get("words") != WORDS or data.get("version") != VOCAB_VERSION:
         raise CompatibilityError(
             f"vocabulary file {path} does not match the built-in table "

@@ -1,8 +1,11 @@
-"""Shared test utilities: finite-difference gradient checks and comparisons."""
+"""Shared test utilities: finite-difference gradient checks, comparisons and fixtures."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from lorabound.probe import ProbeReport
+from lorabound.reports import emit_probe, emit_tsv, parse_tsv
 
 
 def rel_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-12) -> float:
@@ -52,3 +55,17 @@ def randomize_adapters(lset, rng, std: float = 0.5, dtype=None):
         ad.a = rng.normal(0.0, std / np.sqrt(ad.a.shape[1]), size=ad.a.shape).astype(dt)
         ad.b = rng.normal(0.0, std / np.sqrt(ad.b.shape[1]), size=ad.b.shape).astype(dt)
     return lset
+
+
+def write_probe_report(path, drop=(), **meta):
+    """A stored two-layer, four-token probe report. Keys in `meta` replace
+    the file's meta values; keys in `drop` are removed."""
+    rep = ProbeReport(n_layers=2, n_tokens=4, sample_count=3,
+                      gt_curve=np.full((2, 4), 0.25),
+                      max_curve=np.full((2, 4), 0.5), config={"seed": 0})
+    kind, head, columns, rows = parse_tsv(emit_probe(rep))
+    head.update(meta)
+    for key in drop:
+        del head[key]
+    path.write_text(emit_tsv(kind, head, columns, rows))
+    return path

@@ -289,3 +289,12 @@ class TestDecisionDict:
             BoundaryDecision.from_dict({"k_star": "x", "per_k_scores": {}})
         with pytest.raises(InputError):
             BoundaryDecision.from_dict({})
+
+    @pytest.mark.parametrize("key", ["k_star", "sample_count", "seed"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2"])
+    def test_integer_fields_are_not_cut(self, key, value):
+        data = BoundaryDecision(k_star=2, per_k_scores={2: 0.5}, metric="em",
+                                sample_count=4, method="sweep", seed=0).to_dict()
+        data[key] = value
+        with pytest.raises(InputError, match=f"{key} {value!r} is not an integer"):
+            BoundaryDecision.from_dict(data)

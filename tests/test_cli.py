@@ -12,10 +12,14 @@ import pytest
 import lorabound
 from lorabound.boundary import BoundaryDecision
 from lorabound.cli import main
-from lorabound.fileio import load_adapters, load_weights, save_adapters
+from lorabound.fileio import (MAGIC_ADAPTERS, _decode_container, _encode_container,
+                              atomic_write_bytes, load_adapters, load_weights,
+                              save_adapters, save_weights)
 from lorabound.lora import LoraAdapter, drop_above
 from lorabound.probe import ProbeReport
 from lorabound.reports import parse_tsv, read_probe_tsv, write_probe_tsv
+
+from helpers import write_probe_report
 
 MICRO_CFG = {
     "model": {"n_layers": 2, "d_model": 8, "n_heads": 2, "d_ff": 16,
@@ -424,3 +428,123 @@ class TestDomainErrors:
                  "--keep-bottom", "from:" + str(tmp_path / "nope.json"),
                  "--out", tmp_path / "x.lbad")
         assert rc == 2
+
+
+class TestInputsCheckedBeforeCompute:
+    """Each input is read and checked by its one reader before any output is
+    written: a bad one exits 2 with a named cause and leaves no file."""
+
+    def probe(self, pipeline, out, **inputs):
+        argv = {"config": pipeline["cfg"], "model": pipeline["base"],
+                "data": pipeline["data"], "adapters": pipeline["full"], **inputs}
+        return run("probe", *(a for k, v in argv.items() for a in (f"--{k}", v)),
+                   "--out", out)
+
+    @pytest.mark.parametrize("k_star, cause", [
+        (None, "is not valid JSON"),
+        (1.7, "malformed boundary decision: k_star 1.7 is not an integer"),
+    ], ids=["not_json", "fractional_k_star"])
+    def test_bad_decision_for_export(self, pipeline, tmp_path, capsys, k_star, cause):
+        path = tmp_path / "decision.json"
+        if k_star is None:
+            path.write_text("{not json")
+        else:
+            decision = json.loads(pipeline["sweep"].read_text())
+            decision["k_star"] = k_star
+            path.write_text(json.dumps(decision))
+        rc = run("export", "--model", pipeline["base"], "--adapters", pipeline["full"],
+                 "--keep-bottom", f"from:{path}", "--out", tmp_path / "x.lbad")
+        assert rc == 2
+        assert cause in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["decision.json"]
+
+    @pytest.mark.parametrize("decision, cause", [
+        ("other-set", "decision was made for adapter set"),
+        ("{not json", "is not valid JSON"),
+        ('{"k_star": 1, "per_k_scores": [1]}', "malformed boundary decision"),
+    ], ids=["other_set", "not_json", "malformed"])
+    def test_bad_sweep_json_for_report(self, pipeline, tmp_path, capsys, decision, cause):
+        path = pipeline["sweep"]
+        adapters = pipeline["full"]
+        if decision == "other-set":
+            adapters = pipeline["partial"]
+        else:
+            path = tmp_path / "decision.json"
+            path.write_text(decision)
+        out_dir = tmp_path / "report"
+        rc = run("report", "--config", pipeline["cfg"], "--model", pipeline["base"],
+                 "--data", pipeline["data"], "--adapters", adapters,
+                 "--sweep-json", path, "--out-dir", out_dir)
+        assert rc == 2
+        assert cause in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("meta, drop, cause", [
+        ({"n_tokens": 5}, [], "columns"),
+        ({"n_tokens": 3}, [], "columns"),
+        ({}, ["sample_count"], "probe metadata is missing ['sample_count']"),
+    ], ids=["n_tokens_5", "n_tokens_3", "no_sample_count"])
+    def test_malformed_probe_report_for_knee(self, tmp_path, capsys, meta, drop, cause):
+        path = write_probe_report(tmp_path / "probe.tsv", drop=drop, **meta)
+        rc = run("knee", "--probe", path, "--fallback", "--out", tmp_path / "k.json")
+        assert rc == 2
+        assert cause in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["probe.tsv"]
+
+    @pytest.mark.parametrize("name, line, cause", [
+        ("dataset.json", None, "dataset.json is not valid JSON"),
+        ("validation.jsonl", "[1]", "validation.jsonl:1 is not a JSON object"),
+    ], ids=["dataset_json", "jsonl_line"])
+    def test_malformed_dataset(self, pipeline, tmp_path, capsys, name, line, cause):
+        data = tmp_path / "data"
+        data.mkdir()
+        for f in pipeline["data"].iterdir():
+            (data / f.name).write_bytes(f.read_bytes())
+        if line is None:
+            (data / name).write_text("{not json")
+        else:
+            rest = (data / name).read_text().splitlines()[1:]
+            (data / name).write_text("\n".join([line] + rest) + "\n")
+        rc = self.probe(pipeline, tmp_path / "p.tsv", data=data)
+        assert rc == 2
+        assert cause in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["data"]
+
+    def test_adapter_outside_header_targets(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "gate.lbad"
+        header, tensors = _decode_container(pipeline["full"], MAGIC_ADAPTERS)
+        renamed = sorted((n.replace("layer01.q.", "layer01.gate."), t)
+                         for n, t in tensors.items())
+        atomic_write_bytes(bad, _encode_container(MAGIC_ADAPTERS, header, renamed))
+        rc = self.probe(pipeline, tmp_path / "p.tsv", adapters=bad)
+        assert rc == 2
+        assert "adapter at layer 1 'gate' is not among the header targets" \
+            in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["gate.lbad"]
+
+    def test_nan_base_weight(self, pipeline, tmp_path, capsys):
+        weights = load_weights(pipeline["base"])
+        weights.tensors["layer02.wup"][0, 0] = np.nan
+        bad = tmp_path / "nan.lbwt"
+        save_weights(bad, weights)
+        rc = self.probe(pipeline, tmp_path / "p.tsv", model=bad)
+        assert rc == 2
+        assert "tensor 'layer02.wup' holds non-finite values" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["nan.lbwt"]
+
+    def test_keep_bottom_without_adapters(self, pipeline, tmp_path, capsys):
+        rc = run("eval", "--config", pipeline["cfg"], "--model", pipeline["base"],
+                 "--data", pipeline["data"], "--keep-bottom", 1,
+                 "--out", tmp_path / "e.tsv")
+        assert rc == 2
+        assert "--keep-bottom needs --adapters" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("epochs", ["3", 2.5])
+    def test_config_value_of_wrong_type(self, pipeline, tmp_path, capsys, epochs):
+        path = config_with(pipeline, tmp_path, "train", "epochs", epochs)
+        rc = run("finetune", "--config", path, "--model", pipeline["base"],
+                 "--data", pipeline["data"], "--out", tmp_path / "a.lbad")
+        assert rc == 2
+        assert f"train.epochs must be an integer, got {epochs!r}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]

@@ -8,9 +8,10 @@ import pytest
 
 from lorabound.boundary import BoundaryDecision
 from lorabound.errors import ConfigError, ParseError
-from lorabound.fileio import (MAGIC_ADAPTERS, MAGIC_WEIGHTS, atomic_write_bytes,
+from lorabound.fileio import (MAGIC_ADAPTERS, MAGIC_WEIGHTS, _decode_container,
+                              _encode_container, atomic_write_bytes,
                               atomic_write_text, file_sha256, load_adapters,
-                              load_weights, save_adapters, save_weights,
+                              load_weights, read_json, save_adapters, save_weights,
                               write_manifest)
 from lorabound.lora import init_adapters
 from lorabound.metrics import corpus_score
@@ -21,7 +22,7 @@ from lorabound.reports import (emit_drop_probe, emit_eval, emit_probe,
                                reemit, write_probe_tsv, write_sweep_tsv)
 from lorabound.runconfig import RunConfig
 
-from helpers import randomize_adapters, randomize_weights
+from helpers import randomize_adapters, randomize_weights, write_probe_report
 
 MICRO = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=16,
                     vocab_size=16, max_seq=8)
@@ -146,6 +147,16 @@ class TestWeightsContainer:
             load_weights(p)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, bad):
+        w = micro_weights()
+        w.tensors["layer02.wv"][3, 1] = bad
+        p = tmp_path / "m.lbwt"
+        save_weights(p, w)
+        with pytest.raises(ParseError, match="tensor 'layer02.wv' holds non-finite"):
+            load_weights(p)
+
+
 class TestAdaptersContainer:
     def test_round_trip_is_bitwise(self, tmp_path):
         lset = micro_adapters()
@@ -192,6 +203,47 @@ class TestAdaptersContainer:
         p.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
         with pytest.raises(ParseError, match="missing factor"):
             load_adapters(p)
+
+    def test_projection_outside_header_targets_rejected(self, tmp_path):
+        p = tmp_path / "gate.lbad"
+        save_adapters(p, micro_adapters())
+        header, tensors = _decode_container(p, MAGIC_ADAPTERS)
+        assert "content_hash" in header
+        renamed = sorted((n.replace("layer01.q.", "layer01.gate."), t)
+                         for n, t in tensors.items())
+        atomic_write_bytes(p, _encode_container(MAGIC_ADAPTERS, header, renamed))
+        with pytest.raises(ParseError, match="adapter at layer 1 'gate' is not among"):
+            load_adapters(p)
+
+    def test_non_finite_factor_rejected(self, tmp_path):
+        lset = micro_adapters()
+        lset.adapters[(2, "v")].b[0, 0] = np.nan
+        p = tmp_path / "nan.lbad"
+        save_adapters(p, lset)
+        with pytest.raises(ParseError, match="tensor 'layer02.v.b' holds non-finite"):
+            load_adapters(p)
+
+
+class TestReadJson:
+    def test_object_read_back(self, tmp_path):
+        p = tmp_path / "doc.json"
+        p.write_text('{"a": [1, 2]}')
+        assert read_json(p) == {"a": [1, 2]}
+
+    @pytest.mark.parametrize("text, cause", [
+        ("{nope", "is not valid JSON"),
+        ("[1, 2]", "must hold a JSON object, found list"),
+        (b"\xff\xfe", "is not valid JSON"),
+    ])
+    def test_anything_else_names_the_path(self, tmp_path, text, cause):
+        p = tmp_path / "doc.json"
+        if isinstance(text, bytes):
+            p.write_bytes(text)
+        else:
+            p.write_text(text)
+        with pytest.raises(ParseError, match=cause) as err:
+            read_json(p)
+        assert str(p) in str(err.value)
 
 
 class TestManifest:
@@ -254,6 +306,33 @@ class TestRunConfig:
         p.write_text("{nope")
         with pytest.raises(ConfigError):
             RunConfig.load(p)
+
+    @pytest.mark.parametrize("section, key, value, cause", [
+        ("train", "epochs", "3", "train.epochs must be an integer, got '3'"),
+        ("train", "epochs", 2.5, "train.epochs must be an integer, got 2.5"),
+        ("train", "batch", True, "train.batch must be an integer, got True"),
+        ("train", "lr", "0.1", "train.lr must be a number"),
+        ("pretrain", "grad_clip", False, "pretrain.grad_clip must be a number"),
+        ("train", "loss_mask_prompt", 1, "train.loss_mask_prompt must be true or false"),
+        ("task", "name", 3, "task.name must be a string"),
+        ("model", "n_layers", 2.0, "model.n_layers must be an integer"),
+        ("model", "norm_eps", None, "model.norm_eps must be a number"),
+        ("sweep", "keeps", 5, "sweep.keeps must be a list"),
+        ("lora", "targets", None, "lora.targets must be a list"),
+    ])
+    def test_scalar_of_wrong_json_type_rejected(self, section, key, value, cause):
+        with pytest.raises(ConfigError, match=cause):
+            RunConfig.from_dict({section: {key: value}})
+
+    def test_number_fields_take_integers(self):
+        cfg = RunConfig.from_dict({"train": {"lr": 1, "grad_clip": 0},
+                                   "probe": {"keep_levels": None}})
+        assert cfg.train.lr == 1 and cfg.train.grad_clip == 0
+        assert cfg.probe.keep_levels is None
+
+    def test_model_header_types_checked(self):
+        with pytest.raises(ConfigError, match="model.d_model must be an integer"):
+            ModelConfig.from_dict({"d_model": "64"})
 
     def test_tuple_fields_from_lists(self):
         cfg = RunConfig.from_dict({"lora": {"targets": ["v", "q"]},
@@ -329,6 +408,37 @@ class TestReportFiles:
         p = tmp_path / "notprobe.tsv"
         p.write_text(emit_tsv("sweep", {}, ["x"], [[1]]))
         with pytest.raises(ParseError, match="probe"):
+            read_probe_tsv(p)
+
+    @pytest.mark.parametrize("key", ["n_layers", "n_tokens", "sample_count", "config"])
+    def test_probe_tsv_missing_meta_rejected(self, tmp_path, key):
+        p = write_probe_report(tmp_path / "p.tsv", drop=[key])
+        with pytest.raises(ParseError, match=f"probe metadata is missing \\['{key}'\\]"):
+            read_probe_tsv(p)
+
+    @pytest.mark.parametrize("meta, cause", [
+        ({"n_tokens": 5}, "columns .* are not layer, gt_1..5, max_1..5"),
+        ({"n_tokens": 3}, "columns .* are not layer, gt_1..3, max_1..3"),
+        ({"n_layers": 3}, "rows must be layers 1..3"),
+        ({"n_layers": 1}, "rows must be layers 1..1"),
+        ({"n_tokens": "4"}, "n_layers and n_tokens must be positive integers"),
+        ({"sample_count": -1}, "sample_count a non-negative integer"),
+        ({"config": [1]}, "config an object"),
+    ], ids=["n_tokens_5", "n_tokens_3", "n_layers_3", "n_layers_1", "n_tokens_str",
+            "negative_count", "config_list"])
+    def test_probe_tsv_shape_mismatch_rejected(self, tmp_path, meta, cause):
+        p = write_probe_report(tmp_path / "p.tsv", **meta)
+        with pytest.raises(ParseError, match=cause):
+            read_probe_tsv(p)
+
+    def test_probe_tsv_rows_and_cells_checked(self, tmp_path):
+        p = write_probe_report(tmp_path / "p.tsv")
+        head, columns, first, second = p.read_text().splitlines()
+        p.write_text("\n".join([head, columns, second, first]) + "\n")
+        with pytest.raises(ParseError, match="rows must be layers 1..2 in order"):
+            read_probe_tsv(p)
+        p.write_text("\n".join([head, columns, first, second.replace("0.5", "x")]) + "\n")
+        with pytest.raises(ParseError, match="non-numeric cell"):
             read_probe_tsv(p)
 
     def test_drop_probe_layout(self):

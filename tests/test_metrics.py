@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lorabound.errors import InputError
-from lorabound.metrics import (EvalReport, METRIC_NAMES, accuracy, bleu_corpus,
+from lorabound.metrics import (METRIC_NAMES, accuracy, bleu_corpus,
                                corpus_score, em_contains,
                                em_final_answer, normalize, rouge_l, token_f1)
 
@@ -182,10 +182,3 @@ class TestCorpusScore:
 
     def test_registry_names(self):
         assert set(METRIC_NAMES) == {"accuracy", "bleu", "em", "em-final", "f1", "rouge-l"}
-
-    def test_report_round_trip(self):
-        report = corpus_score("f1", ["a b"], ["a c"])
-        clone = EvalReport.from_dict(report.to_dict())
-        assert clone.metric == report.metric
-        assert clone.score == pytest.approx(report.score)
-        assert clone.per_sample == report.per_sample

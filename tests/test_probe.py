@@ -257,7 +257,11 @@ class TestEngineAgainstOracle:
         base, lset = self.model_and_adapters(seed=6)
         samples = self.samples(12, seed=7)
         out = self.assert_matches(base, lset, samples, [4, 0, 2, 0, 1, 4], n_tokens=2)
-        assert out[1][1].to_dict() == out[3][1].to_dict()
+        first, second = out[1][1], out[3][1]
+        np.testing.assert_array_equal(first.gt_curve, second.gt_curve)
+        np.testing.assert_array_equal(first.max_curve, second.max_curve)
+        assert first.sample_count == second.sample_count
+        assert first.config == second.config
 
     @pytest.mark.parametrize("keeps", [[0], [0, 0]])
     def test_level_zero_alone(self, keeps):
@@ -410,27 +414,8 @@ class TestProbeDifference:
 
 
 class TestProbeReportDict:
-    def test_round_trip(self):
-        base, lset = micro_setup()
-        rep = probe_ground_truth(base, lset, micro_samples(), n_tokens=2)
-        back = ProbeReport.from_dict(rep.to_dict())
-        assert np.allclose(back.gt_curve, rep.gt_curve)
-        assert np.allclose(back.max_curve, rep.max_curve)
-        assert back.config == rep.config
-
     def test_mean_gt_by_layer(self):
         rep = ProbeReport(n_layers=2, n_tokens=2, sample_count=1,
                           gt_curve=np.array([[0.2, 0.4], [0.6, 0.8]]),
                           max_curve=np.ones((2, 2)))
         assert np.allclose(rep.mean_gt_by_layer(), [0.3, 0.7])
-
-    def test_malformed_dict(self):
-        with pytest.raises(InputError):
-            ProbeReport.from_dict({"n_layers": 2})
-
-    def test_shape_mismatch_rejected(self):
-        data = ProbeReport(n_layers=2, n_tokens=2, sample_count=1,
-                           gt_curve=np.ones((2, 2)), max_curve=np.ones((2, 2))).to_dict()
-        data["n_tokens"] = 3
-        with pytest.raises(InputError):
-            ProbeReport.from_dict(data)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lorabound import vocab
-from lorabound.errors import CompatibilityError, InputError
+from lorabound.errors import CompatibilityError, InputError, ParseError
 from lorabound.tasks import (Dataset, GENERATORS, KEY_POOLS, Sample, SOLVERS,
                              SPLITS, TASK_METRICS, TASK_NAMES, cipher_transform,
                              gen_arith, gen_cipher_mt, gen_kvqa,
@@ -301,6 +301,34 @@ class TestSerialization:
         lines[2] = "{not json"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InputError, match="train.jsonl:3"):
+            load_dataset(tmp_path)
+
+    def test_non_object_jsonl_line_names_the_line(self, tmp_path):
+        ds = gen_arith(seed=1, sizes={"train": 4, "validation": 2, "test": 2})
+        save_dataset(ds, tmp_path)
+        path = tmp_path / "validation.jsonl"
+        lines = path.read_text().splitlines()
+        lines[1] = "[1]"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match="validation.jsonl:2 is not a JSON object"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("field, value", [("seed", "x"), ("seed", 1.5), ("task", 3)])
+    def test_dataset_metadata_types_checked(self, tmp_path, field, value):
+        ds = gen_arith(seed=1, sizes={"train": 4, "validation": 2, "test": 2})
+        save_dataset(ds, tmp_path)
+        meta = json.loads((tmp_path / "dataset.json").read_text())
+        meta[field] = value
+        (tmp_path / "dataset.json").write_text(json.dumps(meta))
+        with pytest.raises(InputError, match="task must be a string and seed an integer"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("name", ["dataset.json", "vocab.json"])
+    def test_non_json_metadata_names_the_file(self, tmp_path, name):
+        ds = gen_arith(seed=1, sizes={"train": 4, "validation": 2, "test": 2})
+        save_dataset(ds, tmp_path)
+        (tmp_path / name).write_text("{not json")
+        with pytest.raises(ParseError, match=f"{name} is not valid JSON"):
             load_dataset(tmp_path)
 
     def test_randomized_round_trips(self, tmp_path):
