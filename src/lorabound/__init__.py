@@ -15,6 +15,6 @@ from .model import (BaseWeights, ModelConfig, decode_batch, forward_collect,
                     generate_greedy, init_base, lens_logits, loss_and_grads)
 from .numerics import AdamState, adam_step, cross_entropy_grad, softmax_rows
 from .probe import ProbeReport, probe_difference, probe_ground_truth, probe_under_drop
-from .train import TrainConfig, finetune_lora, finetune_partial, pretrain
+from .train import TrainConfig, finetune_lora, pretrain
 
 __version__ = "0.1.0"

@@ -4,7 +4,9 @@ Two routes produce a BoundaryDecision: detect_knee reads the largest
 jump off a per-layer probability curve, and sweep_boundary measures a
 task metric under every candidate keep level and takes the smallest
 level that attains the best validation score. apply_boundary then drops
-every adapter above the chosen level.
+every adapter above the chosen level. The sweep scores every sample it
+is given against the golds given with them; the caller picks the
+validation subset.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ from . import metrics as metrics_mod
 from .errors import CompatibilityError, InputError, NoKneeError
 from .lora import LoraSet, check_compat, drop_above
 from .model import BaseWeights, check_keep_level, decode_batch
-from .probe import ProbeReport, select_samples
+from .probe import ProbeReport
 from .tasks import sample_ids
 from .vocab import EOS_ID, decode
 
 DEFAULT_MIN_JUMP_RATIO = 0.25
-DEFAULT_SWEEP_BUDGET = 500
 DEFAULT_DECODE_BUDGET = 24
 
 # keep-depth used when no signal is available, as a fraction of the stack
@@ -149,18 +150,19 @@ def coarse_then_fine_levels(n_layers: int, stride: int = 2) -> list[int]:
 
 
 def sweep_boundary(base: BaseWeights, full_set: LoraSet, samples, metric, *,
-                   keeps=None, budget: int = DEFAULT_SWEEP_BUDGET,
-                   decode_budget: int = DEFAULT_DECODE_BUDGET,
-                   golds: list[str] | None = None, seed: int = 0,
+                   golds: list[str], keeps=None,
+                   decode_budget: int = DEFAULT_DECODE_BUDGET, seed: int = 0,
                    stop_token: int = EOS_ID, refine: bool = False) -> BoundaryDecision:
     """Score every candidate keep level on held-out samples and pick the best.
 
     metric is a name from the metrics registry or a callable
-    (preds, golds) -> float. golds defaults to each sample's gold_text.
-    The winner is the smallest level attaining the maximum score. With
-    refine=True a second pass checks the immediate neighbors of the
-    first-pass winner (useful with a strided `keeps` grid). Each pass
-    decodes all of its (level, sample) rows in one `decode_batch` call.
+    (preds, golds) -> float; golds[i] is the gold text of samples[i].
+    seed is recorded in the decision as the provenance of the caller's
+    sample draw; it selects nothing here. The winner is the smallest
+    level attaining the maximum score. With refine=True a second pass
+    checks the immediate neighbors of the first-pass winner (useful with
+    a strided `keeps` grid). Each pass decodes all of its (level, sample)
+    rows in one `decode_batch` call.
     """
     check_compat(base, full_set)
     n_layers = base.cfg.n_layers
@@ -170,13 +172,11 @@ def sweep_boundary(base: BaseWeights, full_set: LoraSet, samples, metric, *,
     if not keeps:
         raise InputError("no keep levels to sweep")
 
-    chosen = select_samples(samples, budget, seed)
-    if not chosen:
+    prompts = [prompt for prompt, _ in sample_ids(samples)]
+    if not prompts:
         raise InputError("no samples to sweep over")
-    if golds is None:
-        golds = [_gold_of(s) for s in chosen]
-    elif len(golds) != len(chosen):
-        raise InputError(f"got {len(golds)} golds for {len(chosen)} samples")
+    if len(golds) != len(prompts):
+        raise InputError(f"got {len(golds)} golds for {len(prompts)} samples")
 
     if callable(metric):
         metric_name = getattr(metric, "__name__", "custom")
@@ -184,8 +184,6 @@ def sweep_boundary(base: BaseWeights, full_set: LoraSet, samples, metric, *,
     else:
         metric_name = str(metric)
         score_fn = lambda preds, gs: metrics_mod.corpus_score(metric_name, preds, gs).score
-
-    prompts = [prompt for prompt, _ in sample_ids(chosen)]
 
     def score_levels(levels: list[int]) -> dict[int, float]:
         rows = [(prompt, k) for k in levels for prompt in prompts]
@@ -208,7 +206,7 @@ def sweep_boundary(base: BaseWeights, full_set: LoraSet, samples, metric, *,
 
     return BoundaryDecision(
         k_star=k_star, per_k_scores=per_k, metric=metric_name,
-        sample_count=len(chosen), method="sweep", seed=seed,
+        sample_count=len(prompts), method="sweep", seed=seed,
         set_hash=full_set.content_hash(),
         extra={"decode_budget": decode_budget, "refine": refine},
     )
@@ -219,12 +217,3 @@ def apply_boundary(full_set: LoraSet, decision: BoundaryDecision) -> LoraSet:
     decision.check_set(full_set)
     return drop_above(full_set, decision.k_star)
 
-
-def _gold_of(sample) -> str:
-    gold = getattr(sample, "gold_text", None)
-    if callable(gold):
-        return gold()
-    if gold is not None:
-        return gold
-    raise InputError(
-        "sample has no gold_text; pass golds= explicitly for plain tuples")

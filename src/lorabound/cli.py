@@ -12,17 +12,16 @@ produce identical trees.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
 
-from .boundary import (BoundaryDecision, coarse_then_fine_levels, knee_from_report,
-                       sweep_boundary)
+from .boundary import (DEFAULT_DECODE_BUDGET, DEFAULT_MIN_JUMP_RATIO, BoundaryDecision,
+                       coarse_then_fine_levels, knee_from_report, sweep_boundary)
 from .errors import InputError, LoraBoundError
-from .fileio import (atomic_write_text, load_adapters, load_weights, read_json,
-                     save_adapters, save_weights, write_manifest)
-from .lora import check_compat, drop_above, merge
+from .fileio import (load_adapters, load_weights, read_json, save_adapters,
+                     save_weights, write_json, write_manifest)
+from .lora import check_compat, drop_above, init_adapters, merge
 from .metrics import METRIC_NAMES, corpus_score
 from .model import check_keep_level, decode_batch, init_base
 from .probe import (default_drop_levels, probe_difference, probe_ground_truth,
@@ -30,9 +29,9 @@ from .probe import (default_drop_levels, probe_difference, probe_ground_truth,
 from .reports import (read_probe_tsv, write_diff_tsv, write_drop_probe_tsv,
                       write_eval_tsv, write_probe_tsv, write_sweep_tsv)
 from .runconfig import RunConfig
-from .tasks import (GENERATORS, TASK_METRICS, gen_pretrain_corpus,
+from .tasks import (GENERATORS, SPLITS, TASK_METRICS, gen_pretrain_corpus,
                     load_dataset, save_dataset)
-from .train import finetune_lora, finetune_partial, pretrain
+from .train import finetune_lora, pretrain
 from .vocab import EOS_ID, decode
 
 log = logging.getLogger("lorabound")
@@ -95,6 +94,13 @@ def _keep_level(value: str, full_set) -> int:
             f"--keep-bottom must be an integer or from:<path>, got {value!r}") from None
 
 
+def _probe_samples(cfg, samples, split: str):
+    """The probed subset of a split, drawn by the probe section, and the
+    descriptor that records the draw in each report."""
+    return (select_samples(samples, cfg.probe.sample_budget, cfg.probe.seed),
+            {"split": split, "budget": cfg.probe.sample_budget, "seed": cfg.probe.seed})
+
+
 def _predictions(weights, adapters, samples, decode_budget: int) -> list[str]:
     rows = [(s.prompt_ids, weights.cfg.n_layers) for s in samples]
     return [decode(out) for out in
@@ -143,39 +149,25 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
+    """finetune trains adapters on every layer; finetune-partial cuts the
+    fresh set to layers 1..--keep-bottom before training."""
     cfg = _load_config(args.config)
     base = load_weights(args.model)
     _, samples = _load_split(args.data, "train")
-    adapters, history = finetune_lora(
-        base, samples, cfg.train, targets=cfg.lora.targets,
-        rank=cfg.lora.rank, alpha=cfg.lora.alpha, log_path=args.log)
+    adapters = init_adapters(base.cfg, cfg.lora.targets, cfg.lora.rank, cfg.lora.alpha,
+                             seed=cfg.train.seed)
+    params = {"model": base.fingerprint(), "data": os.path.abspath(args.data),
+              "train": cfg.to_dict()["train"], "lora": cfg.to_dict()["lora"]}
+    if args.command == "finetune-partial":
+        adapters = drop_above(adapters, args.keep_bottom)
+        params["keep_bottom"] = args.keep_bottom
+    adapters, history = finetune_lora(base, samples, cfg.train, adapters, log_path=args.log)
     save_adapters(args.out, adapters)
     outputs = [args.out] + ([args.log] if args.log else [])
-    write_manifest(args.out + ".manifest.json", "finetune",
-                   {"model": base.fingerprint(), "data": os.path.abspath(args.data),
-                    "train": cfg.to_dict()["train"], "lora": cfg.to_dict()["lora"],
-                    "content_hash": adapters.content_hash()}, outputs)
-    print(f"finetune: {len(samples)} samples, final loss {history[-1][2]:.4f}, "
+    params["content_hash"] = adapters.content_hash()
+    write_manifest(args.out + ".manifest.json", args.command, params, outputs)
+    print(f"{args.command}: {len(samples)} samples, final loss {history[-1][2]:.4f}, "
           f"adapters {adapters.content_hash()}")
-    return 0
-
-
-def cmd_finetune_partial(args) -> int:
-    cfg = _load_config(args.config)
-    base = load_weights(args.model)
-    _, samples = _load_split(args.data, "train")
-    adapters, history = finetune_partial(
-        base, samples, cfg.train, args.keep_bottom, targets=cfg.lora.targets,
-        rank=cfg.lora.rank, alpha=cfg.lora.alpha, log_path=args.log)
-    save_adapters(args.out, adapters)
-    outputs = [args.out] + ([args.log] if args.log else [])
-    write_manifest(args.out + ".manifest.json", "finetune-partial",
-                   {"model": base.fingerprint(), "data": os.path.abspath(args.data),
-                    "keep_bottom": args.keep_bottom, "train": cfg.to_dict()["train"],
-                    "lora": cfg.to_dict()["lora"],
-                    "content_hash": adapters.content_hash()}, outputs)
-    print(f"finetune-partial: layers 1..{args.keep_bottom}, "
-          f"final loss {history[-1][2]:.4f}")
     return 0
 
 
@@ -184,11 +176,9 @@ def cmd_probe(args) -> int:
     base = load_weights(args.model)
     _, samples = _load_split(args.data, args.split)
     adapters = _adapters(args.adapters, base, args.keep_bottom)
-    report = probe_ground_truth(base, adapters, samples,
-                                n_tokens=cfg.probe.n_tokens,
-                                budget=cfg.probe.sample_budget,
-                                seed=cfg.probe.seed,
-                                descriptor={"split": args.split})
+    chosen, descriptor = _probe_samples(cfg, samples, args.split)
+    report = probe_ground_truth(base, adapters, chosen, n_tokens=cfg.probe.n_tokens,
+                                descriptor=descriptor)
     write_probe_tsv(args.out, report)
     write_manifest(args.out + ".manifest.json", "probe",
                    {"model": base.fingerprint(), "adapters": report.config["adapters"],
@@ -205,11 +195,9 @@ def cmd_diff_probe(args) -> int:
     _, samples = _load_split(args.data, args.split)
     ours_set = _adapters(args.adapters, base)
     baseline_set = _adapters(args.baseline_adapters, base)
-    chosen = select_samples(samples, cfg.probe.sample_budget, cfg.probe.seed)
-    kwargs = dict(n_tokens=cfg.probe.n_tokens, budget=len(chosen),
-                  seed=cfg.probe.seed)
-    ours = probe_ground_truth(base, ours_set, chosen, **kwargs)
-    baseline = probe_ground_truth(base, baseline_set, chosen, **kwargs)
+    chosen, _ = _probe_samples(cfg, samples, args.split)
+    ours = probe_ground_truth(base, ours_set, chosen, n_tokens=cfg.probe.n_tokens)
+    baseline = probe_ground_truth(base, baseline_set, chosen, n_tokens=cfg.probe.n_tokens)
     diff = probe_difference(ours, baseline)
     meta = {"model": base.fingerprint(), "ours": ours.config["adapters"],
             "baseline": baseline.config["adapters"], "split": args.split,
@@ -224,8 +212,7 @@ def cmd_knee(args) -> int:
     report = read_probe_tsv(args.probe)
     decision = knee_from_report(report, min_jump_ratio=args.min_jump_ratio,
                                 fallback=args.fallback)
-    atomic_write_text(args.out, json.dumps(decision.to_dict(), sort_keys=True,
-                                           separators=(",", ":")) + "\n")
+    write_json(args.out, decision.to_dict())
     write_manifest(args.out + ".manifest.json", "knee",
                    {"probe": os.path.abspath(args.probe),
                     "min_jump_ratio": args.min_jump_ratio,
@@ -244,13 +231,13 @@ def cmd_sweep(args) -> int:
     keeps = cfg.sweep.keeps
     if keeps is None and args.coarse:
         keeps = coarse_then_fine_levels(base.cfg.n_layers, stride=args.coarse)
-    decision = sweep_boundary(base, full_set, samples, metric, keeps=keeps,
-                              budget=cfg.sweep.budget,
+    chosen = select_samples(samples, cfg.sweep.budget, cfg.sweep.seed)
+    decision = sweep_boundary(base, full_set, chosen, metric,
+                              golds=[s.gold_text() for s in chosen], keeps=keeps,
                               decode_budget=cfg.sweep.decode_budget,
                               seed=cfg.sweep.seed, refine=cfg.sweep.refine
                               or bool(args.coarse))
-    atomic_write_text(args.out, json.dumps(decision.to_dict(), sort_keys=True,
-                                           separators=(",", ":")) + "\n")
+    write_json(args.out, decision.to_dict())
     outputs = [args.out]
     if args.tsv:
         write_sweep_tsv(args.tsv, decision)
@@ -314,7 +301,7 @@ def cmd_report(args) -> int:
     decision = _read_decision(args.sweep_json, full_set) if args.sweep_json else None
     outputs = []
 
-    chosen = select_samples(samples, cfg.probe.sample_budget, cfg.probe.seed)
+    chosen, descriptor = _probe_samples(cfg, samples, args.split)
     n_layers = base.cfg.n_layers
     levels = cfg.probe.keep_levels
     if levels is None:
@@ -322,9 +309,7 @@ def cmd_report(args) -> int:
     levels = sorted({0, n_layers, *(check_keep_level(k, n_layers) for k in levels)})
 
     probed = probe_under_drop(base, full_set, chosen, keeps=levels,
-                              n_tokens=cfg.probe.n_tokens, budget=len(chosen),
-                              seed=cfg.probe.seed,
-                              descriptor={"split": args.split})
+                              n_tokens=cfg.probe.n_tokens, descriptor=descriptor)
     os.makedirs(args.out_dir, exist_ok=True)
     curves_path = os.path.join(args.out_dir, "layer_curves.tsv")
     write_drop_probe_tsv(curves_path, probed,
@@ -411,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None)
 
-    p = add("finetune-partial", cmd_finetune_partial,
+    p = add("finetune-partial", cmd_finetune,
             "train adapters on the bottom K layers only")
     p.add_argument("--config", default=None)
     p.add_argument("--model", required=True)
@@ -426,8 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--adapters", default=None)
     p.add_argument("--keep-bottom", default=None)
-    p.add_argument("--split", default="validation",
-                   choices=("train", "validation", "test"))
+    p.add_argument("--split", default="validation", choices=SPLITS)
     p.add_argument("--out", required=True)
 
     p = add("diff-probe", cmd_diff_probe,
@@ -437,13 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--adapters", required=True)
     p.add_argument("--baseline-adapters", default=None)
-    p.add_argument("--split", default="validation",
-                   choices=("train", "validation", "test"))
+    p.add_argument("--split", default="validation", choices=SPLITS)
     p.add_argument("--out", required=True)
 
     p = add("knee", cmd_knee, "detect the boundary from a stored probe report")
     p.add_argument("--probe", required=True)
-    p.add_argument("--min-jump-ratio", type=float, default=0.25)
+    p.add_argument("--min-jump-ratio", type=float, default=DEFAULT_MIN_JUMP_RATIO)
     p.add_argument("--fallback", action="store_true",
                    help="fall back to the default depth when no knee is found")
     p.add_argument("--out", required=True)
@@ -454,8 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--adapters", required=True)
     p.add_argument("--metric", default=None, choices=(None,) + METRIC_NAMES)
-    p.add_argument("--split", default="validation",
-                   choices=("train", "validation", "test"))
+    p.add_argument("--split", default="validation", choices=SPLITS)
     p.add_argument("--coarse", type=int, default=0,
                    help="stride for a coarse grid refined around the winner")
     p.add_argument("--out", required=True)
@@ -476,11 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adapters", default=None)
     p.add_argument("--keep-bottom", default=None)
     p.add_argument("--metric", default=None, choices=(None,) + METRIC_NAMES)
-    p.add_argument("--split", default="test",
-                   choices=("train", "validation", "test"))
+    p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--budget", type=int, default=None,
                    help="evaluate at most this many samples")
-    p.add_argument("--decode-budget", type=int, default=24)
+    p.add_argument("--decode-budget", type=int, default=DEFAULT_DECODE_BUDGET)
     p.add_argument("--out", required=True)
 
     p = add("report", cmd_report, "emit the probe and sweep report bundle")
@@ -488,8 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--adapters", required=True)
-    p.add_argument("--split", default="validation",
-                   choices=("train", "validation", "test"))
+    p.add_argument("--split", default="validation", choices=SPLITS)
     p.add_argument("--sweep-json", default=None)
     p.add_argument("--out-dir", required=True)
 

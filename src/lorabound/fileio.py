@@ -8,8 +8,8 @@ the byte offset, header field or tensor that broke; a tensor holding a
 nan or an infinity is rejected too.
 
 Writes go through a temp file plus rename, so a crashed run never
-leaves a half-written artifact behind. read_json is the one reader of a
-stored JSON document.
+leaves a half-written artifact behind. read_json is the one reader and
+write_json the one writer of a stored JSON document.
 """
 
 from __future__ import annotations
@@ -66,6 +66,12 @@ def read_json(path) -> dict:
     return data
 
 
+def write_json(path, doc) -> None:
+    """Store doc canonically: sorted keys, compact separators, a trailing
+    newline, written atomically; equal documents give equal bytes."""
+    atomic_write_text(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+
+
 def file_sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -80,7 +86,7 @@ def write_manifest(path, command: str, params: dict, outputs: list[str]) -> None
     base = os.path.dirname(os.fspath(path)) or "."
     entries = {os.path.relpath(p, base): file_sha256(p) for p in outputs}
     doc = {"command": command, "params": params, "outputs": entries}
-    atomic_write_text(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    write_json(path, doc)
 
 
 # -- container encoding --------------------------------------------------------

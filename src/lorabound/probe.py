@@ -6,7 +6,10 @@ own final norm and output head, and we record the probability of the
 true next token (gt_curve) and of the best token (max_curve), averaged
 over samples. Curves are [n_layers x n_tokens], layer 1 first. A probe
 sees every adapter in the set it is given and no other layer selection;
-the report config names that set by its content hash.
+the report config names that set by its content hash. It probes every
+sample it is given: which samples make up the probe set is the caller's
+choice (select_samples draws a seeded subset), and the caller records
+that choice through `descriptor`.
 
 One engine serves a single probe and a probe under many keep levels; it
 is the only probe path in the package. Samples are batched by prompt
@@ -97,12 +100,13 @@ def _check_request(base: BaseWeights, n_tokens: int, levels) -> list[int]:
     return [check_keep_level(k, base.cfg.n_layers) for k in levels]
 
 
-def _long_enough(chosen, n_tokens: int) -> list[tuple[list, list]]:
+def _long_enough(samples, n_tokens: int) -> list[tuple[list, list]]:
     """(prompt, reference) pairs of the samples with at least n_tokens of reference."""
-    if not chosen:
+    pairs = sample_ids(samples)
+    if not pairs:
         raise InputError("no samples to probe")
     kept = []
-    for i, (prompt, ref) in enumerate(sample_ids(chosen)):
+    for i, (prompt, ref) in enumerate(pairs):
         if len(ref) < n_tokens:
             log.warning("probe: sample %d has a %d-token reference, need %d; skipped",
                         i, len(ref), n_tokens)
@@ -167,16 +171,14 @@ def _probe_levels(base: BaseWeights, adapters, kept, levels, n_tokens: int) -> d
     return sums
 
 
-def _report(base: BaseWeights, adapters, kept, sums, *, n_tokens: int, budget: int,
-            seed: int, descriptor: dict | None) -> ProbeReport:
+def _report(base: BaseWeights, adapters, kept, sums, *, n_tokens: int,
+            descriptor: dict | None) -> ProbeReport:
     gt_sum, max_sum = sums
     n = len(kept)
     config = {
         "base": base.fingerprint(),
         "adapters": adapters.content_hash() if adapters is not None else None,
         "n_tokens": n_tokens,
-        "budget": budget,
-        "seed": seed,
         "samples_hash": samples_hash(kept),
     }
     if descriptor:
@@ -187,26 +189,25 @@ def _report(base: BaseWeights, adapters, kept, sums, *, n_tokens: int, budget: i
 
 def probe_ground_truth(base: BaseWeights, adapters: LoraSet | None, samples, *,
                        n_tokens: int = DEFAULT_N_TOKENS,
-                       budget: int = DEFAULT_SAMPLE_BUDGET,
-                       seed: int = 0, descriptor: dict | None = None) -> ProbeReport:
-    """Mean per-layer readout probabilities over a sampled set.
+                       descriptor: dict | None = None) -> ProbeReport:
+    """Mean per-layer readout probabilities over the given samples.
 
     Samples whose reference is shorter than n_tokens are skipped with a
-    warning; an entirely empty probe is an error.
+    warning; an entirely empty probe is an error. descriptor entries are
+    added to the report config.
     """
     n_layers = base.cfg.n_layers
     _check_request(base, n_tokens, [])
-    kept = _long_enough(select_samples(samples, budget, seed), n_tokens)
+    kept = _long_enough(samples, n_tokens)
     sums = _probe_levels(base, adapters, kept, [n_layers], n_tokens)
     return _report(base, adapters, kept, sums[n_layers], n_tokens=n_tokens,
-                   budget=budget, seed=seed, descriptor=descriptor)
+                   descriptor=descriptor)
 
 
 def probe_under_drop(base: BaseWeights, full_set: LoraSet, samples, keeps=None, *,
                      n_tokens: int = DEFAULT_N_TOKENS,
-                     budget: int = DEFAULT_SAMPLE_BUDGET, seed: int = 0,
                      descriptor: dict | None = None) -> list[tuple[int, ProbeReport]]:
-    """Probe the same sample set under several keep-bottom levels.
+    """Probe the given samples under several keep-bottom levels.
 
     Every level and n_tokens are checked before any compute. One report
     per entry of keeps, in the given order.
@@ -214,8 +215,7 @@ def probe_under_drop(base: BaseWeights, full_set: LoraSet, samples, keeps=None, 
     if keeps is None:
         keeps = default_drop_levels(base.cfg.n_layers)
     keeps = _check_request(base, n_tokens, keeps)
-    chosen = select_samples(samples, budget, seed)
-    kept = _long_enough(chosen, n_tokens)
+    kept = _long_enough(samples, n_tokens)
     sums = _probe_levels(base, full_set, kept, keeps, n_tokens)
     out = []
     for k in keeps:
@@ -223,8 +223,7 @@ def probe_under_drop(base: BaseWeights, full_set: LoraSet, samples, keeps=None, 
         if descriptor:
             extra.update(descriptor)
         out.append((k, _report(base, drop_above(full_set, k), kept, sums[k],
-                               n_tokens=n_tokens, budget=len(chosen), seed=seed,
-                               descriptor=extra)))
+                               n_tokens=n_tokens, descriptor=extra)))
     return out
 
 

@@ -10,12 +10,14 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
+from .boundary import DEFAULT_DECODE_BUDGET
 from .errors import ConfigError, ParseError
 from .fileio import read_json
 from .lora import (DEFAULT_ALPHA, DEFAULT_RANK, DEFAULT_TARGETS,
                    normalize_targets)
 from .model import ModelConfig, config_fields
 from .probe import DEFAULT_N_TOKENS, DEFAULT_SAMPLE_BUDGET
+from .tasks import DEFAULT_SIZES, TASK_NAMES
 from .train import TrainConfig
 
 
@@ -31,14 +33,12 @@ class PretrainSection:
     def validate(self) -> "PretrainSection":
         if self.corpus_tokens < 1000:
             raise ConfigError(f"corpus_tokens too small: {self.corpus_tokens}")
-        TrainConfig(lr=self.lr, epochs=self.epochs, batch=self.batch,
-                    seed=self.seed, grad_clip=self.grad_clip).validate()
+        self.train_config().validate()
         return self
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(lr=self.lr, epochs=self.epochs, batch=self.batch,
-                           seed=self.seed, loss_mask_prompt=False,
-                           grad_clip=self.grad_clip)
+                           seed=self.seed, grad_clip=self.grad_clip)
 
 
 @dataclass(frozen=True)
@@ -63,15 +63,14 @@ class LoraSection:
 class TaskSection:
     name: str = "kvqa"
     seed: int = 0
-    train_size: int = 2000
-    validation_size: int = 500
-    test_size: int = 500
+    train_size: int = DEFAULT_SIZES["train"]
+    validation_size: int = DEFAULT_SIZES["validation"]
+    test_size: int = DEFAULT_SIZES["test"]
     domain: str = "in-domain"
     hops: int = 2
     bridge_ratio: float = 0.75
 
     def validate(self) -> "TaskSection":
-        from .tasks import TASK_NAMES
         if self.name not in TASK_NAMES:
             raise ConfigError(
                 f"unknown task {self.name!r}; expected one of {TASK_NAMES}")
@@ -103,7 +102,7 @@ class ProbeSection:
 @dataclass(frozen=True)
 class SweepSection:
     budget: int = 500
-    decode_budget: int = 24
+    decode_budget: int = DEFAULT_DECODE_BUDGET
     seed: int = 0
     keeps: tuple[int, ...] | None = None   # None: every level 0..n_layers
     refine: bool = False

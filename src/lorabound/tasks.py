@@ -22,7 +22,7 @@ import numpy as np
 
 from . import vocab
 from .errors import InputError
-from .fileio import atomic_write_text, read_json
+from .fileio import atomic_write_text, read_json, write_json
 from .vocab import (ADJECTIVES, ADVERBS, CIPHER_MAP, EOS_ID, KEYS, NAMES,
                     NOUNS_BIO, NOUNS_GENERAL, NOUNS_NEWS, VALUES, VERBS, encode)
 
@@ -98,11 +98,17 @@ class Sample:
     @classmethod
     def from_dict(cls, data: dict) -> "Sample":
         try:
-            return cls(prompt_text=data["prompt"], reference_text=data["reference"],
-                       task=data["task"], domain=data.get("domain", "in-domain"),
-                       question_type=data.get("question_type", "none"))
+            fields = {"prompt": data["prompt"], "reference": data["reference"],
+                      "task": data["task"], "domain": data.get("domain", "in-domain"),
+                      "question_type": data.get("question_type", "none")}
         except KeyError as exc:
             raise InputError(f"sample record is missing field {exc}") from exc
+        for name, value in fields.items():
+            if not isinstance(value, str):
+                raise InputError(f"sample field {name!r} must be a string, got {value!r}")
+        return cls(prompt_text=fields["prompt"], reference_text=fields["reference"],
+                   task=fields["task"], domain=fields["domain"],
+                   question_type=fields["question_type"])
 
 
 def sample_ids(items) -> list[tuple[list[int], list[int]]]:
@@ -831,11 +837,9 @@ def save_dataset(dataset: Dataset, out_dir) -> list[str]:
         atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
         paths.append(path)
     meta_path = os.path.join(out_dir, "dataset.json")
-    atomic_write_text(meta_path, json.dumps(
-        {"task": dataset.task, "seed": dataset.seed,
-         "sizes": {s: len(dataset.splits.get(s, [])) for s in SPLITS},
-         "vocab_hash": vocab.vocab_hash()},
-        sort_keys=True, separators=(",", ":")) + "\n")
+    write_json(meta_path, {"task": dataset.task, "seed": dataset.seed,
+                           "sizes": {s: len(dataset.splits.get(s, [])) for s in SPLITS},
+                           "vocab_hash": vocab.vocab_hash()})
     paths.append(meta_path)
     vocab_path = os.path.join(out_dir, "vocab.json")
     vocab.write_vocab_file(vocab_path)
@@ -872,6 +876,9 @@ def load_dataset(in_dir) -> Dataset:
                             f"{path}:{line_no} is not valid JSON: {exc}") from exc
                     if not isinstance(record, dict):
                         raise InputError(f"{path}:{line_no} is not a JSON object")
-                    samples.append(Sample.from_dict(record))
+                    try:
+                        samples.append(Sample.from_dict(record))
+                    except InputError as exc:
+                        raise InputError(f"{path}:{line_no}: {exc}") from None
         splits[split] = samples
     return Dataset(task=task, seed=seed, splits=splits)

@@ -1,12 +1,16 @@
 """Training loops: base-model pretraining and adapter-only fine-tuning.
 
-Each optimizer step averages the gradients of its batch and then takes
-one Adam step. The batch goes through the model in consecutive chunks of
-right-padded rows with a loss mask, one forward and backward per chunk;
-a chunk holds TRAIN_CHUNK_POSITIONS // (the step's longest input) rows,
-at least one, which bounds the activations one backward keeps. Runs are
-deterministic for a given seed. Fine-tuning touches adapter factors
-only; the base weights are read, never written.
+Each optimizer step averages the gradients of its batch, clips them and
+then takes one Adam step. The batch goes through the model in
+consecutive chunks of right-padded rows with a loss mask, one forward
+and backward per chunk; a chunk holds TRAIN_CHUNK_POSITIONS // (the
+step's longest input) rows, at least one, which bounds the activations
+one backward keeps. A step whose loss or gradient norm is not finite
+raises DegenerateInputError before its update, so a diverged run leaves
+no artifact. Runs are deterministic for a given seed. Fine-tuning
+trains the adapter set it is given (a fresh set on every layer when
+none is): the caller picks its layers, targets and rank. It touches
+adapter factors only; the base weights are read, never written.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, DegenerateInputError, InputError
 from .fileio import atomic_write_text
-from .lora import LoraSet, drop_above, init_adapters, lora_param_dict
+from .lora import LoraSet, init_adapters, lora_param_dict
 from .model import (TRAIN_CHUNK_POSITIONS, BaseWeights, ModelConfig, init_base,
                     loss_and_grads)
 from .numerics import AdamState, adam_step, clip_by_global_norm
@@ -69,6 +73,8 @@ def _batched_step(examples, grad_fn, params, state, grad_clip):
     examples are (inputs, targets, mask) rows. grad_fn gets them in
     consecutive padded chunks of at most TRAIN_CHUNK_POSITIONS // (the
     longest input) rows and returns a chunk's mean loss and gradients.
+    A loss or pre-clip gradient norm that is not finite raises
+    DegenerateInputError before the update.
     """
     rows = max(1, TRAIN_CHUNK_POSITIONS // max(inputs.size for inputs, _, _ in examples))
     total: dict[str, np.ndarray] = {}
@@ -87,9 +93,13 @@ def _batched_step(examples, grad_fn, params, state, grad_clip):
     inv = 1.0 / len(examples)
     for g in total.values():
         g *= g.dtype.type(inv)
-    clip_by_global_norm(total, grad_clip)
+    loss = loss_sum * inv
+    norm = clip_by_global_norm(total, grad_clip)
+    if not (np.isfinite(loss) and np.isfinite(norm)):
+        raise DegenerateInputError(
+            f"non-finite loss {float(loss)} or gradient norm {float(norm)}")
     adam_step(params, total, state)
-    return loss_sum * inv
+    return loss
 
 
 def _train_loop(examples, grad_fn, params, tcfg: TrainConfig, log_path, name: str):
@@ -103,8 +113,13 @@ def _train_loop(examples, grad_fn, params, tcfg: TrainConfig, log_path, name: st
         order = order_rng.permutation(len(examples))
         for start in range(0, len(examples), tcfg.batch):
             batch = [examples[i] for i in order[start:start + tcfg.batch]]
-            loss = _batched_step(batch, grad_fn, params, state, tcfg.grad_clip)
-            history.append((epoch, len(history) + 1, loss))
+            step = len(history) + 1
+            try:
+                loss = _batched_step(batch, grad_fn, params, state, tcfg.grad_clip)
+            except DegenerateInputError as exc:
+                raise DegenerateInputError(
+                    f"{name} epoch {epoch}, step {step}: {exc}") from None
+            history.append((epoch, step, loss))
         log.info("%s epoch %d done, loss %.4f", name, epoch, history[-1][2])
     if log_path is not None:
         write_train_log(log_path, history)
@@ -144,8 +159,14 @@ def pretrain(cfg: ModelConfig, tcfg: TrainConfig, corpus,
     return weights, history
 
 
-def _finetune(base: BaseWeights, adapters: LoraSet, dataset, tcfg: TrainConfig,
-              log_path=None):
+def finetune_lora(base: BaseWeights, dataset, tcfg: TrainConfig,
+                  adapters: LoraSet | None = None, *, log_path=None):
+    """Train the given adapter set on prompt/reference pairs; None trains
+    init_adapters(base.cfg, seed=tcfg.seed), a default set on every layer.
+
+    Only A and B factors are updated, in place; the loss covers reference
+    positions unless loss_mask_prompt is off. Returns (LoraSet, history).
+    """
     tcfg.validate()
     pairs = sample_ids(dataset)
     if not pairs:
@@ -158,6 +179,8 @@ def _finetune(base: BaseWeights, adapters: LoraSet, dataset, tcfg: TrainConfig,
                 f"sample {i} spans {len(prompt) + len(ref)} tokens, "
                 f"max_seq is {base.cfg.max_seq}")
 
+    if adapters is None:
+        adapters = init_adapters(base.cfg, seed=tcfg.seed)
     adapters.fingerprint = base.fingerprint()
     examples = []
     for prompt, ref in pairs:
@@ -173,36 +196,3 @@ def _finetune(base: BaseWeights, adapters: LoraSet, dataset, tcfg: TrainConfig,
     history = _train_loop(examples, grad_fn, lora_param_dict(adapters), tcfg, log_path,
                           "finetune")
     return adapters, history
-
-
-def _fresh_adapters(base: BaseWeights, tcfg: TrainConfig, targets, rank, alpha) -> LoraSet:
-    """init_adapters seeded by tcfg, with its defaults for every option left None."""
-    given = {"targets": targets, "rank": rank, "alpha": alpha}
-    return init_adapters(base.cfg, seed=tcfg.seed,
-                         **{k: v for k, v in given.items() if v is not None})
-
-
-def finetune_lora(base: BaseWeights, dataset, tcfg: TrainConfig, *,
-                  targets=None, rank: int | None = None, alpha: float | None = None,
-                  adapters: LoraSet | None = None, log_path=None):
-    """Train a fresh (or given) adapter set on prompt/reference pairs.
-
-    Only A and B factors are updated; the loss covers reference positions
-    unless loss_mask_prompt is off. Returns (LoraSet, history).
-    """
-    if adapters is None:
-        adapters = _fresh_adapters(base, tcfg, targets, rank, alpha)
-    return _finetune(base, adapters, dataset, tcfg, log_path=log_path)
-
-
-def finetune_partial(base: BaseWeights, dataset, tcfg: TrainConfig,
-                     keep_bottom: int, *, targets=None, rank: int | None = None,
-                     alpha: float | None = None, log_path=None):
-    """Initialize and train adapters on layers 1..keep_bottom only.
-
-    Layer selection happens before training, so upper layers never hold
-    adapters at all; this is the train-time counterpart of dropping them
-    after a full fine-tune.
-    """
-    adapters = drop_above(_fresh_adapters(base, tcfg, targets, rank, alpha), keep_bottom)
-    return _finetune(base, adapters, dataset, tcfg, log_path=log_path)

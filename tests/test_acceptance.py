@@ -143,7 +143,8 @@ class TestSweepTieBreak:
         samples = [SampleStub(p, rng.integers(2, VOCAB_SIZE, size=3).tolist(), "x")
                    for p in random_prompts(rng, 8, lo=4, hi=8)]
         decision = boundary.sweep_boundary(base, zero_delta, samples, "em",
-                                           budget=8, decode_budget=4, seed=0)
+                                           golds=[s.gold_text() for s in samples],
+                                           decode_budget=4, seed=0)
         scores = set(decision.per_k_scores.values())
         assert len(scores) == 1
         assert decision.k_star == 0
@@ -174,8 +175,7 @@ def probe_samples():
 
 @pytest.fixture(scope="class")
 def untrained_report(untrained, probe_samples):
-    return probe.probe_ground_truth(untrained, None, probe_samples, n_tokens=4,
-                                    budget=len(probe_samples), seed=0)
+    return probe.probe_ground_truth(untrained, None, probe_samples, n_tokens=4)
 
 
 class TestProbeCorrectness:

@@ -244,11 +244,6 @@ class TestSweepBoundary:
         with pytest.raises(InputError):
             sweep_boundary(base, lset, tuple_samples(), "em", golds=["z"] * 3)
 
-    def test_tuple_samples_need_explicit_golds(self):
-        base, lset = micro_setup()
-        with pytest.raises(InputError):
-            sweep_boundary(base, lset, tuple_samples(), "em")
-
 
 class TestApplyBoundary:
     def test_drops_above_the_decision(self):

@@ -16,8 +16,9 @@ from lorabound.fileio import (MAGIC_ADAPTERS, _decode_container, _encode_contain
                               atomic_write_bytes, load_adapters, load_weights,
                               save_adapters, save_weights)
 from lorabound.lora import LoraAdapter, drop_above
-from lorabound.probe import ProbeReport
+from lorabound.probe import ProbeReport, select_samples
 from lorabound.reports import parse_tsv, read_probe_tsv, write_probe_tsv
+from lorabound.tasks import load_dataset
 
 from helpers import write_probe_report
 
@@ -184,6 +185,23 @@ class TestArtifacts:
         assert len(rows) == 4
         assert meta["metric"] == "em"
         assert meta["task"] == "kvqa"
+
+    def test_eval_of_the_kept_set_scores_as_the_sweep(self, pipeline, tmp_path):
+        # sweep -> export from:sweep.json -> eval of the kept set on the swept split
+        decision = BoundaryDecision.from_dict(json.loads(pipeline["sweep"].read_text()))
+        budget = MICRO_CFG["sweep"]["budget"]
+        out = tmp_path / "eval_kept.tsv"
+        assert run("eval", "--config", pipeline["cfg"], "--model", pipeline["base"],
+                   "--data", pipeline["data"], "--adapters", pipeline["kept"],
+                   "--split", "validation", "--budget", budget,
+                   "--decode-budget", decision.extra["decode_budget"], "--out", out) == 0
+        _, meta, _, rows = parse_tsv(out.read_text())
+        assert meta["score"] == decision.per_k_scores[decision.k_star]
+        assert meta["sample_count"] == decision.sample_count == budget
+        validation = load_dataset(pipeline["data"]).validation
+        assert len(validation) > budget
+        drawn = select_samples(validation, budget, MICRO_CFG["sweep"].get("seed", 0))
+        assert [row[3] for row in rows] == [s.gold_text() for s in drawn]
 
     def test_report_bundle_contents(self, pipeline):
         d = pipeline["report_dir"]
@@ -422,6 +440,23 @@ class TestDomainErrors:
         assert "unknown keys in section 'sweep'" in capsys.readouterr().err
         assert not (tmp_path / "s.json").exists()
 
+    @pytest.mark.parametrize("command, section", [("pretrain", "pretrain"),
+                                                  ("finetune", "train")])
+    def test_diverging_training_exits_two_and_writes_nothing(self, pipeline, tmp_path,
+                                                             capsys, command, section):
+        path = config_with(pipeline, tmp_path, section, "lr", 1e20)
+        argv = [command, "--config", path, "--out", tmp_path / "out",
+                "--log", tmp_path / "log.tsv"]
+        if command == "finetune":
+            argv += ["--model", pipeline["base"], "--data", pipeline["data"]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = run(*argv)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {command} epoch 1, step " in err
+        assert "non-finite loss nan" in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_missing_decision_file_exits_two(self, pipeline, tmp_path):
         rc = run("export", "--model", pipeline["base"],
                  "--adapters", pipeline["full"],
@@ -494,7 +529,9 @@ class TestInputsCheckedBeforeCompute:
     @pytest.mark.parametrize("name, line, cause", [
         ("dataset.json", None, "dataset.json is not valid JSON"),
         ("validation.jsonl", "[1]", "validation.jsonl:1 is not a JSON object"),
-    ], ids=["dataset_json", "jsonl_line"])
+        ("validation.jsonl", '{"prompt": 5, "reference": "answer = a", "task": "kvqa"}',
+         "validation.jsonl:1: sample field 'prompt' must be a string, got 5"),
+    ], ids=["dataset_json", "jsonl_line", "non_string_field"])
     def test_malformed_dataset(self, pipeline, tmp_path, capsys, name, line, cause):
         data = tmp_path / "data"
         data.mkdir()

@@ -114,10 +114,10 @@ class TestProbeGroundTruth:
 
     def test_deterministic(self):
         base, lset = micro_setup()
-        a = probe_ground_truth(base, lset, micro_samples(30), n_tokens=3,
-                               budget=10, seed=4)
-        b = probe_ground_truth(base, lset, micro_samples(30), n_tokens=3,
-                               budget=10, seed=4)
+        a = probe_ground_truth(base, lset, select_samples(micro_samples(30), 10, seed=4),
+                               n_tokens=3)
+        b = probe_ground_truth(base, lset, select_samples(micro_samples(30), 10, seed=4),
+                               n_tokens=3)
         assert np.array_equal(a.gt_curve, b.gt_curve)
         assert a.config == b.config
 
@@ -169,8 +169,8 @@ class TestProbeUnderDrop:
 
     def test_probes_share_the_sample_set(self):
         base, lset = micro_setup()
-        out = probe_under_drop(base, lset, micro_samples(30), keeps=[0, 1, 2],
-                               n_tokens=2, budget=10, seed=0)
+        out = probe_under_drop(base, lset, select_samples(micro_samples(30), 10, seed=0),
+                               keeps=[0, 1, 2], n_tokens=2)
         assert [k for k, _ in out] == [0, 1, 2]
         hashes = {rep.config["samples_hash"] for _, rep in out}
         assert len(hashes) == 1
@@ -213,8 +213,7 @@ class TestEngineAgainstOracle:
                 for _ in range(n)]
 
     def assert_matches(self, base, lset, samples, keeps, n_tokens):
-        out = probe_under_drop(base, lset, samples, keeps=keeps, n_tokens=n_tokens,
-                               budget=len(samples))
+        out = probe_under_drop(base, lset, samples, keeps=keeps, n_tokens=n_tokens)
         assert [k for k, _ in out] == list(keeps)
         for k, rep in out:
             gt, mx = probe_oracle(base, drop_above(lset, k), samples, n_tokens)
@@ -274,7 +273,7 @@ class TestEngineAgainstOracle:
         assert default_drop_levels(1) == [0]
         base, lset = self.model_and_adapters(seed=14, cfg=cfg)
         samples = self.samples(10, seed=15)
-        out = probe_under_drop(base, lset, samples, n_tokens=2, budget=len(samples))
+        out = probe_under_drop(base, lset, samples, n_tokens=2)
         assert [k for k, _ in out] == [0]
         gt, mx = probe_oracle(base, None, samples, 2)
         np.testing.assert_array_equal(out[0][1].gt_curve, gt)
@@ -295,8 +294,7 @@ class TestEngineAgainstOracle:
         base, lset = self.model_and_adapters(seed=8)
         samples = self.samples(21, seed=9)
         for adapters in (lset, drop_above(lset, 2), None):
-            rep = probe_ground_truth(base, adapters, samples, n_tokens=3,
-                                     budget=len(samples))
+            rep = probe_ground_truth(base, adapters, samples, n_tokens=3)
             gt, mx = probe_oracle(base, adapters, samples, 3)
             np.testing.assert_array_equal(rep.gt_curve, gt)
             np.testing.assert_array_equal(rep.max_curve, mx)
@@ -308,8 +306,7 @@ class TestEngineAgainstOracle:
             if layer == top:
                 ad.a = np.full_like(ad.a, np.nan)
         samples = self.samples(15, seed=11)
-        out = probe_under_drop(base, lset, samples, keeps=range(top + 1),
-                               n_tokens=2, budget=len(samples))
+        out = probe_under_drop(base, lset, samples, keeps=range(top + 1), n_tokens=2)
         for k, rep in out[:top]:
             assert np.isfinite(rep.gt_curve).all() and np.isfinite(rep.max_curve).all()
             gt, mx = probe_oracle(base, drop_above(lset, k), samples, 2)
@@ -364,7 +361,7 @@ class TestEngineAgainstOracle:
         monkeypatch.setattr(probe, "forward_collect", probe_spy)
         monkeypatch.setattr(model, "_decode_rows", decode_spy)
         samples = [(p, rng.integers(4, 16, size=2).tolist()) for p in prompts]
-        probe_ground_truth(base, lset, samples, n_tokens=2, budget=len(samples))
+        probe_ground_truth(base, lset, samples, n_tokens=2)
         decode_batch(base, lset, [(p, 4) for p in prompts], 1, None)
         assert probed == expected
         assert decoded == expected

@@ -7,8 +7,7 @@ from lorabound import train
 from lorabound.errors import ConfigError, InputError
 from lorabound.lora import drop_above, init_adapters
 from lorabound.model import PROJECTIONS, ModelConfig, init_base, next_token_logits
-from lorabound.train import (TrainConfig, finetune_lora, finetune_partial,
-                             pretrain, write_train_log)
+from lorabound.train import TrainConfig, finetune_lora, pretrain, write_train_log
 
 from helpers import randomize_adapters, randomize_weights, rel_error
 from oracles import train_step_oracle
@@ -146,7 +145,8 @@ class TestFinetune:
     def test_rank_and_targets_pass_through(self):
         base, _ = pretrain(MICRO, FAST, tiny_corpus())
         lset, _ = finetune_lora(base, tiny_pairs(), FAST,
-                                targets=("q", "k", "v"), rank=2, alpha=4.0)
+                                init_adapters(MICRO, targets=("q", "k", "v"), rank=2,
+                                              alpha=4.0))
         assert lset.rank == 2 and lset.alpha == 4.0
         assert lset.targets == ("q", "k", "v")
 
@@ -177,7 +177,7 @@ class TestFinetune:
 class TestFinetunePartial:
     def test_upper_layers_hold_no_adapters(self):
         base, _ = pretrain(MICRO, FAST, tiny_corpus())
-        lset, _ = finetune_partial(base, tiny_pairs(), FAST, keep_bottom=1)
+        lset, _ = finetune_lora(base, tiny_pairs(), FAST, drop_above(init_adapters(MICRO), 1))
         layers = {layer for layer, _ in lset.adapters}
         assert layers == {1}
 
@@ -185,22 +185,22 @@ class TestFinetunePartial:
         # the partial run must start from the same factors a drop would keep
         fresh = drop_above(init_adapters(MICRO, seed=0), 1)
         base = init_base(MICRO, seed=0)
-        lset, _ = finetune_partial(base, tiny_pairs(),
-                                   TrainConfig(epochs=1, batch=16), keep_bottom=1)
+        lset, _ = finetune_lora(base, tiny_pairs(), TrainConfig(epochs=1, batch=16),
+                                drop_above(init_adapters(MICRO), 1))
         for key in lset.adapters:
             assert fresh.adapters[key].a.shape == lset.adapters[key].a.shape
 
     def test_keep_zero_trains_nothing_useful_but_runs(self):
         base, _ = pretrain(MICRO, FAST, tiny_corpus())
-        lset, _ = finetune_partial(base, tiny_pairs(), FAST, keep_bottom=0)
+        lset, _ = finetune_lora(base, tiny_pairs(), FAST, drop_above(init_adapters(MICRO), 0))
         assert lset.adapters == {}
 
     def test_out_of_range(self):
         base, _ = pretrain(MICRO, FAST, tiny_corpus())
         with pytest.raises(InputError):
-            finetune_partial(base, tiny_pairs(), FAST, keep_bottom=3)
+            finetune_lora(base, tiny_pairs(), FAST, drop_above(init_adapters(MICRO), 3))
         with pytest.raises(InputError):
-            finetune_partial(base, tiny_pairs(), FAST, keep_bottom=-1)
+            finetune_lora(base, tiny_pairs(), FAST, drop_above(init_adapters(MICRO), -1))
 
 
 def shape_spy(monkeypatch):
