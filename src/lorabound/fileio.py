@@ -244,6 +244,7 @@ def load_adapters(path) -> LoraSet:
         if field not in header:
             raise ParseError(f"{path}: header field {field!r} is missing")
     targets = normalize_targets(header["targets"])
+    rank = int(header["rank"])
     adapters: dict[tuple[int, str], LoraAdapter] = {}
     pairs: dict[tuple[int, str], dict[str, np.ndarray]] = {}
     for name, arr in tensors.items():
@@ -264,10 +265,14 @@ def load_adapters(path) -> LoraSet:
             raise ParseError(
                 f"{path}: adapter at layer {key[0]} {key[1]!r} is not among the "
                 f"header targets {list(targets)}")
-        adapters[key] = LoraAdapter(a=factors["a"], b=factors["b"],
-                                    alpha=float(header["alpha"]))
+        ad = LoraAdapter(a=factors["a"], b=factors["b"], alpha=float(header["alpha"]))
+        if ad.rank != rank:
+            raise ParseError(
+                f"{path}: adapter at layer {key[0]} {key[1]!r} has rank {ad.rank}, "
+                f"header rank is {rank}")
+        adapters[key] = ad
     lset = LoraSet(n_layers=int(header["n_layers"]), alpha=float(header["alpha"]),
-                   rank=int(header["rank"]), targets=targets,
+                   rank=rank, targets=targets,
                    fingerprint=str(header["base_fingerprint"]), adapters=adapters)
     stored = header.get("content_hash")
     if stored is not None and stored != lset.content_hash():

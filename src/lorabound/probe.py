@@ -23,12 +23,21 @@ k = 0), running layers k+1..L without adapters. Each readout is
 reduced at once to the two probabilities at the probed positions, and
 the per-sample values are summed in sample order, so the curves are
 bitwise those of one forward per sample and level.
+
+The length batches run on a thread pool with one worker per CPU in the
+process's affinity mask (at most one per batch); numpy releases the GIL
+inside a batch's products and elementwise loops. Each batch writes only
+its own samples' rows, and the sums start after every batch is done, so
+the curves are the same bytes at any worker count. `taskset -c 0` runs
+the engine on one CPU.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,31 +144,48 @@ def _readout(base: BaseWeights, states: np.ndarray, ref: np.ndarray):
     return p_true, p_max
 
 
+def _usable_cpus() -> int:
+    """CPUs in this process's affinity mask (taskset narrows it)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _probe_batch(base: BaseWeights, adapters, kept, levels, n_tokens: int,
+                 length: int, batch: list[int], per_sample: dict) -> None:
+    """Write one length batch's readouts at every level into its rows of per_sample."""
+    n_layers = base.cfg.n_layers
+    positions = np.arange(length - 1, length - 1 + n_tokens)
+    ids = np.array([kept[i][0] + kept[i][1][:n_tokens] for i in batch], dtype=np.int64)
+    ref = ids[:, length:]
+    if levels[-1] > 0:
+        full = forward_collect(base, adapters, ids)
+        full_read = _readout(base, full[..., positions, :], ref)    # [L, B, n]
+    for k in levels:
+        if k == n_layers:
+            read = full_read
+        else:
+            resume = None if k == 0 else (k, full[k - 1])
+            top, _, _ = _forward(base, None, ids, collect=positions, resume=resume)
+            read = _readout(base, top, ref)                         # [L - k, B, n]
+            if k > 0:
+                read = [np.concatenate([f[:k], t]) for f, t in zip(full_read, read)]
+        for dest, values in zip(per_sample[k], read):
+            dest[batch] = values.swapaxes(0, 1)
+
+
 def _probe_levels(base: BaseWeights, adapters, kept, levels, n_tokens: int) -> dict:
     """Summed (gt, max) readouts [L, n_tokens] per keep level of `adapters`."""
     n_layers = base.cfg.n_layers
     levels = sorted(set(levels))
     shape = (len(kept), n_layers, n_tokens)
     per_sample = {k: (np.empty(shape), np.empty(shape)) for k in levels}
-    for length, batch in _length_batches([len(prompt) for prompt, _ in kept]):
-        positions = np.arange(length - 1, length - 1 + n_tokens)
-        ids = np.array([kept[i][0] + kept[i][1][:n_tokens] for i in batch],
-                       dtype=np.int64)
-        ref = ids[:, length:]
-        if levels[-1] > 0:
-            full = forward_collect(base, adapters, ids)
-            full_read = _readout(base, full[..., positions, :], ref)    # [L, B, n]
-        for k in levels:
-            if k == n_layers:
-                read = full_read
-            else:
-                resume = None if k == 0 else (k, full[k - 1])
-                top, _, _ = _forward(base, None, ids, collect=positions, resume=resume)
-                read = _readout(base, top, ref)                         # [L - k, B, n]
-                if k > 0:
-                    read = [np.concatenate([f[:k], t]) for f, t in zip(full_read, read)]
-            for dest, values in zip(per_sample[k], read):
-                dest[batch] = values.swapaxes(0, 1)
+    batches = list(_length_batches([len(prompt) for prompt, _ in kept]))
+    with ThreadPoolExecutor(max_workers=min(len(batches), _usable_cpus())) as pool:
+        for done in [pool.submit(_probe_batch, base, adapters, kept, levels, n_tokens,
+                                 length, batch, per_sample) for length, batch in batches]:
+            done.result()       # re-raises a worker's exception here
     sums = {}
     for k, (gt, mx) in per_sample.items():
         gt_sum = np.zeros((n_layers, n_tokens), dtype=np.float64)

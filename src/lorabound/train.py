@@ -79,22 +79,24 @@ def _batched_step(examples, grad_fn, params, state, grad_clip):
     rows = max(1, TRAIN_CHUNK_POSITIONS // max(inputs.size for inputs, _, _ in examples))
     total: dict[str, np.ndarray] = {}
     loss_sum = 0.0
-    for lo in range(0, len(examples), rows):
-        chunk = examples[lo:lo + rows]
-        loss, grads = grad_fn(*_padded(chunk))
-        loss_sum += loss * len(chunk)
-        for name, g in grads.items():
-            if len(chunk) > 1:
-                g *= g.dtype.type(len(chunk))     # chunk mean -> chunk sum
-            if name in total:
-                total[name] += g
-            else:
-                total[name] = g
-    inv = 1.0 / len(examples)
-    for g in total.values():
-        g *= g.dtype.type(inv)
-    loss = loss_sum * inv
-    norm = clip_by_global_norm(total, grad_clip)
+    # a diverging step overflows on its way; the finiteness check below names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(examples), rows):
+            chunk = examples[lo:lo + rows]
+            loss, grads = grad_fn(*_padded(chunk))
+            loss_sum += loss * len(chunk)
+            for name, g in grads.items():
+                if len(chunk) > 1:
+                    g *= g.dtype.type(len(chunk))     # chunk mean -> chunk sum
+                if name in total:
+                    total[name] += g
+                else:
+                    total[name] = g
+        inv = 1.0 / len(examples)
+        for g in total.values():
+            g *= g.dtype.type(inv)
+        loss = loss_sum * inv
+        norm = clip_by_global_norm(total, grad_clip)
     if not (np.isfinite(loss) and np.isfinite(norm)):
         raise DegenerateInputError(
             f"non-finite loss {float(loss)} or gradient norm {float(norm)}")

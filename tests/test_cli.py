@@ -407,8 +407,8 @@ class TestDomainErrors:
 
     @pytest.mark.parametrize("key, a_shape, b_shape, cause", [
         ((7, "q"), (2, 8), (8, 2), "adapter at layer 7 'q': layer out of range 1..2"),
-        ((1, "q"), (8, 5), (8, 8),
-         "adapter at layer 1 'q' has dims A(8, 5) / B(8, 8), projection needs (8, 8)"),
+        ((1, "q"), (2, 5), (8, 2),
+         "adapter at layer 1 'q' has dims A(2, 5) / B(8, 2), projection needs (8, 8)"),
     ])
     def test_adapter_that_does_not_fit_the_model_exits_two(self, pipeline, tmp_path, capsys,
                                                           key, a_shape, b_shape, cause):
@@ -422,6 +422,20 @@ class TestDomainErrors:
                  "--data", pipeline["data"], "--adapters", bad, "--out", out)
         assert rc == 2
         assert cause in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["bad.lbad"]
+
+    def test_adapter_of_another_rank_exits_two(self, pipeline, tmp_path, capsys):
+        lset = load_adapters(pipeline["full"])
+        assert lset.rank == 2
+        lset.adapters[(1, "q")] = LoraAdapter(a=np.zeros((8, 8), np.float32),
+                                              b=np.zeros((8, 8), np.float32), alpha=lset.alpha)
+        bad = tmp_path / "bad.lbad"
+        save_adapters(bad, lset)
+        rc = run("probe", "--config", pipeline["cfg"], "--model", pipeline["base"],
+                 "--data", pipeline["data"], "--adapters", bad, "--out", tmp_path / "p.tsv")
+        assert rc == 2
+        assert ("bad.lbad: adapter at layer 1 'q' has rank 8, header rank is 2"
+                in capsys.readouterr().err)
         assert sorted(os.listdir(tmp_path)) == ["bad.lbad"]
 
     def test_zero_eval_budget_exits_two(self, pipeline, tmp_path, capsys):
@@ -449,8 +463,7 @@ class TestDomainErrors:
                 "--log", tmp_path / "log.tsv"]
         if command == "finetune":
             argv += ["--model", pipeline["base"], "--data", pipeline["data"]]
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = run(*argv)
+        rc = run(*argv)
         assert rc == 2
         err = capsys.readouterr().err
         assert f"error: {command} epoch 1, step " in err

@@ -1,5 +1,9 @@
 """Layer readout probing: invariants, sampling, drop levels, differences."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -240,6 +244,7 @@ class TestEngineAgainstOracle:
             return forward_collect(weights, adapters, tokens)
 
         monkeypatch.setattr(probe, "forward_collect", spy)
+        monkeypatch.setattr(probe, "_usable_cpus", lambda: 1)     # ordered calls
         self.assert_matches(base, lset, samples, [0, 2, 4], n_tokens=2)
         cap = DECODE_BATCH_ROWS
         assert batches == [(cap, 7), (cap, 7), (5, 7)]
@@ -360,6 +365,7 @@ class TestEngineAgainstOracle:
         decode_rows = model._decode_rows
         monkeypatch.setattr(probe, "forward_collect", probe_spy)
         monkeypatch.setattr(model, "_decode_rows", decode_spy)
+        monkeypatch.setattr(probe, "_usable_cpus", lambda: 1)     # ordered calls
         samples = [(p, rng.integers(4, 16, size=2).tolist()) for p in prompts]
         probe_ground_truth(base, lset, samples, n_tokens=2)
         decode_batch(base, lset, [(p, 4) for p in prompts], 1, None)
@@ -379,6 +385,132 @@ class TestEngineAgainstOracle:
         with pytest.raises(InputError):
             probe_under_drop(base, lset, self.samples(4, seed=1), keeps=keeps,
                              n_tokens=n_tokens)
+
+
+class TestWorkerPool:
+    """The length batches run on a thread pool; its size never shows in the output."""
+
+    engine = TestEngineAgainstOracle()
+
+    def inputs(self, seed=30):
+        """Peaked readouts (see test_sums_run_in_sample_order), so a sum in any
+        order but the samples' would show, over at least four length batches."""
+        base, lset = self.engine.model_and_adapters(seed=seed, std=8.0)
+        samples = self.engine.samples(24, seed=seed + 1)
+        batches = list(model._length_batches([len(p) for p, _ in samples]))
+        assert len(batches) >= 4
+        return base, lset, samples, batches
+
+    def run(self, base, lset, samples, call=lambda engine, *a, **kw: engine(*a, **kw)):
+        """probe_under_drop at every level, then probe_ground_truth, as comparable tuples."""
+        levels = range(self.engine.CFG.n_layers + 1)
+        reports = [rep for _, rep in call(probe_under_drop, base, lset, samples,
+                                          keeps=levels, n_tokens=3)]
+        reports.append(call(probe_ground_truth, base, lset, samples, n_tokens=3))
+        return [(rep.gt_curve.tobytes(), rep.max_curve.tobytes(), rep.sample_count,
+                 rep.config) for rep in reports]
+
+    @staticmethod
+    def pool_sizes(monkeypatch) -> list:
+        """The max_workers of every pool the engine opens from now on."""
+        sizes = []
+
+        class Pool(probe.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(probe, "ThreadPoolExecutor", Pool)
+        return sizes
+
+    def test_curves_are_the_same_at_any_worker_count(self, monkeypatch):
+        base, lset, samples, batches = self.inputs()
+        sizes = self.pool_sizes(monkeypatch)
+        outputs = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(probe, "_usable_cpus", lambda n=workers: n)
+            outputs[workers] = self.run(base, lset, samples)
+        assert sizes == [1, 1, 2, 2, 3, 3]
+        assert outputs[2] == outputs[1]
+        assert outputs[3] == outputs[1]
+        for k, (gt, mx, count, _) in enumerate(outputs[1][:-1]):
+            want_gt, want_mx = probe_oracle(base, drop_above(lset, k), samples, 3)
+            assert gt == want_gt.tobytes() and mx == want_mx.tobytes(), f"keep {k}"
+            assert count == len(samples)
+        assert outputs[1][-1][:2] == outputs[1][-2][:2]     # ground truth = full keep
+
+    def test_more_workers_than_cores_with_fast_thread_switches(self, monkeypatch):
+        base, lset = self.engine.model_and_adapters(seed=33, std=8.0)
+        samples = self.engine.samples(60, seed=34, prompt_lengths=(1, 9))
+        monkeypatch.setattr(probe, "_usable_cpus", lambda: 1)
+        serial = self.run(base, lset, samples)
+        monkeypatch.setattr(probe, "_usable_cpus", lambda: 4 * (os.cpu_count() or 1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert self.run(base, lset, samples) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_workers_are_capped_by_the_batch_count(self, monkeypatch):
+        base, lset, samples, batches = self.inputs()
+        sizes = self.pool_sizes(monkeypatch)
+        monkeypatch.setattr(probe, "_usable_cpus", lambda: 64)
+        probe_ground_truth(base, lset, samples, n_tokens=3)
+        assert sizes == [len(batches)]
+
+    def test_usable_cpus_is_the_affinity_mask(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert probe._usable_cpus() == len(os.sched_getaffinity(0))
+        assert probe._usable_cpus() >= 1
+
+    def test_batches_finishing_out_of_order(self, monkeypatch):
+        base, lset, samples, batches = self.inputs()
+        monkeypatch.setattr(probe, "_usable_cpus", lambda: 1)
+        serial = self.run(base, lset, samples)
+
+        first, last = batches[0][1], batches[-1][1]
+        last_done = threading.Event()
+        finished = []
+        probe_batch = probe._probe_batch
+
+        def spy(*args):
+            batch = args[6]
+            if batch == first:      # held until the last batch has written its rows
+                assert last_done.wait(timeout=30), "the last batch never ran"
+            probe_batch(*args)
+            finished.append(batch)
+            if batch == last:
+                last_done.set()
+
+        def probe_once(engine, *args, **kwargs):
+            last_done.clear()
+            finished.clear()
+            out = engine(*args, **kwargs)
+            assert finished[-1] == first and len(finished) == len(batches)
+            return out
+
+        monkeypatch.setattr(probe, "_probe_batch", spy)
+        monkeypatch.setattr(probe, "_usable_cpus", lambda: 2)
+        assert self.run(base, lset, samples, probe_once) == serial
+
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch):
+        base, lset, samples, batches = self.inputs()
+        width = batches[1][0] + 3      # prompt length + n_tokens
+
+        class Boom(Exception):
+            pass
+
+        def spy(weights, adapters, tokens):
+            if tokens.shape[1] == width:
+                raise Boom("batch failed")
+            return forward_collect(weights, adapters, tokens)
+
+        monkeypatch.setattr(probe, "forward_collect", spy)
+        monkeypatch.setattr(probe, "_usable_cpus", lambda: 2)
+        with pytest.raises(Boom, match="batch failed"):
+            probe_under_drop(base, lset, samples, keeps=[0, 2, 4], n_tokens=3)
 
 
 class TestProbeDifference:
