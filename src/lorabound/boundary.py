@@ -94,8 +94,11 @@ def detect_knee(curve, min_jump_ratio: float = DEFAULT_MIN_JUMP_RATIO) -> int:
     curve[i] is the value at layer i+1. The winning jump must be at least
     min_jump_ratio of the curve's total range; otherwise, or when the
     curve is flat, there is no knee and the caller must fall back.
-    Ties break toward the smallest layer.
+    Ties break toward the smallest layer. min_jump_ratio must lie in
+    [0, 1]: below 0 a falling step would pass as a knee.
     """
+    if not 0.0 <= min_jump_ratio <= 1.0:   # also rejects nan
+        raise InputError(f"min_jump_ratio must be in [0, 1], got {min_jump_ratio}")
     c = np.asarray(curve, dtype=np.float64)
     if c.ndim != 1 or c.size < 2:
         raise InputError(f"curve must be a flat series of at least 2 layers, got {c.shape}")
@@ -142,27 +145,19 @@ def knee_from_report(report: ProbeReport,
     )
 
 
-def coarse_then_fine_levels(n_layers: int, stride: int = 2) -> list[int]:
-    """Coarse sweep grid: every `stride` levels plus the endpoints 0 and L."""
-    if stride < 1:
-        raise InputError(f"stride must be at least 1, got {stride}")
-    return sorted(set(range(0, n_layers + 1, stride)) | {0, n_layers})
-
-
 def sweep_boundary(base: BaseWeights, full_set: LoraSet, samples, metric, *,
                    golds: list[str], keeps=None,
                    decode_budget: int = DEFAULT_DECODE_BUDGET, seed: int = 0,
-                   stop_token: int = EOS_ID, refine: bool = False) -> BoundaryDecision:
+                   stop_token: int = EOS_ID) -> BoundaryDecision:
     """Score every candidate keep level on held-out samples and pick the best.
 
     metric is a name from the metrics registry or a callable
     (preds, golds) -> float; golds[i] is the gold text of samples[i].
-    seed is recorded in the decision as the provenance of the caller's
-    sample draw; it selects nothing here. The winner is the smallest
-    level attaining the maximum score. With refine=True a second pass
-    checks the immediate neighbors of the first-pass winner (useful with
-    a strided `keeps` grid). Each pass decodes all of its (level, sample)
-    rows in one `decode_batch` call.
+    keeps lists the levels to score, every level 0..L when None. seed is
+    recorded in the decision as the provenance of the caller's sample
+    draw; it selects nothing here. The winner is the smallest level
+    attaining the maximum score. All (level, sample) rows are decoded in
+    one `decode_batch` call.
     """
     check_compat(base, full_set)
     n_layers = base.cfg.n_layers
@@ -185,30 +180,19 @@ def sweep_boundary(base: BaseWeights, full_set: LoraSet, samples, metric, *,
         metric_name = str(metric)
         score_fn = lambda preds, gs: metrics_mod.corpus_score(metric_name, preds, gs).score
 
-    def score_levels(levels: list[int]) -> dict[int, float]:
-        rows = [(prompt, k) for k in levels for prompt in prompts]
-        outs = decode_batch(base, full_set, rows, decode_budget, stop_token)
-        n = len(prompts)
-        return {k: float(score_fn([decode(o) for o in outs[i * n:(i + 1) * n]], golds))
-                for i, k in enumerate(levels)}
-
-    per_k = score_levels(keeps)
-
-    def pick(scores: dict[int, float]) -> int:
-        best = max(scores.values())
-        return min(k for k, v in scores.items() if v == best)
-
-    k_star = pick(per_k)
-    if refine:
-        per_k.update(score_levels([k for k in (k_star - 1, k_star + 1)
-                                   if 0 <= k <= n_layers and k not in per_k]))
-        k_star = pick(per_k)
+    rows = [(prompt, k) for k in keeps for prompt in prompts]
+    outs = decode_batch(base, full_set, rows, decode_budget, stop_token)
+    n = len(prompts)
+    per_k = {k: float(score_fn([decode(o) for o in outs[i * n:(i + 1) * n]], golds))
+             for i, k in enumerate(keeps)}
+    best = max(per_k.values())
+    k_star = min(k for k, v in per_k.items() if v == best)
 
     return BoundaryDecision(
         k_star=k_star, per_k_scores=per_k, metric=metric_name,
         sample_count=len(prompts), method="sweep", seed=seed,
         set_hash=full_set.content_hash(),
-        extra={"decode_budget": decode_budget, "refine": refine},
+        extra={"decode_budget": decode_budget},
     )
 
 

@@ -17,13 +17,13 @@ import os
 import sys
 
 from .boundary import (DEFAULT_DECODE_BUDGET, DEFAULT_MIN_JUMP_RATIO, BoundaryDecision,
-                       coarse_then_fine_levels, knee_from_report, sweep_boundary)
+                       knee_from_report, sweep_boundary)
 from .errors import InputError, LoraBoundError
 from .fileio import (load_adapters, load_weights, read_json, save_adapters,
                      save_weights, write_json, write_manifest)
 from .lora import check_compat, drop_above, init_adapters, merge
 from .metrics import METRIC_NAMES, corpus_score
-from .model import check_keep_level, decode_batch, init_base
+from .model import check_keep_level, check_seed, decode_batch, init_base
 from .probe import (default_drop_levels, probe_difference, probe_ground_truth,
                     probe_under_drop, select_samples)
 from .reports import (read_probe_tsv, write_diff_tsv, write_drop_probe_tsv,
@@ -110,23 +110,19 @@ def _predictions(weights, adapters, samples, decode_budget: int) -> list[str]:
 # -- commands -------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    cfg = _load_config(args.config)
-    task = args.task or cfg.task.name
-    if task not in GENERATORS:
-        raise InputError(f"unknown task {task!r}; expected one of {sorted(GENERATORS)}")
-    seed = cfg.task.seed if args.seed is None else args.seed
-    kwargs = {"sizes": cfg.task.sizes()}
-    if task == "kvqa":
-        kwargs.update(hops=cfg.task.hops, bridge_ratio=cfg.task.bridge_ratio)
-    if task == "cipher-mt":
-        kwargs["domain"] = args.domain or cfg.task.domain
-    ds = GENERATORS[task](seed, **kwargs)
+    task = _load_config(args.config).task
+    kwargs = {"sizes": task.sizes()}
+    if task.name == "kvqa":
+        kwargs.update(hops=task.hops, bridge_ratio=task.bridge_ratio)
+    if task.name == "cipher-mt":
+        kwargs["domain"] = task.domain
+    ds = GENERATORS[task.name](task.seed, **kwargs)
     paths = save_dataset(ds, args.out)
     write_manifest(os.path.join(args.out, "manifest.json"), "gen-data",
-                   {"task": task, "seed": seed, "sizes": kwargs["sizes"],
+                   {"task": task.name, "seed": task.seed, "sizes": kwargs["sizes"],
                     "domain": kwargs.get("domain", "in-domain")}, paths)
     counts = {s: len(v) for s, v in ds.splits.items()}
-    print(f"gen-data: task={task} seed={seed} "
+    print(f"gen-data: task={task.name} seed={task.seed} "
           + " ".join(f"{k}={v}" for k, v in counts.items()))
     return 0
 
@@ -136,8 +132,7 @@ def cmd_pretrain(args) -> int:
     corpus = gen_pretrain_corpus(cfg.pretrain.seed,
                                  n_tokens=cfg.pretrain.corpus_tokens,
                                  max_seq=cfg.model.max_seq)
-    weights, history = pretrain(cfg.model, cfg.pretrain.train_config(), corpus,
-                                log_path=args.log)
+    weights, history = pretrain(cfg.model, cfg.pretrain, corpus, log_path=args.log)
     save_weights(args.out, weights)
     outputs = [args.out] + ([args.log] if args.log else [])
     write_manifest(args.out + ".manifest.json", "pretrain",
@@ -228,15 +223,10 @@ def cmd_sweep(args) -> int:
     ds, samples = _load_split(args.data, args.split)
     full_set = _adapters(args.adapters, base)
     metric = args.metric or TASK_METRICS.get(ds.task, "em")
-    keeps = cfg.sweep.keeps
-    if keeps is None and args.coarse:
-        keeps = coarse_then_fine_levels(base.cfg.n_layers, stride=args.coarse)
     chosen = select_samples(samples, cfg.sweep.budget, cfg.sweep.seed)
     decision = sweep_boundary(base, full_set, chosen, metric,
-                              golds=[s.gold_text() for s in chosen], keeps=keeps,
-                              decode_budget=cfg.sweep.decode_budget,
-                              seed=cfg.sweep.seed, refine=cfg.sweep.refine
-                              or bool(args.coarse))
+                              golds=[s.gold_text() for s in chosen], keeps=cfg.sweep.keeps,
+                              decode_budget=cfg.sweep.decode_budget, seed=cfg.sweep.seed)
     write_json(args.out, decision.to_dict())
     outputs = [args.out]
     if args.tsv:
@@ -348,7 +338,7 @@ def cmd_report(args) -> int:
 
 def cmd_init_model(args) -> int:
     cfg = _load_config(args.config)
-    weights = init_base(cfg.model, seed=args.seed)
+    weights = init_base(cfg.model, seed=check_seed(args.seed, "--seed"))
     save_weights(args.out, weights)
     write_manifest(args.out + ".manifest.json", "init-model",
                    {"model": cfg.model.to_dict(), "seed": args.seed,
@@ -374,9 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gen-data", cmd_gen_data, "generate a task dataset")
     p.add_argument("--config", default=None)
-    p.add_argument("--task", default=None)
-    p.add_argument("--domain", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
 
     p = add("init-model", cmd_init_model, "write untrained seeded weights")
@@ -438,8 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adapters", required=True)
     p.add_argument("--metric", default=None, choices=(None,) + METRIC_NAMES)
     p.add_argument("--split", default="validation", choices=SPLITS)
-    p.add_argument("--coarse", type=int, default=0,
-                   help="stride for a coarse grid refined around the winner")
     p.add_argument("--out", required=True)
     p.add_argument("--tsv", default=None)
 

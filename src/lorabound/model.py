@@ -68,6 +68,13 @@ def config_fields(cls, data, section: str) -> dict:
     return {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
 
 
+def check_seed(seed: int, name: str) -> int:
+    """seed, if it is non-negative: numpy's generators take no other."""
+    if seed < 0:
+        raise ConfigError(f"{name} must be non-negative, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     n_layers: int = 12
@@ -642,9 +649,6 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask, *,
     ts = weights.tensors
     ids = _check_tokens(cfg, inputs, batch=True)
     targets, mask = _check_targets(ids, targets, mask)
-    if ids.shape[:-1] == (1,):
-        # a batch of one row runs as one sequence: same bits, fewer reshapes
-        ids, targets, mask = ids[0], targets[0], mask[0]
     t = ids.shape[-1]
     _, h_final, caches = _forward(weights, adapters, ids, keep_cache=True)
     fin_n, inv_f = rmsnorm_fwd(h_final, ts["final_norm"], cfg.norm_eps)

@@ -115,8 +115,10 @@ def write_probe_tsv(path, report: ProbeReport) -> None:
 
 def read_probe_tsv(path) -> ProbeReport:
     """The one reader of a stored probe report. The file must be one that
-    emit_probe could have written: every meta key present, the columns
-    exactly layer, gt_1..n, max_1..n, and one numeric row per layer 1..L."""
+    emit_probe could have written: every meta key present, an integer
+    config seed and a string or null config adapters (when given), the
+    columns exactly layer, gt_1..n, max_1..n, and one numeric row per
+    layer 1..L."""
     with open(path, encoding="utf-8") as f:
         text = f.read()
     kind, meta, columns, rows = parse_tsv(text, str(path))
@@ -131,6 +133,10 @@ def read_probe_tsv(path) -> ProbeReport:
         raise ParseError(
             f"{path}: n_layers and n_tokens must be positive integers, sample_count "
             f"a non-negative integer and config an object; got {meta}")
+    seed, adapters = config.get("seed", 0), config.get("adapters")
+    if type(seed) is not int or not (adapters is None or isinstance(adapters, str)):
+        raise ParseError(f"{path}: config seed must be an integer and adapters a string "
+                         f"or null; got {config}")
     if columns != _probe_columns(n):
         raise ParseError(
             f"{path}: columns {columns} are not layer, gt_1..{n}, max_1..{n}")

@@ -15,30 +15,22 @@ from .errors import ConfigError, ParseError
 from .fileio import read_json
 from .lora import (DEFAULT_ALPHA, DEFAULT_RANK, DEFAULT_TARGETS,
                    normalize_targets)
-from .model import ModelConfig, config_fields
+from .model import ModelConfig, check_seed, config_fields
 from .probe import DEFAULT_N_TOKENS, DEFAULT_SAMPLE_BUDGET
 from .tasks import DEFAULT_SIZES, TASK_NAMES
 from .train import TrainConfig
 
 
 @dataclass(frozen=True)
-class PretrainSection:
-    corpus_tokens: int = 250_000
+class PretrainSection(TrainConfig):
+    """The training settings of base-model pretraining and its corpus size."""
     lr: float = 3e-3
-    epochs: int = 3
-    batch: int = 16
-    seed: int = 0
-    grad_clip: float = 1.0
+    corpus_tokens: int = 250_000
 
-    def validate(self) -> "PretrainSection":
+    def validate(self, section: str = "pretrain") -> "PretrainSection":
         if self.corpus_tokens < 1000:
             raise ConfigError(f"corpus_tokens too small: {self.corpus_tokens}")
-        self.train_config().validate()
-        return self
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(lr=self.lr, epochs=self.epochs, batch=self.batch,
-                           seed=self.seed, grad_clip=self.grad_clip)
+        return super().validate(section)
 
 
 @dataclass(frozen=True)
@@ -77,6 +69,7 @@ class TaskSection:
         for f in ("train_size", "validation_size", "test_size"):
             if getattr(self, f) < 0:
                 raise ConfigError(f"{f} must be non-negative")
+        check_seed(self.seed, "task.seed")
         return self
 
     def sizes(self) -> dict[str, int]:
@@ -96,6 +89,7 @@ class ProbeSection:
             raise ConfigError(f"n_tokens must be at least 1, got {self.n_tokens}")
         if self.sample_budget < 1:
             raise ConfigError(f"sample_budget must be at least 1")
+        check_seed(self.seed, "probe.seed")
         return self
 
 
@@ -105,11 +99,11 @@ class SweepSection:
     decode_budget: int = DEFAULT_DECODE_BUDGET
     seed: int = 0
     keeps: tuple[int, ...] | None = None   # None: every level 0..n_layers
-    refine: bool = False
 
     def validate(self) -> "SweepSection":
         if self.budget < 1 or self.decode_budget < 1:
             raise ConfigError("sweep budget and decode_budget must be at least 1")
+        check_seed(self.seed, "sweep.seed")
         return self
 
 

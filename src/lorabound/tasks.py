@@ -147,19 +147,13 @@ class Dataset:
         return self.splits.get("test", [])
 
 
-def _normalize_sizes(sizes) -> dict[str, int]:
+def _normalize_sizes(sizes: dict[str, int] | None) -> dict[str, int]:
     if sizes is None:
         return dict(DEFAULT_SIZES)
-    if isinstance(sizes, dict):
-        unknown = set(sizes) - set(SPLITS)
-        if unknown:
-            raise InputError(f"unknown split names: {sorted(unknown)}")
-        out = {s: int(sizes.get(s, 0)) for s in SPLITS}
-    else:
-        vals = list(sizes)
-        if len(vals) != 3:
-            raise InputError(f"sizes must name three splits, got {len(vals)} entries")
-        out = dict(zip(SPLITS, map(int, vals)))
+    unknown = set(sizes) - set(SPLITS)
+    if unknown:
+        raise InputError(f"unknown split names: {sorted(unknown)}")
+    out = {s: int(sizes.get(s, 0)) for s in SPLITS}
     for name, n in out.items():
         if n < 0:
             raise InputError(f"{name} size must be non-negative, got {n}")

@@ -23,8 +23,8 @@ import numpy as np
 from .errors import ConfigError, DegenerateInputError, InputError
 from .fileio import atomic_write_text
 from .lora import LoraSet, init_adapters, lora_param_dict
-from .model import (TRAIN_CHUNK_POSITIONS, BaseWeights, ModelConfig, init_base,
-                    loss_and_grads)
+from .model import (TRAIN_CHUNK_POSITIONS, BaseWeights, ModelConfig, check_seed,
+                    init_base, loss_and_grads)
 from .numerics import AdamState, adam_step, clip_by_global_norm
 from .tasks import sample_ids
 
@@ -37,10 +37,9 @@ class TrainConfig:
     epochs: int = 3
     batch: int = 16
     seed: int = 0
-    loss_mask_prompt: bool = True
     grad_clip: float = 1.0   # global-norm ceiling; 0 disables
 
-    def validate(self) -> "TrainConfig":
+    def validate(self, section: str = "train") -> "TrainConfig":
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1 or self.batch < 1:
@@ -48,6 +47,7 @@ class TrainConfig:
                 f"epochs and batch must be at least 1, got {self.epochs}/{self.batch}")
         if self.grad_clip < 0:
             raise ConfigError(f"grad_clip must be non-negative, got {self.grad_clip}")
+        check_seed(self.seed, f"{section}.seed")
         return self
 
 
@@ -166,8 +166,8 @@ def finetune_lora(base: BaseWeights, dataset, tcfg: TrainConfig,
     """Train the given adapter set on prompt/reference pairs; None trains
     init_adapters(base.cfg, seed=tcfg.seed), a default set on every layer.
 
-    Only A and B factors are updated, in place; the loss covers reference
-    positions unless loss_mask_prompt is off. Returns (LoraSet, history).
+    Only A and B factors are updated, in place; the loss covers the
+    reference positions only. Returns (LoraSet, history).
     """
     tcfg.validate()
     pairs = sample_ids(dataset)
@@ -187,9 +187,7 @@ def finetune_lora(base: BaseWeights, dataset, tcfg: TrainConfig,
     examples = []
     for prompt, ref in pairs:
         seq = np.asarray(prompt + ref, dtype=np.int64)
-        # without the prompt mask every target counts
-        first = len(prompt) - 1 if tcfg.loss_mask_prompt else 0
-        examples.append((seq[:-1], seq[1:], np.arange(seq.size - 1) >= first))
+        examples.append((seq[:-1], seq[1:], np.arange(seq.size - 1) >= len(prompt) - 1))
 
     def grad_fn(inputs, targets, mask):
         return loss_and_grads(base, adapters, inputs, targets, mask,

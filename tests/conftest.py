@@ -179,7 +179,7 @@ def multi(desk, tmp_path_factory) -> list[QualityCell]:
                     desk.paths["trained"], "--data", data, "--out", full)
             run_cli("sweep", "--config", cfg_path, "--model",
                     desk.paths["trained"], "--adapters", full, "--data", data,
-                    "--coarse", 2, "--out", sweep_json)
+                    "--out", sweep_json)
             run_cli("export", "--model", desk.paths["trained"],
                     "--adapters", full, "--keep-bottom", f"from:{sweep_json}",
                     "--format", "adapters", "--out", kept)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from lorabound import boundary
-from lorabound.boundary import (BoundaryDecision, apply_boundary,
-                                coarse_then_fine_levels, default_boundary,
+from lorabound.boundary import (BoundaryDecision, apply_boundary, default_boundary,
                                 detect_knee, knee_from_report, sweep_boundary)
 from lorabound.errors import (CompatibilityError, InputError, NoKneeError)
 from lorabound.lora import drop_above, init_adapters
@@ -74,6 +73,16 @@ class TestDetectKnee:
         with pytest.raises(InputError):
             detect_knee([0.1, np.nan, 0.3])
 
+    @pytest.mark.parametrize("ratio", [-1.0, 1.5, np.nan, np.inf])
+    def test_ratio_outside_zero_one_rejected(self, ratio):
+        # at -1 the falling steps of this curve would pass as a knee
+        with pytest.raises(InputError, match=r"min_jump_ratio must be in \[0, 1\]"):
+            detect_knee([0.9, 0.6, 0.3, 0.1], min_jump_ratio=ratio)
+
+    def test_ratio_bounds_are_accepted(self):
+        assert detect_knee([0.0, 0.0, 1.0], min_jump_ratio=1.0) == 2
+        assert detect_knee([0.1, 0.2, 0.2], min_jump_ratio=0.0) == 1
+
     def test_matches_brute_force_on_random_curves(self):
         rng = np.random.default_rng(606)
         for _ in range(200):
@@ -127,17 +136,6 @@ class TestKneeFromReport:
         assert dec.set_hash == "cafe"
 
 
-class TestCoarseLevels:
-    def test_grid_includes_endpoints(self):
-        assert coarse_then_fine_levels(12, stride=2) == [0, 2, 4, 6, 8, 10, 12]
-        assert coarse_then_fine_levels(12, stride=5) == [0, 5, 10, 12]
-        assert coarse_then_fine_levels(2, stride=4) == [0, 2]
-
-    def test_bad_stride(self):
-        with pytest.raises(InputError):
-            coarse_then_fine_levels(12, stride=0)
-
-
 def tuple_samples(n=8, seed=5):
     rng = np.random.default_rng(seed)
     return [([int(t) for t in rng.integers(4, 16, size=3)],
@@ -178,13 +176,6 @@ class TestSweepBoundary:
         dec = sweep_boundary(base, lset, tuple_samples(), lambda p, g: 0.5,
                              golds=["x"] * 8, keeps=[0, 2], decode_budget=2)
         assert sorted(dec.per_k_scores) == [0, 2]
-
-    def test_refine_extends_to_neighbors(self):
-        base, lset = micro_setup()
-        dec = sweep_boundary(base, lset, tuple_samples(), lambda p, g: 1.0,
-                             golds=["x"] * 8, keeps=[0, 2], decode_budget=2,
-                             refine=True)
-        assert 1 in dec.per_k_scores
 
     def test_named_metric_from_registry(self):
         base, lset = micro_setup()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 import lorabound
 from lorabound.boundary import BoundaryDecision
-from lorabound.cli import main
+from lorabound.cli import build_parser, main
 from lorabound.fileio import (MAGIC_ADAPTERS, _decode_container, _encode_container,
                               atomic_write_bytes, load_adapters, load_weights,
                               save_adapters, save_weights)
@@ -262,6 +263,26 @@ class TestDropFlag:
                    "--keep-bottom", "from:" + str(pipeline["sweep"]),
                    "--budget", 2, "--out", out) == 0
 
+    def test_decision_with_a_refine_flag_still_loads(self, pipeline, tmp_path):
+        # decisions written before the sweep lost its refine pass carry
+        # extra.refine; extra is free-form, so they keep working
+        decision = json.loads(pipeline["sweep"].read_text())
+        decision["extra"]["refine"] = False
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(decision))
+        kept = tmp_path / "kept.lbad"
+        assert run("export", "--model", pipeline["base"], "--adapters", pipeline["full"],
+                   "--keep-bottom", f"from:{old}", "--format", "adapters",
+                   "--out", kept) == 0
+        assert kept.read_bytes() == pipeline["kept"].read_bytes()
+        out_dir = tmp_path / "report"
+        assert run("report", "--config", pipeline["cfg"], "--model", pipeline["base"],
+                   "--data", pipeline["data"], "--adapters", pipeline["full"],
+                   "--sweep-json", old, "--out-dir", out_dir) == 0
+        _, meta, _, rows = parse_tsv((out_dir / "sweep_scores.tsv").read_text())
+        assert meta["extra"]["refine"] is False
+        assert rows == parse_tsv((pipeline["report_dir"] / "sweep_scores.tsv").read_text())[3]
+
 
 class TestStdout:
     def test_knee_reports_the_boundary(self, pipeline, tmp_path, capsys):
@@ -281,6 +302,22 @@ class TestStdout:
                    pipeline["base"], "--data", pipeline["data"],
                    "--budget", 2, "--out", tmp_path / "e.tsv") == 0
         assert "eval: em = " in capsys.readouterr().out
+
+
+def readme_cli_lines():
+    """Every `lorabound ...` command of the README's CLI block, with
+    continuation lines joined and comments dropped, split as a shell would."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)
+            for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_readme_cli_examples_parse():
+    lines = readme_cli_lines()
+    assert len(lines) >= 10 and all(argv[0] == "lorabound" for argv in lines)
+    for argv in lines:
+        build_parser().parse_args(argv[1:])   # a usage error exits 1
 
 
 def test_module_entry_point_shows_help():
@@ -314,10 +351,38 @@ class TestUsageErrors:
 
 class TestDomainErrors:
     def test_unknown_task_exits_two(self, pipeline, tmp_path, capsys):
-        rc = run("gen-data", "--config", pipeline["cfg"], "--task", "bogus",
-                 "--out", tmp_path / "d")
+        path = config_with(pipeline, tmp_path, "task", "name", "bogus")
+        rc = run("gen-data", "--config", path, "--out", tmp_path / "d")
         assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        assert "error: unknown task 'bogus'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("command, field", [
+        ("gen-data", "task.seed"), ("pretrain", "pretrain.seed"), ("finetune", "train.seed"),
+        ("probe", "probe.seed"), ("sweep", "sweep.seed"), ("init-model", "--seed"),
+    ])
+    def test_negative_seed_exits_two(self, pipeline, tmp_path, capsys, command, field):
+        if field == "--seed":
+            argv = ["--config", pipeline["cfg"], "--seed", -1]
+        else:
+            argv = ["--config", config_with(pipeline, tmp_path, *field.split("."), -1)]
+        if command in ("finetune", "probe", "sweep"):
+            argv += ["--model", pipeline["base"], "--data", pipeline["data"]]
+        if command in ("probe", "sweep"):
+            argv += ["--adapters", pipeline["full"]]
+        rc = run(command, *argv, "--out", tmp_path / "out")
+        assert rc == 2
+        assert f"error: {field} must be non-negative, got -1" in capsys.readouterr().err
+        assert set(os.listdir(tmp_path)) <= {"cfg.json"}
+
+    @pytest.mark.parametrize("ratio", ["-1", "nan", "1.5"])
+    def test_knee_ratio_outside_zero_one_exits_two(self, pipeline, tmp_path, capsys, ratio):
+        rc = run("knee", "--probe", pipeline["probe"], "--min-jump-ratio", ratio,
+                 "--fallback", "--out", tmp_path / "knee.json")
+        assert rc == 2
+        assert f"min_jump_ratio must be in [0, 1], got {float(ratio)}" \
+            in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_missing_model_file_exits_two(self, pipeline, tmp_path):
         rc = run("probe", "--config", pipeline["cfg"],
@@ -454,6 +519,18 @@ class TestDomainErrors:
         assert "unknown keys in section 'sweep'" in capsys.readouterr().err
         assert not (tmp_path / "s.json").exists()
 
+    @pytest.mark.parametrize("section, key, value", [("sweep", "refine", False),
+                                                     ("train", "loss_mask_prompt", True)])
+    def test_removed_config_key_is_unknown(self, pipeline, tmp_path, capsys,
+                                           section, key, value):
+        path = config_with(pipeline, tmp_path, section, key, value)
+        rc = run("sweep", "--config", path, "--model", pipeline["base"],
+                 "--data", pipeline["data"], "--adapters", pipeline["full"],
+                 "--out", tmp_path / "s.json")
+        assert rc == 2
+        assert f"unknown keys in section '{section}': ['{key}']" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     @pytest.mark.parametrize("command, section", [("pretrain", "pretrain"),
                                                   ("finetune", "train")])
     def test_diverging_training_exits_two_and_writes_nothing(self, pipeline, tmp_path,
@@ -531,7 +608,11 @@ class TestInputsCheckedBeforeCompute:
         ({"n_tokens": 5}, [], "columns"),
         ({"n_tokens": 3}, [], "columns"),
         ({}, ["sample_count"], "probe metadata is missing ['sample_count']"),
-    ], ids=["n_tokens_5", "n_tokens_3", "no_sample_count"])
+        ({"config": {"seed": "x"}}, [], "config seed must be an integer"),
+        ({"config": {"seed": 2.7}}, [], "config seed must be an integer"),
+        ({"config": {"seed": 0, "adapters": [1]}}, [], "adapters a string or null"),
+    ], ids=["n_tokens_5", "n_tokens_3", "no_sample_count", "seed_string", "seed_fraction",
+            "adapters_list"])
     def test_malformed_probe_report_for_knee(self, tmp_path, capsys, meta, drop, cause):
         path = write_probe_report(tmp_path / "probe.tsv", drop=drop, **meta)
         rc = run("knee", "--probe", path, "--fallback", "--out", tmp_path / "k.json")

@@ -313,7 +313,7 @@ class TestRunConfig:
         ("train", "batch", True, "train.batch must be an integer, got True"),
         ("train", "lr", "0.1", "train.lr must be a number"),
         ("pretrain", "grad_clip", False, "pretrain.grad_clip must be a number"),
-        ("train", "loss_mask_prompt", 1, "train.loss_mask_prompt must be true or false"),
+        ("model", "tied_embeddings", 1, "model.tied_embeddings must be true or false"),
         ("task", "name", 3, "task.name must be a string"),
         ("model", "n_layers", 2.0, "model.n_layers must be an integer"),
         ("model", "norm_eps", None, "model.norm_eps must be a number"),

@@ -237,11 +237,6 @@ class TestSizes:
         with pytest.raises(InputError):
             gen_arith(seed=0, sizes={"train": -1})
 
-    def test_sequence_form(self):
-        ds = gen_arith(seed=0, sizes=(20, 4, 4))
-        assert len(ds.train) == 20 and len(ds.validation) == 4 and len(ds.test) == 4
-        with pytest.raises(InputError):
-            gen_arith(seed=0, sizes=(20, 4))
 
 
 class TestPretrainCorpus:

@@ -50,7 +50,7 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("bad", [
         {"lr": 0.0}, {"lr": -1e-3}, {"epochs": 0}, {"batch": 0},
-        {"grad_clip": -0.5},
+        {"grad_clip": -0.5}, {"seed": -1},
     ])
     def test_invalid_fields(self, bad):
         with pytest.raises(ConfigError):
@@ -150,13 +150,18 @@ class TestFinetune:
         assert lset.rank == 2 and lset.alpha == 4.0
         assert lset.targets == ("q", "k", "v")
 
-    def test_mask_toggle_changes_losses(self):
+    def test_loss_counts_only_reference_positions(self, monkeypatch):
         base, _ = pretrain(MICRO, FAST, tiny_corpus())
-        pairs = [([4, 5, 6], [7, 8])] * 4
-        _, masked = finetune_lora(base, pairs, TrainConfig(epochs=1, batch=4))
-        _, unmasked = finetune_lora(
-            base, pairs, TrainConfig(epochs=1, batch=4, loss_mask_prompt=False))
-        assert masked[0][2] != unmasked[0][2]
+        masks, real = [], train.loss_and_grads
+
+        def spy(weights, adapters, inputs, targets, mask, **kwargs):
+            masks.append(mask.copy())
+            return real(weights, adapters, inputs, targets, mask, **kwargs)
+
+        monkeypatch.setattr(train, "loss_and_grads", spy)
+        finetune_lora(base, [([4, 5, 6], [7, 8])] * 4, TrainConfig(epochs=1, batch=4))
+        # inputs 4 5 6 7 predict 5 6 7 8: only the targets 7 and 8 count
+        assert [m.tolist() for m in masks] == [[[False, False, True, True]] * 4]
 
     def test_empty_dataset(self):
         base, _ = pretrain(MICRO, FAST, tiny_corpus())
