@@ -176,7 +176,7 @@ def cmd_probe(args) -> int:
                                 descriptor=descriptor)
     write_probe_tsv(args.out, report)
     write_manifest(args.out + ".manifest.json", "probe",
-                   {"model": base.fingerprint(), "adapters": report.config["adapters"],
+                   {"model": report.config["base"], "adapters": report.config["adapters"],
                     "split": args.split, "probe": cfg.to_dict()["probe"]}, [args.out])
     mean_curve = report.mean_gt_by_layer()
     print(f"probe: {report.sample_count} samples, "
@@ -194,7 +194,7 @@ def cmd_diff_probe(args) -> int:
     ours = probe_ground_truth(base, ours_set, chosen, n_tokens=cfg.probe.n_tokens)
     baseline = probe_ground_truth(base, baseline_set, chosen, n_tokens=cfg.probe.n_tokens)
     diff = probe_difference(ours, baseline)
-    meta = {"model": base.fingerprint(), "ours": ours.config["adapters"],
+    meta = {"model": ours.config["base"], "ours": ours.config["adapters"],
             "baseline": baseline.config["adapters"], "split": args.split,
             "sample_count": ours.sample_count, "n_tokens": ours.n_tokens}
     write_diff_tsv(args.out, diff, meta)
@@ -300,11 +300,13 @@ def cmd_report(args) -> int:
 
     probed = probe_under_drop(base, full_set, chosen, keeps=levels,
                               n_tokens=cfg.probe.n_tokens, descriptor=descriptor)
+    # the base was hashed once for every report of the probe
+    model_hash = probed[0][1].config["base"]
+    set_hash = full_set.content_hash()
     os.makedirs(args.out_dir, exist_ok=True)
     curves_path = os.path.join(args.out_dir, "layer_curves.tsv")
     write_drop_probe_tsv(curves_path, probed,
-                         meta={"model": base.fingerprint(),
-                               "adapters": full_set.content_hash(),
+                         meta={"model": model_hash, "adapters": set_hash,
                                "split": args.split})
     outputs.append(curves_path)
 
@@ -317,8 +319,7 @@ def cmd_report(args) -> int:
     diff = probe_difference(full_report, none_report)
     diff_path = os.path.join(args.out_dir, "probe_diff.tsv")
     write_diff_tsv(diff_path, diff,
-                   {"model": base.fingerprint(),
-                    "ours": full_set.content_hash(), "baseline": None,
+                   {"model": model_hash, "ours": set_hash, "baseline": None,
                     "split": args.split, "sample_count": full_report.sample_count,
                     "n_tokens": full_report.n_tokens})
     outputs.append(diff_path)
@@ -329,7 +330,7 @@ def cmd_report(args) -> int:
         outputs.append(sweep_path)
 
     write_manifest(os.path.join(args.out_dir, "manifest.json"), "report",
-                   {"model": base.fingerprint(), "adapters": full_set.content_hash(),
+                   {"model": model_hash, "adapters": set_hash,
                     "split": args.split, "levels": [k for k, _ in probed]},
                    outputs)
     print(f"report: wrote {len(outputs)} files to {args.out_dir}")

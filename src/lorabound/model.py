@@ -21,6 +21,13 @@ layers above k without adapters passes lora.drop_above(set, k). The
 decoder is the one batched exception: each row applies the set only up
 to its own keep level, which gives the bits drop_above would.
 
+A probe's adapter-free passes read only a few positions of the top
+block, and the forward runs that block at those positions alone (see
+_forward). Residual adds, the attention softmax and, when no backward
+cache is kept, gelu write into buffers the forward already owns, never
+into a residual a caller or the cache holds; every result keeps the
+bits of the allocating form.
+
 Weight layout is [d_in, d_out] everywhere, so a projection is ``x @ w``.
 Layers are numbered 1..L in every public surface.
 """
@@ -199,15 +206,22 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
 
 
-def _gelu_fwd(x):
+def _gelu_fwd(x, keep_th: bool = True):
     """tanh-approximated gelu; returns (y, th). Built in place, one temporary
-    at a time, in the rounding order of c * (x + k * x * x * x)."""
+    at a time, in the rounding order of c * (x + k * x * x * x) and then
+    0.5 * x * (1 + th). Without keep_th nothing reads th or x afterwards,
+    so y is built in x's buffer, th is spent on 1 + th and None returned."""
     th = _GELU_K * x
     th *= x
     th *= x
     th += x
     th *= _GELU_C
     np.tanh(th, out=th)
+    if not keep_th:
+        th += 1.0
+        x *= 0.5
+        x *= th
+        return x, None
     y = 0.5 * x
     y *= 1.0 + th
     return y, th
@@ -253,12 +267,14 @@ def _unheads(xh: np.ndarray) -> np.ndarray:
     return xh.swapaxes(-3, -2).reshape(*lead, t, h * hd)
 
 
-def _attention_fwd(q, k, v, n_heads, kv=None, start: int = 0):
+def _attention_fwd(q, k, v, n_heads, kv=None, start: int = 0, at=None):
     """Causal attention of the t new positions in q, k, v.
 
     With a cache kv = (keys, values), each [..., heads, T, d / heads],
     the new keys and values are written at positions start..start+t and
-    the queries attend over every position up to start+t.
+    the queries attend over every position up to start+t. With at, q
+    holds only the queries of the positions at lists (k and v hold every
+    position), and each attends over the keys up to its own position.
     """
     qh, kh, vh = _heads(q, n_heads), _heads(k, n_heads), _heads(v, n_heads)
     if kv is not None:
@@ -270,9 +286,11 @@ def _attention_fwd(q, k, v, n_heads, kv=None, start: int = 0):
     scale = 1.0 / math.sqrt(qh.shape[-1])
     scores = qh @ kh.swapaxes(-1, -2)
     scores *= scale
-    if t > 1:
+    if at is not None:
+        scores += _causal_mask(n_keys, n_keys, scores.dtype.name)[at]
+    elif t > 1:
         scores += _causal_mask(t, n_keys, scores.dtype.name)
-    w = softmax_rows(scores)
+    w = softmax_rows(scores, out=scores)
     out = _unheads(w @ vh)
     return out, (qh, kh, vh, w)
 
@@ -386,32 +404,45 @@ def _check_targets(ids: np.ndarray, targets, mask):
 
 # -- forward ------------------------------------------------------------------
 
-def _attention_half(weights: BaseWeights, p: str, h, ad, rows, kv, start: int, cache):
-    """h + o(attend(q, k, v)) of one block; fills cache for the backward if given."""
+def _attention_half(weights: BaseWeights, p: str, h, ad, rows, kv, start: int, cache,
+                    at=None):
+    """h + o(attend(q, k, v)) of one block; fills cache for the backward if given.
+
+    With at, only the positions it lists get a query, and the result
+    holds those positions only. The sum is built in the buffer of o, so
+    h (a caller's residual, or the one the cache keeps) is never written.
+    """
     ts, cfg = weights.tensors, weights.cfg
     xn1, inv1 = rmsnorm_fwd(h, ts[p + "attn_norm"], cfg.norm_eps)
-    q, mid_q = _project_fwd(xn1, ts[p + "wq"], ad["q"], rows)
+    q, mid_q = _project_fwd(xn1 if at is None else xn1[..., at, :], ts[p + "wq"],
+                            ad["q"], rows)
     k, mid_k = _project_fwd(xn1, ts[p + "wk"], ad["k"], rows)
     v, mid_v = _project_fwd(xn1, ts[p + "wv"], ad["v"], rows)
-    attn, att_cache = _attention_fwd(q, k, v, cfg.n_heads, kv, start)
+    attn, att_cache = _attention_fwd(q, k, v, cfg.n_heads, kv, start, at)
     o, mid_o = _project_fwd(attn, ts[p + "wo"], ad["o"], rows)
     if cache is not None:
         cache.update(pre_attn=h, inv1=inv1, xn1=xn1, att_cache=att_cache, attn=attn)
         cache["mids"].update(q=mid_q, k=mid_k, v=mid_v, o=mid_o)
-    return h + o
+    o += h if at is None else h[..., at, :]
+    return o
 
 
 def _ffn_half(weights: BaseWeights, p: str, h, ad, rows, cache):
-    """h + down(gelu(up(norm(h)))) of one block; fills cache if given."""
+    """h + down(gelu(up(norm(h)))) of one block; fills cache if given.
+
+    Like _attention_half it never writes h; without a cache, gelu also
+    reuses its input's buffer.
+    """
     ts, cfg = weights.tensors, weights.cfg
     xn2, inv2 = rmsnorm_fwd(h, ts[p + "ffn_norm"], cfg.norm_eps)
     u_pre, mid_up = _project_fwd(xn2, ts[p + "wup"], ad["up"], rows)
-    u, th = _gelu_fwd(u_pre)
+    u, th = _gelu_fwd(u_pre, keep_th=cache is not None)
     dn, mid_down = _project_fwd(u, ts[p + "wdown"], ad["down"], rows)
     if cache is not None:
         cache.update(pre_ffn=h, inv2=inv2, xn2=xn2, u_pre=u_pre, th=th, u=u)
         cache["mids"].update(up=mid_up, down=mid_down)
-    return h + dn
+    dn += h
+    return dn
 
 
 def _forward(weights: BaseWeights, adapters, ids: np.ndarray,
@@ -420,7 +451,14 @@ def _forward(weights: BaseWeights, adapters, ids: np.ndarray,
     """Shared forward. Returns (hidden [L,t,d] or None, h_final, caches or None).
 
     collect indexes the positions whose residual is recorded after every
-    layer (slice(None) for all of them); None records nothing.
+    layer (slice(None) for all of them); None records nothing. When it
+    lists positions and the top layer carries no adapter, nothing reads
+    the top block anywhere else, so that block runs at those positions
+    only: q, the attention rows, o, the FFN half and the residual (k and
+    v still cover every position), and h_final holds those positions. A
+    lone position runs as two equal rows, since BLAS computes a 1-row
+    product with another kernel. A top layer with an adapter runs whole:
+    the rank-wide adapter products switch kernels with the row count.
     ids is one sequence [t] or a batch of rows [B, t]. For decoding, keep
     gives each row's keep level (its adapters apply on layers 1..keep),
     and kv holds one (keys, values) cache per layer; ids are then the
@@ -432,7 +470,8 @@ def _forward(weights: BaseWeights, adapters, ids: np.ndarray,
     ts = weights.tensors
     t = ids.shape[-1]
     if resume is None:
-        first, h = 0, ts["tok_emb"][ids] + ts["pos_emb"][start:start + t]
+        first, h = 0, ts["tok_emb"][ids]
+        h += ts["pos_emb"][start:start + t]
     else:
         first, h = resume
     hidden = None
@@ -444,12 +483,19 @@ def _forward(weights: BaseWeights, adapters, ids: np.ndarray,
         ad = {name: None if adapters is None else adapters.get(l, name)
               for name in PROJECTIONS}
         rows = _layer_rows(keep, l)
+        at = None
+        if (l == cfg.n_layers and collect is not None and not isinstance(collect, slice)
+                and all(a is None for a in ad.values())):
+            at = _two_up(np.asarray(collect))
         # a block's temporaries live only inside these two calls unless cached
         cache = {"ad": ad, "mids": {}} if keep_cache else None
         h = _attention_half(weights, p, h, ad, rows, None if kv is None else kv[l - 1],
-                            start, cache)
+                            start, cache, at)
         h = _ffn_half(weights, p, h, ad, rows, cache)
-        if hidden is not None:
+        if at is not None:
+            h = h[..., :np.size(collect), :]
+            hidden[-1] = h
+        elif hidden is not None:
             hidden[l - 1 - first] = h[..., collect, :]
         if keep_cache:
             caches.append(cache)

@@ -4,7 +4,11 @@ Everything here works on plain numpy arrays in C (row-major) order.
 float32 is the working precision; float64 arrays are accepted too so
 gradient checks can run a high-precision mode through the same code.
 Accumulation order inside each op is fixed, so repeated calls with the
-same inputs are bit-identical on one machine.
+same inputs are bit-identical on one machine. The forward kernels the
+model runs on every block (softmax_rows, rmsnorm_fwd) build their
+results in buffers they reuse, without changing a rounding step:
+tests/test_numerics.py checks them byte for byte against the plain
+chains of fresh arrays kept in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -23,26 +27,57 @@ def _check_float(name: str, x: np.ndarray) -> None:
         raise ShapeError(f"{name} must be a float32/float64 ndarray, got {type(x).__name__}")
 
 
-def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax over the last axis, stabilized by max subtraction."""
+# rows shorter than this take their max as a leading-axis max of a
+# transposed copy, which numpy runs as whole-row vector ops; on longer
+# rows (vocab rows, long prompts) the copy costs more than it saves
+_SHORT_ROW = 64
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """x.max(-1, keepdims=True). A max is exact in any order, and a row
+    holding nan gives an all-nan softmax row either way, so both forms
+    give softmax_rows the same bits."""
+    n = x.shape[-1]
+    if n < _SHORT_ROW:
+        cols = np.ascontiguousarray(x.reshape(-1, n).T)
+        return np.fmax.reduce(cols, axis=0).reshape(*x.shape[:-1], 1)
+    return np.fmax.reduce(x, axis=-1, keepdims=True)
+
+
+def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax over the last axis, stabilized by max subtraction.
+
+    With out (which may be x itself) the result is written there and
+    nothing of x's size is allocated; the rounding is the same either way.
+    """
     _check_float("x", x)
     if x.ndim < 1:
         raise ShapeError("softmax_rows needs at least one axis")
-    e = x - x.max(axis=-1, keepdims=True)
+    e = np.subtract(x, _row_max(x), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
 def rmsnorm_fwd(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5):
-    """Forward pass returning (y, inv_rms) so the backward pass can reuse the scale."""
+    """Forward pass returning (y, inv_rms) so the backward pass can reuse the scale.
+
+    y is built in the buffer of x * x, and the mean square is its row sum
+    divided by d, which is exactly np.mean's rounding.
+    """
     _check_float("x", x)
     _check_float("gain", gain)
     if gain.ndim != 1 or x.shape[-1] != gain.shape[0]:
         raise ShapeError(f"gain {gain.shape} does not match trailing dim of {x.shape}")
-    ms = np.mean(x * x, axis=-1, keepdims=True) + x.dtype.type(eps)
-    inv = 1.0 / np.sqrt(ms)
-    return x * inv * gain, inv
+    y = x * x
+    inv = np.add.reduce(y, axis=-1, keepdims=True)
+    inv /= x.shape[-1]
+    inv += x.dtype.type(eps)
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    np.multiply(x, inv, out=y)
+    y *= gain
+    return y, inv
 
 
 def rmsnorm_bwd(d_y: np.ndarray, x: np.ndarray, inv: np.ndarray, gain: np.ndarray):

@@ -19,10 +19,14 @@ with the whole adapter set, which returns the residual after every
 layer as one array. Under drop_above(set, k), layers 1..k compute
 exactly what the whole set computes, so keep level k reuses those
 readouts and resumes from the layer-k residual (the embeddings for
-k = 0), running layers k+1..L without adapters. Each readout is
-reduced at once to the two probabilities at the probed positions, and
-the per-sample values are summed in sample order, so the curves are
-bitwise those of one forward per sample and level.
+k = 0), running layers k+1..L without adapters. Only the probed
+positions of a resumed pass's top block are ever read, so that block
+runs there alone (model._forward prunes an adapter-free top block to
+the collected positions); the full pass carries adapters, whose
+rank-wide products change bits with the row count, so it runs whole.
+Each readout is reduced at once to the two probabilities at the probed
+positions, and the per-sample values are summed in sample order, so
+the curves are bitwise those of one forward per sample and level.
 
 The length batches run on a thread pool with one worker per CPU in the
 process's affinity mask (at most one per batch); numpy releases the GIL
@@ -138,7 +142,8 @@ def _readout(base: BaseWeights, states: np.ndarray, ref: np.ndarray):
     p_true = np.empty(states.shape[:-1], dtype=states.dtype)
     p_max = np.empty_like(p_true)
     for j, layer in enumerate(states):
-        probs = softmax_rows(lens_logits(base, layer))
+        logits = lens_logits(base, layer)
+        probs = softmax_rows(logits, out=logits)
         p_true[j] = probs[np.arange(rows)[:, None], np.arange(n), ref]
         p_max[j] = probs.max(axis=-1)
     return p_true, p_max
@@ -197,20 +202,26 @@ def _probe_levels(base: BaseWeights, adapters, kept, levels, n_tokens: int) -> d
     return sums
 
 
-def _report(base: BaseWeights, adapters, kept, sums, *, n_tokens: int,
-            descriptor: dict | None) -> ProbeReport:
+def _report(base: BaseWeights, adapters, kept, sums, provenance: dict, *,
+            n_tokens: int, descriptor: dict | None) -> ProbeReport:
+    """provenance holds the base fingerprint and samples hash, which every
+    report of one probe shares; each is hashed once per probe."""
     gt_sum, max_sum = sums
     n = len(kept)
     config = {
-        "base": base.fingerprint(),
+        "base": provenance["base"],
         "adapters": adapters.content_hash() if adapters is not None else None,
         "n_tokens": n_tokens,
-        "samples_hash": samples_hash(kept),
+        "samples_hash": provenance["samples_hash"],
     }
     if descriptor:
         config.update(descriptor)
     return ProbeReport(n_layers=base.cfg.n_layers, n_tokens=n_tokens, sample_count=n,
                        gt_curve=gt_sum / n, max_curve=max_sum / n, config=config)
+
+
+def _provenance(base: BaseWeights, kept) -> dict:
+    return {"base": base.fingerprint(), "samples_hash": samples_hash(kept)}
 
 
 def probe_ground_truth(base: BaseWeights, adapters: LoraSet | None, samples, *,
@@ -226,8 +237,8 @@ def probe_ground_truth(base: BaseWeights, adapters: LoraSet | None, samples, *,
     _check_request(base, n_tokens, [])
     kept = _long_enough(samples, n_tokens)
     sums = _probe_levels(base, adapters, kept, [n_layers], n_tokens)
-    return _report(base, adapters, kept, sums[n_layers], n_tokens=n_tokens,
-                   descriptor=descriptor)
+    return _report(base, adapters, kept, sums[n_layers], _provenance(base, kept),
+                   n_tokens=n_tokens, descriptor=descriptor)
 
 
 def probe_under_drop(base: BaseWeights, full_set: LoraSet, samples, keeps=None, *,
@@ -243,12 +254,13 @@ def probe_under_drop(base: BaseWeights, full_set: LoraSet, samples, keeps=None, 
     keeps = _check_request(base, n_tokens, keeps)
     kept = _long_enough(samples, n_tokens)
     sums = _probe_levels(base, full_set, kept, keeps, n_tokens)
+    provenance = _provenance(base, kept)
     out = []
     for k in keeps:
         extra = {"keep_bottom": k}
         if descriptor:
             extra.update(descriptor)
-        out.append((k, _report(base, drop_above(full_set, k), kept, sums[k],
+        out.append((k, _report(base, drop_above(full_set, k), kept, sums[k], provenance,
                                n_tokens=n_tokens, descriptor=extra)))
     return out
 

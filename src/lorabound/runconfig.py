@@ -70,6 +70,14 @@ class TaskSection:
             if getattr(self, f) < 0:
                 raise ConfigError(f"{f} must be non-negative")
         check_seed(self.seed, "task.seed")
+        # a field only one generator reads must keep its default elsewhere,
+        # or a run would record a setting that changed nothing
+        default = TaskSection()
+        for f, owner in (("domain", "cipher-mt"), ("hops", "kvqa"),
+                         ("bridge_ratio", "kvqa")):
+            if self.name != owner and getattr(self, f) != getattr(default, f):
+                raise ConfigError(f"task.{f} applies only to task {owner!r}, "
+                                  f"not {self.name!r}")
         return self
 
     def sizes(self) -> dict[str, int]:

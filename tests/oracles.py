@@ -4,9 +4,10 @@ Deliberately naive: exponential subsequence enumeration, explicit
 position scans, no shared helpers with the package's metrics, a greedy
 decoder that reruns the full forward for every new token, a probe that
 runs one forward per sample, a training step that runs one forward
-and backward per sequence, and a gelu backward written as one
-expression. Slow but obviously correct on short inputs;
-the real implementations must agree with them.
+and backward per sequence, a gelu backward written as one expression,
+and the softmax, rmsnorm and gelu forwards as chains of fresh arrays.
+Slow but obviously correct on short inputs; the real implementations
+must agree with them.
 """
 
 import math
@@ -15,6 +16,29 @@ import numpy as np
 
 from lorabound.model import forward_collect, lens_probs, next_token_logits
 from lorabound.numerics import adam_step, clip_by_global_norm
+
+
+def softmax_rows_oracle(x):
+    """Row-wise softmax as a chain of fresh arrays, max taken along the row."""
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def rmsnorm_fwd_oracle(x, gain, eps):
+    """(x * inv * gain, inv) with inv = 1 / sqrt(mean(x * x) + eps) per row."""
+    ms = np.mean(x * x, axis=-1, keepdims=True) + x.dtype.type(eps)
+    inv = 1.0 / np.sqrt(ms)
+    return x * inv * gain, inv
+
+
+def gelu_fwd_oracle(x):
+    """(0.5 * x * (1 + th), th) with th = tanh(c * (x + k * x * x * x)), built
+    one fresh temporary at a time in that rounding order."""
+    c, k = math.sqrt(2.0 / math.pi), 0.044715
+    th = np.tanh(c * (x + k * x * x * x))
+    return 0.5 * x * (1.0 + th), th
 
 
 def gelu_bwd_oracle(d_y, x, th):

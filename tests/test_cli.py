@@ -357,6 +357,19 @@ class TestDomainErrors:
         assert "error: unknown task 'bogus'" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    @pytest.mark.parametrize("name, field, value, owner", [
+        ("kvqa", "domain", "bogus", "cipher-mt"), ("arith", "hops", -5, "kvqa"),
+        ("arith", "bridge_ratio", 7.0, "kvqa"), ("cipher-mt", "hops", 3, "kvqa")])
+    def test_a_field_the_task_ignores_exits_two(self, tmp_path, capsys, name, field,
+                                                value, owner):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"task": {"name": name, field: value}}))
+        rc = run("gen-data", "--config", path, "--out", tmp_path / "d")
+        assert rc == 2
+        assert (f"error: task.{field} applies only to task {owner!r}, not {name!r}"
+                in capsys.readouterr().err)
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     @pytest.mark.parametrize("command, field", [
         ("gen-data", "task.seed"), ("pretrain", "pretrain.seed"), ("finetune", "train.seed"),
         ("probe", "probe.seed"), ("sweep", "sweep.seed"), ("init-model", "--seed"),

@@ -212,6 +212,22 @@ class TestRowInvariance:
                 alone, _ = model._project_fwd(x[i], w, None)
             np.testing.assert_array_equal(gated[i], alone)
 
+    @pytest.mark.parametrize("d_in, d_out", [(64, 64), (64, 256), (256, 64)])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_pruned_rows_equal_their_rows_in_the_whole(self, d_in, d_out, n):
+        # a resumed probe pass runs its top block at n positions of each of
+        # 16 rows, [16, n, 64] in place of [16, 42, 64]; a lone position runs
+        # as two equal rows
+        rng = np.random.default_rng(d_in + d_out + n)
+        x = rng.normal(size=(16, 42, d_in)).astype(np.float32)
+        w = rng.normal(0.0, d_in ** -0.5, size=(d_in, d_out)).astype(np.float32)
+        at = model._two_up(np.arange(41 - n, 41))
+        whole, _ = model._project_fwd(x, w, None)
+        pruned, _ = model._project_fwd(x[:, at], w, None)
+        np.testing.assert_array_equal(pruned, whole[:, at])
+        one, _ = model._project_fwd(x[:1, at], w, None)
+        np.testing.assert_array_equal(one, whole[:1, at])
+
 
 class TestValidation:
     @pytest.mark.parametrize("rows, max_new, stop", [

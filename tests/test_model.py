@@ -122,7 +122,39 @@ class TestForward:
         full, h_final, _ = model._forward(w, None, rows, collect=slice(None))
         top, h_top, _ = model._forward(w, None, rows, collect=[1, 4], resume=(1, full[0]))
         np.testing.assert_array_equal(top, full[1:, :, [1, 4]])
-        np.testing.assert_array_equal(h_top, h_final)
+        # the adapter-free top block ran at the collected positions only
+        np.testing.assert_array_equal(h_top, h_final[:, [1, 4]])
+
+    def test_a_resumed_pass_writes_no_recorded_residual(self):
+        # the residual adds build their sums in fresh buffers, so resuming
+        # from full[k - 1] (a view into the record) leaves the record as it was
+        w = micro_weights(seed=8)
+        rows = np.random.default_rng(9).integers(0, 16, size=(3, 6))
+        full = model.forward_collect(w, None, rows)
+        before = full.tobytes()
+        for k in range(1, MICRO.n_layers):
+            for collect in ([4], [2, 3, 4], slice(None)):
+                model._forward(w, None, rows, collect=collect, resume=(k, full[k - 1]))
+        assert full.tobytes() == before
+
+    def test_the_training_forward_keeps_its_cached_inputs(self):
+        # pre_attn and pre_ffn are the inputs of each half; nothing the
+        # forward does afterwards may write them
+        w = micro_weights(seed=10)
+        lset = randomize_adapters(lora.init_adapters(MICRO, targets=("q", "o", "down"),
+                                                     rank=2, seed=10),
+                                  np.random.default_rng(11))
+        rows = np.random.default_rng(12).integers(0, 16, size=(2, 7))
+        full = model.forward_collect(w, lset, rows)
+        _, h_final, caches = model._forward(w, lset, rows, keep_cache=True)
+        h = w.tensors["tok_emb"][rows] + w.tensors["pos_emb"][:7]
+        for l, cache in enumerate(caches, start=1):
+            p = f"layer{l:02d}."
+            np.testing.assert_array_equal(cache["pre_attn"], h)
+            mid = model._attention_half(w, p, h.copy(), cache["ad"], None, None, 0, None)
+            np.testing.assert_array_equal(cache["pre_ffn"], mid)
+            h = full[l - 1]
+        np.testing.assert_array_equal(h_final, full[-1])
 
     def test_adapter_changes_output_only_when_active(self):
         w = micro_weights(seed=3)

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from lorabound import numerics
+from lorabound import model, numerics
 from lorabound.errors import DegenerateInputError, InputError, ShapeError
 
 from helpers import fd_grad, rel_error
+from oracles import gelu_fwd_oracle, rmsnorm_fwd_oracle, softmax_rows_oracle
 
 
 class TestSoftmaxRows:
@@ -91,6 +92,71 @@ class TestRmsnorm:
             d_x, d_gain = numerics.rmsnorm_bwd(c, x, inv, gain)
             assert rel_error(d_x, fd_grad(loss, x, 1e-5)) < 1e-6
             assert rel_error(d_gain, fd_grad(loss, gain, 1e-5)) < 1e-6
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestInPlaceKernelsAgainstOracles:
+    """The forward kernels build their results in reused buffers and take
+    row maxima in another order; every output keeps the bits of the plain
+    chain of fresh arrays."""
+
+    # attention scores under a causal mask (rows shorter and longer than the
+    # transposed-max cutoff), single-query decode rows, and vocab rows
+    SHAPES = [(3, 4, 42, 42), (2, 4, 118, 118), (5, 4, 1, 43), (4, 3, 512)]
+
+    @staticmethod
+    def rows(shape, dtype, seed):
+        x = np.random.default_rng(seed).normal(0, 4, size=shape).astype(dtype)
+        if len(shape) == 4 and shape[-2] > 1:
+            t = shape[-1]
+            x += np.triu(np.full((t, t), -np.inf, dtype=dtype), k=1)
+        flat = x.reshape(-1, shape[-1])
+        flat[1] = np.nan                                    # a row of nan
+        flat[2, 3] = np.nan                                 # one nan in a row
+        flat[4] = np.where(np.arange(shape[-1]) % 2, 0.0, -0.0)   # a row of +-0.0
+        flat[5] = -np.inf
+        flat[5, shape[-1] // 2] = 1.5                       # -inf but for one entry
+        return x
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_softmax_rows(self, shape, dtype):
+        x = self.rows(shape, dtype, seed=sum(shape))
+        want = softmax_rows_oracle(x)
+        assert_same_bytes(numerics.softmax_rows(x), want)
+        assert_same_bytes(numerics.softmax_rows(x, out=x), want)    # in place
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(16, 42, 64), (16, 4, 64), (1, 2, 64), (3, 7),
+                                       (5, 13), (2, 100), (6, 256), (64,)])
+    def test_rmsnorm_fwd(self, shape, dtype):
+        rng = np.random.default_rng(shape[-1])
+        x = rng.normal(0, 2, size=shape).astype(dtype)
+        x.reshape(-1, shape[-1])[0, :3] = [0.0, -0.0, 1e-20]
+        gain = rng.normal(1, 0.3, size=shape[-1]).astype(dtype)
+        before = x.copy()
+        y, inv = numerics.rmsnorm_fwd(x, gain, eps=1e-5)
+        want_y, want_inv = rmsnorm_fwd_oracle(x, gain, 1e-5)
+        assert_same_bytes(y, want_y)
+        assert_same_bytes(inv, want_inv)
+        assert_same_bytes(x, before)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_fwd(self, dtype):
+        x = np.random.default_rng(41).normal(0.0, 3.0, size=(4, 47, 256)).astype(dtype)
+        x[0, 0, :4] = [0.0, -0.0, 30.0, -30.0]
+        want_y, want_th = gelu_fwd_oracle(x)
+        y, th = model._gelu_fwd(x.copy())
+        assert_same_bytes(y, want_y)
+        assert_same_bytes(th, want_th)
+        spent = x.copy()
+        y, th = model._gelu_fwd(spent, keep_th=False)
+        assert th is None and y is spent        # built in its input's buffer
+        assert_same_bytes(y, want_y)
 
 
 class TestCrossEntropy:

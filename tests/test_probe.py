@@ -186,6 +186,23 @@ class TestProbeUnderDrop:
             assert rep.config["adapters"] == drop_above(lset, k).content_hash()
             assert rep.config["keep_bottom"] == k
 
+    def test_the_base_and_samples_are_hashed_once_per_probe(self, monkeypatch):
+        base, lset = micro_setup()
+        calls = {"weights_hash": 0, "samples_hash": 0}
+
+        def counted(fn, key):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(model.BaseWeights, "weights_hash",
+                            counted(model.BaseWeights.weights_hash, "weights_hash"))
+        monkeypatch.setattr(probe, "samples_hash", counted(samples_hash, "samples_hash"))
+        out = probe_under_drop(base, lset, micro_samples(), keeps=[0, 1, 2], n_tokens=2)
+        assert calls == {"weights_hash": 1, "samples_hash": 1}
+        assert {rep.config["base"] for _, rep in out} == {base.fingerprint()}
+
     def test_full_keep_matches_plain_probe(self):
         base, lset = micro_setup()
         out = probe_under_drop(base, lset, micro_samples(), keeps=[2], n_tokens=2)
@@ -232,6 +249,20 @@ class TestEngineAgainstOracle:
         out = self.assert_matches(base, lset, samples, range(5), n_tokens=3)
         # the levels must differ, or this checks nothing about the fork
         assert len({rep.gt_curve.tobytes() for _, rep in out}) == 5
+
+    @pytest.mark.parametrize("n_tokens", [1, 2, 3, 4])
+    def test_desk_width(self, n_tokens):
+        # d_model 64 and 4 heads put the pruned top block's products on the
+        # BLAS kernels the desk model uses; prompts of 2 to 120 tokens give
+        # batches of one row (one query row per row at n_tokens 1) and of many
+        cfg = ModelConfig(n_layers=2, d_model=64, n_heads=4, d_ff=256,
+                          vocab_size=512, max_seq=128)
+        base, lset = self.model_and_adapters(seed=20 + n_tokens, cfg=cfg, std=0.3)
+        rng = np.random.default_rng(n_tokens)
+        lengths = [2, 3, 9, 41, 42, 42, 42, 64, 65, 65, 97, 124 - n_tokens]
+        samples = [(rng.integers(4, 512, size=n).tolist(),
+                    rng.integers(4, 512, size=n_tokens).tolist()) for n in lengths]
+        self.assert_matches(base, lset, samples, [0, 1, 2], n_tokens=n_tokens)
 
     def test_more_rows_of_one_length_than_the_batch_cap(self, monkeypatch):
         base, lset = self.model_and_adapters(seed=2)
