@@ -23,7 +23,7 @@ import zlib
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ConfigError, ParseError, ShapeError
 from .lora import LoraAdapter, LoraSet, normalize_targets
 from .model import BaseWeights, ModelConfig
 
@@ -146,7 +146,9 @@ def _decode_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     header_at = r.pos
     try:
         header = json.loads(r.take(header_len, "header"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # a "\ud800" escape loads as a lone surrogate, which nothing can encode
+        json.dumps(header, ensure_ascii=False).encode()
+    except (json.JSONDecodeError, UnicodeError) as exc:
         raise ParseError(f"{path}: header at offset {header_at} is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise ParseError(f"{path}: header at offset {header_at} must be a JSON object")
@@ -238,14 +240,20 @@ def save_adapters(path, lset: LoraSet) -> None:
     atomic_write_bytes(path, _encode_container(MAGIC_ADAPTERS, header, tensors))
 
 
+# JSON types of the header fields a set is built from (a bool is no int)
+_ADAPTER_HEADER = {"n_layers": (int,), "alpha": (int, float), "rank": (int,),
+                   "targets": (list,), "base_fingerprint": (str,)}
+
+
 def load_adapters(path) -> LoraSet:
     header, tensors = _decode_container(path, MAGIC_ADAPTERS)
-    for field in ("n_layers", "alpha", "rank", "targets", "base_fingerprint"):
+    for field, types in _ADAPTER_HEADER.items():
         if field not in header:
             raise ParseError(f"{path}: header field {field!r} is missing")
-    targets = normalize_targets(header["targets"])
-    rank = int(header["rank"])
-    adapters: dict[tuple[int, str], LoraAdapter] = {}
+        if type(header[field]) not in types:
+            raise ParseError(
+                f"{path}: header field {field!r} must be "
+                f"{' or '.join(t.__name__ for t in types)}, got {header[field]!r}")
     pairs: dict[tuple[int, str], dict[str, np.ndarray]] = {}
     for name, arr in tensors.items():
         parts = name.split(".")
@@ -261,19 +269,14 @@ def load_adapters(path) -> LoraSet:
             raise ParseError(
                 f"{path}: adapter at layer {key[0]} {key[1]!r} is missing factor "
                 f"{'b' if 'a' in factors else 'a'}")
-        if key[1] not in targets:
-            raise ParseError(
-                f"{path}: adapter at layer {key[0]} {key[1]!r} is not among the "
-                f"header targets {list(targets)}")
-        ad = LoraAdapter(a=factors["a"], b=factors["b"], alpha=float(header["alpha"]))
-        if ad.rank != rank:
-            raise ParseError(
-                f"{path}: adapter at layer {key[0]} {key[1]!r} has rank {ad.rank}, "
-                f"header rank is {rank}")
-        adapters[key] = ad
-    lset = LoraSet(n_layers=int(header["n_layers"]), alpha=float(header["alpha"]),
-                   rank=rank, targets=targets,
-                   fingerprint=str(header["base_fingerprint"]), adapters=adapters)
+    try:
+        lset = LoraSet(n_layers=header["n_layers"], alpha=header["alpha"],
+                       rank=header["rank"], targets=normalize_targets(header["targets"]),
+                       fingerprint=header["base_fingerprint"],
+                       adapters={key: LoraAdapter(a=f["a"], b=f["b"])
+                                 for key, f in sorted(pairs.items())})
+    except (ConfigError, ShapeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     stored = header.get("content_hash")
     if stored is not None and stored != lset.content_hash():
         raise ParseError(

@@ -1,15 +1,17 @@
 """Low-rank adapter containers and the algebra on sets of them.
 
-An adapter for a projection with weight [d_in, d_out] holds A [r, d_in]
-and B [d_out, r]; its dense delta is (alpha / r) * B @ A, but the hot
-path always applies the two factors separately. Sets are keyed by
-(layer, projection) with layers numbered 1..L, and carry the
-fingerprint of the base model they belong to.
+An adapter for a projection with weight [d_in, d_out] is its two factors
+A [r, d_in] and B [d_out, r]. Its set owns alpha and rank: every dense
+delta is set.scale * B @ A with scale = alpha / r, but the hot path
+always applies the two factors separately. Sets are keyed by (layer,
+projection) with layers numbered 1..L, carry the fingerprint of the base
+model they belong to, and check their adapters when built.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,25 +28,14 @@ DEFAULT_ALPHA = 16.0
 class LoraAdapter:
     a: np.ndarray       # [rank, d_in]
     b: np.ndarray       # [d_out, rank]
-    alpha: float
 
     def __post_init__(self):
         if self.a.ndim != 2 or self.b.ndim != 2 or self.a.shape[0] != self.b.shape[1]:
             raise ShapeError(f"inconsistent adapter factors {self.a.shape} / {self.b.shape}")
-        if self.alpha <= 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
 
     @property
     def rank(self) -> int:
         return self.a.shape[0]
-
-    @property
-    def scale(self) -> float:
-        return self.alpha / self.rank
-
-    def delta(self) -> np.ndarray:
-        """Dense [d_out, d_in] update; for merging and oracles, not the hot path."""
-        return self.scale * (self.b @ self.a)
 
     def param_count(self) -> int:
         return self.a.size + self.b.size
@@ -52,7 +43,8 @@ class LoraAdapter:
 
 @dataclass
 class LoraSet:
-    """All adapters trained against one base model."""
+    """All adapters trained against one base model. The header fields (what
+    an .lbad header stores) hold for every adapter; the constructor checks."""
 
     n_layers: int
     alpha: float
@@ -60,6 +52,24 @@ class LoraSet:
     targets: tuple[str, ...]
     fingerprint: str
     adapters: dict[tuple[int, str], LoraAdapter] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not 0 < self.alpha <= sys.float_info.max:   # also rejects nan and inf
+            raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
+        self.alpha = float(self.alpha)   # one spelling for content_hash and the header
+        if self.rank < 1:
+            raise ConfigError(f"rank must be positive, got {self.rank}")
+        for (layer, proj), ad in sorted(self.adapters.items()):
+            where = f"adapter at layer {layer} {proj!r}"
+            if proj not in self.targets:
+                raise ConfigError(f"{where} is not among the header targets {list(self.targets)}")
+            if ad.rank != self.rank:
+                raise ConfigError(f"{where} has rank {ad.rank}, header rank is {self.rank}")
+
+    @property
+    def scale(self) -> float:
+        """alpha / rank, the factor of every adapter's delta scale * B @ A."""
+        return self.alpha / self.rank
 
     def get(self, layer: int, proj: str) -> LoraAdapter | None:
         return self.adapters.get((layer, proj))
@@ -71,7 +81,7 @@ class LoraSet:
         return sum(ad.param_count() for ad in self.adapters.values())
 
     def content_hash(self) -> str:
-        """Hash of adapter values plus the base fingerprint; identifies this set."""
+        """Hash of adapter values, alpha, rank and the base fingerprint; identifies this set."""
         h = hashlib.sha256()
         h.update(self.fingerprint.encode())
         h.update(f"{self.alpha}:{self.rank}".encode())
@@ -128,8 +138,8 @@ def init_adapters(cfg: ModelConfig, targets=DEFAULT_TARGETS, rank: int = DEFAULT
                     f"({d_in}, {d_out})")
             a = rng.normal(0.0, 0.02, size=(rank, d_in)).astype(np.float32)
             b = np.zeros((d_out, rank), dtype=np.float32)
-            adapters[(layer, proj)] = LoraAdapter(a=a, b=b, alpha=float(alpha))
-    return LoraSet(n_layers=cfg.n_layers, alpha=float(alpha), rank=rank,
+            adapters[(layer, proj)] = LoraAdapter(a=a, b=b)
+    return LoraSet(n_layers=cfg.n_layers, alpha=alpha, rank=rank,
                    targets=targets, fingerprint=cfg.config_hash(), adapters=adapters)
 
 
@@ -180,9 +190,8 @@ def merge(base: BaseWeights, lset: LoraSet) -> BaseWeights:
     """
     check_compat(base, lset)
     merged = base.clone()
-    name_for = {"q": "wq", "k": "wk", "v": "wv", "o": "wo", "up": "wup", "down": "wdown"}
     for (layer, proj), ad in lset.adapters.items():
-        merged.tensors[f"layer{layer:02d}.{name_for[proj]}"] += ad.delta().T
+        merged.tensors[f"layer{layer:02d}.w{proj}"] += lset.scale * (ad.b @ ad.a).T
     return merged
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from .errors import InputError
 
-NORMALIZATION_VERSION = 1
 # frozen: editing this list invalidates recorded scores
 STRIP_TOKENS = frozenset({".", ",", ":", ";", "!", "?", "|", "=", "(", ")"})
 

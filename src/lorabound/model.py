@@ -14,12 +14,13 @@ batch of equal-length prompts once and then feeds one position per new
 token, and it is the only greedy decode loop in the package. For
 training, `loss_and_grads` runs it over right-padded rows with a loss
 mask and backpropagates all of them at once. Low-rank adapter deltas
-are applied in factored form at the projection sites and are never
-materialized as dense matrices here. Every adapter in the set a caller
-passes applies; there is no layer mask, and a caller that wants the
-layers above k without adapters passes lora.drop_above(set, k). The
-decoder is the one batched exception: each row applies the set only up
-to its own keep level, which gives the bits drop_above would.
+are applied in factored form at the projection sites, times the set's
+one scale, and are never materialized as dense matrices here. Every
+adapter in the set a caller passes applies; there is no layer mask, and
+a caller that wants the layers above k without adapters passes
+lora.drop_above(set, k). The decoder is the one batched exception: each
+row applies the set only up to its own keep level, which gives the bits
+drop_above would.
 
 A probe's adapter-free passes read only a few positions of the top
 block, and the forward runs that block at those positions alone (see
@@ -322,8 +323,9 @@ def _matmul(x, w):
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[1])
 
 
-def _project_fwd(x, w, adapter, rows=None):
-    """x @ w plus the factored low-rank path; returns (y, mid) with mid = x @ A^T.
+def _project_fwd(x, w, adapter, scale, rows=None):
+    """x @ w plus scale times the factored low-rank path; returns (y, mid)
+    with mid = x @ A^T. scale is the adapter set's alpha / rank.
 
     The low-rank products run once per sequence (numpy loops over the
     leading axes of x), so a row's adapter path gets the same bits alone
@@ -341,9 +343,9 @@ def _project_fwd(x, w, adapter, rows=None):
         return y, None
     if rows is None:
         mid = x @ adapter.a.T
-        return y + adapter.scale * (mid @ adapter.b.T), mid
+        return y + scale * (mid @ adapter.b.T), mid
     if rows.size:
-        y[rows] += adapter.scale * ((x[rows] @ adapter.a.T) @ adapter.b.T)
+        y[rows] += scale * ((x[rows] @ adapter.a.T) @ adapter.b.T)
     return y, None
 
 
@@ -404,8 +406,8 @@ def _check_targets(ids: np.ndarray, targets, mask):
 
 # -- forward ------------------------------------------------------------------
 
-def _attention_half(weights: BaseWeights, p: str, h, ad, rows, kv, start: int, cache,
-                    at=None):
+def _attention_half(weights: BaseWeights, p: str, h, ad, scale, rows, kv, start: int,
+                    cache, at=None):
     """h + o(attend(q, k, v)) of one block; fills cache for the backward if given.
 
     With at, only the positions it lists get a query, and the result
@@ -415,11 +417,11 @@ def _attention_half(weights: BaseWeights, p: str, h, ad, rows, kv, start: int, c
     ts, cfg = weights.tensors, weights.cfg
     xn1, inv1 = rmsnorm_fwd(h, ts[p + "attn_norm"], cfg.norm_eps)
     q, mid_q = _project_fwd(xn1 if at is None else xn1[..., at, :], ts[p + "wq"],
-                            ad["q"], rows)
-    k, mid_k = _project_fwd(xn1, ts[p + "wk"], ad["k"], rows)
-    v, mid_v = _project_fwd(xn1, ts[p + "wv"], ad["v"], rows)
+                            ad["q"], scale, rows)
+    k, mid_k = _project_fwd(xn1, ts[p + "wk"], ad["k"], scale, rows)
+    v, mid_v = _project_fwd(xn1, ts[p + "wv"], ad["v"], scale, rows)
     attn, att_cache = _attention_fwd(q, k, v, cfg.n_heads, kv, start, at)
-    o, mid_o = _project_fwd(attn, ts[p + "wo"], ad["o"], rows)
+    o, mid_o = _project_fwd(attn, ts[p + "wo"], ad["o"], scale, rows)
     if cache is not None:
         cache.update(pre_attn=h, inv1=inv1, xn1=xn1, att_cache=att_cache, attn=attn)
         cache["mids"].update(q=mid_q, k=mid_k, v=mid_v, o=mid_o)
@@ -427,7 +429,7 @@ def _attention_half(weights: BaseWeights, p: str, h, ad, rows, kv, start: int, c
     return o
 
 
-def _ffn_half(weights: BaseWeights, p: str, h, ad, rows, cache):
+def _ffn_half(weights: BaseWeights, p: str, h, ad, scale, rows, cache):
     """h + down(gelu(up(norm(h)))) of one block; fills cache if given.
 
     Like _attention_half it never writes h; without a cache, gelu also
@@ -435,9 +437,9 @@ def _ffn_half(weights: BaseWeights, p: str, h, ad, rows, cache):
     """
     ts, cfg = weights.tensors, weights.cfg
     xn2, inv2 = rmsnorm_fwd(h, ts[p + "ffn_norm"], cfg.norm_eps)
-    u_pre, mid_up = _project_fwd(xn2, ts[p + "wup"], ad["up"], rows)
+    u_pre, mid_up = _project_fwd(xn2, ts[p + "wup"], ad["up"], scale, rows)
     u, th = _gelu_fwd(u_pre, keep_th=cache is not None)
-    dn, mid_down = _project_fwd(u, ts[p + "wdown"], ad["down"], rows)
+    dn, mid_down = _project_fwd(u, ts[p + "wdown"], ad["down"], scale, rows)
     if cache is not None:
         cache.update(pre_ffn=h, inv2=inv2, xn2=xn2, u_pre=u_pre, th=th, u=u)
         cache["mids"].update(up=mid_up, down=mid_down)
@@ -474,6 +476,7 @@ def _forward(weights: BaseWeights, adapters, ids: np.ndarray,
         h += ts["pos_emb"][start:start + t]
     else:
         first, h = resume
+    scale = None if adapters is None else adapters.scale
     hidden = None
     if collect is not None:
         hidden = np.empty((cfg.n_layers - first,) + h[..., collect, :].shape, dtype=h.dtype)
@@ -489,9 +492,9 @@ def _forward(weights: BaseWeights, adapters, ids: np.ndarray,
             at = _two_up(np.asarray(collect))
         # a block's temporaries live only inside these two calls unless cached
         cache = {"ad": ad, "mids": {}} if keep_cache else None
-        h = _attention_half(weights, p, h, ad, rows, None if kv is None else kv[l - 1],
-                            start, cache, at)
-        h = _ffn_half(weights, p, h, ad, rows, cache)
+        h = _attention_half(weights, p, h, ad, scale, rows,
+                            None if kv is None else kv[l - 1], start, cache, at)
+        h = _ffn_half(weights, p, h, ad, scale, rows, cache)
         if at is not None:
             h = h[..., :np.size(collect), :]
             hidden[-1] = h
@@ -725,17 +728,19 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask, *,
     if want_base:
         add("final_norm", d_gain)
 
+    scale = None if adapters is None else adapters.scale
+
     def back_project(d_y, x, w, adapter, mid, base_name, layer, proj):
         """Backward through y = x @ w (+ adapter path). Returns d_x."""
         d_x = _matmul(d_y, w.T)
         if want_base:
             add(base_name, flat(x).T @ flat(d_y))
         if adapter is not None:
-            d_mid = adapter.scale * _matmul(d_y, adapter.b)
+            d_mid = scale * _matmul(d_y, adapter.b)
             d_x += _matmul(d_mid, adapter.a)
             if want_lora:
                 add(f"layer{layer:02d}.{proj}.lora_b",
-                    adapter.scale * (flat(d_y).T @ flat(mid)))
+                    scale * (flat(d_y).T @ flat(mid)))
                 add(f"layer{layer:02d}.{proj}.lora_a", flat(d_mid).T @ flat(x))
         return d_x
 

@@ -134,18 +134,6 @@ class Dataset:
     seed: int
     splits: dict[str, list[Sample]] = field(default_factory=dict)
 
-    @property
-    def train(self) -> list[Sample]:
-        return self.splits.get("train", [])
-
-    @property
-    def validation(self) -> list[Sample]:
-        return self.splits.get("validation", [])
-
-    @property
-    def test(self) -> list[Sample]:
-        return self.splits.get("test", [])
-
 
 def _normalize_sizes(sizes: dict[str, int] | None) -> dict[str, int]:
     if sizes is None:
@@ -169,8 +157,10 @@ def _bucket(text: str) -> str:
     return "validation" if r == 4 else "test"
 
 
-def _fill_by_bucket(sizes: dict[str, int], make_candidate, describe: str) -> dict[str, list[Sample]]:
-    """Draw candidates until every split quota is met, routing by prompt hash."""
+def _fill_by_bucket(sizes: dict[str, int], make_candidate, describe: str,
+                    accept=None) -> dict[str, list[Sample]]:
+    """Draw candidates until every split quota is met, routing by prompt hash;
+    accept(split_samples, sample), if given, may turn a candidate down."""
     splits: dict[str, list[Sample]] = {s: [] for s in SPLITS}
     seen: set[str] = set()
     want = sum(sizes.values())
@@ -185,6 +175,8 @@ def _fill_by_bucket(sizes: dict[str, int], make_candidate, describe: str) -> dic
             continue
         split = _bucket(sample.prompt_text)
         if len(splits[split]) >= sizes[split]:
+            continue
+        if accept is not None and not accept(splits[split], sample):
             continue
         seen.add(sample.prompt_text)
         splits[split].append(sample)
@@ -550,16 +542,7 @@ def gen_resp_select(seed: int, sizes=None) -> Dataset:
             ADVERBS[rng.integers(len(ADVERBS))],
         ])
 
-    label_next = {"train": 0, "validation": 0, "test": 0}
-    splits: dict[str, list[Sample]] = {s: [] for s in SPLITS}
-    seen: set[str] = set()
-    want = sum(sizes.values())
-    attempts = 0
-    limit = max(1, want) * _MAX_ATTEMPTS_PER_SAMPLE
-    while sum(len(v) for v in splits.values()) < want:
-        attempts += 1
-        if attempts > limit:
-            raise InputError("could not fill resp-select quotas")
+    def make() -> Sample:
         topic = topics[rng.integers(len(topics))]
         other = topics[rng.integers(len(topics))]
         while other == topic:
@@ -576,20 +559,14 @@ def gen_resp_select(seed: int, sizes=None) -> Dataset:
         candidate = make_response(topic if positive else other)
         prompt = ("dialog : " + " | ".join(turns)
                   + f" | candidate : {candidate} | suitable ?")
-        if prompt in seen:
-            continue
-        split = _bucket(prompt)
-        if len(splits[split]) >= sizes[split]:
-            continue
-        # exact balance: each split alternates between the label it still needs
-        need_yes = label_next[split] == 0
-        if positive != need_yes:
-            continue
-        seen.add(prompt)
-        label_next[split] ^= 1
-        splits[split].append(Sample(
-            prompt_text=prompt, reference_text="yes" if positive else "no",
-            task="resp-select"))
+        return Sample(prompt_text=prompt, reference_text="yes" if positive else "no",
+                      task="resp-select")
+
+    def balanced(split_samples: list[Sample], sample: Sample) -> bool:
+        # exact balance: a split takes a yes iff it holds an even count
+        return (sample.reference_text == "yes") == (len(split_samples) % 2 == 0)
+
+    splits = _fill_by_bucket(sizes, make, "resp-select", balanced)
     return Dataset(task="resp-select", seed=seed, splits=splits)
 
 

@@ -199,7 +199,7 @@ class TestArtifacts:
         _, meta, _, rows = parse_tsv(out.read_text())
         assert meta["score"] == decision.per_k_scores[decision.k_star]
         assert meta["sample_count"] == decision.sample_count == budget
-        validation = load_dataset(pipeline["data"]).validation
+        validation = load_dataset(pipeline["data"]).splits["validation"]
         assert len(validation) > budget
         drawn = select_samples(validation, budget, MICRO_CFG["sweep"].get("seed", 0))
         assert [row[3] for row in rows] == [s.gold_text() for s in drawn]
@@ -492,7 +492,7 @@ class TestDomainErrors:
                                                           key, a_shape, b_shape, cause):
         lset = load_adapters(pipeline["full"])
         lset.adapters[key] = LoraAdapter(a=np.zeros(a_shape, np.float32),
-                                         b=np.zeros(b_shape, np.float32), alpha=lset.alpha)
+                                         b=np.zeros(b_shape, np.float32))
         bad = tmp_path / "bad.lbad"
         save_adapters(bad, lset)
         out = tmp_path / "p.tsv"
@@ -506,7 +506,7 @@ class TestDomainErrors:
         lset = load_adapters(pipeline["full"])
         assert lset.rank == 2
         lset.adapters[(1, "q")] = LoraAdapter(a=np.zeros((8, 8), np.float32),
-                                              b=np.zeros((8, 8), np.float32), alpha=lset.alpha)
+                                              b=np.zeros((8, 8), np.float32))
         bad = tmp_path / "bad.lbad"
         save_adapters(bad, lset)
         rc = run("probe", "--config", pipeline["cfg"], "--model", pipeline["base"],
@@ -665,6 +665,18 @@ class TestInputsCheckedBeforeCompute:
         assert "adapter at layer 1 'gate' is not among the header targets" \
             in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["gate.lbad"]
+
+    def test_adapter_header_field_of_wrong_type(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "rank.lbad"
+        header, tensors = _decode_container(pipeline["full"], MAGIC_ADAPTERS)
+        header["rank"] = "x"
+        atomic_write_bytes(bad, _encode_container(MAGIC_ADAPTERS, header,
+                                                  sorted(tensors.items())))
+        rc = self.probe(pipeline, tmp_path / "p.tsv", adapters=bad)
+        assert rc == 2
+        assert "rank.lbad: header field 'rank' must be int, got 'x'" \
+            in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["rank.lbad"]
 
     def test_nan_base_weight(self, pipeline, tmp_path, capsys):
         weights = load_weights(pipeline["base"])

@@ -199,17 +199,17 @@ class TestRowInvariance:
         x = rng.normal(size=(16, 42, d_in)).astype(np.float32)
         w = rng.normal(0.0, d_in ** -0.5, size=(d_in, d_out)).astype(np.float32)
         adapter = LoraAdapter(a=rng.normal(size=(rank, d_in)).astype(np.float32),
-                              b=rng.normal(size=(d_out, rank)).astype(np.float32),
-                              alpha=16.0)
+                              b=rng.normal(size=(d_out, rank)).astype(np.float32))
+        scale = 16.0 / rank
         rows = np.array([0, 3, 4, 9, 15])
-        y, mid = model._project_fwd(x, w, adapter)
-        gated, _ = model._project_fwd(x, w, adapter, rows)
+        y, mid = model._project_fwd(x, w, adapter, scale)
+        gated, _ = model._project_fwd(x, w, adapter, scale, rows)
         for i in range(len(x)):
-            alone, alone_mid = model._project_fwd(x[i], w, adapter)
+            alone, alone_mid = model._project_fwd(x[i], w, adapter, scale)
             np.testing.assert_array_equal(y[i], alone)
             np.testing.assert_array_equal(mid[i], alone_mid)
             if i not in rows:
-                alone, _ = model._project_fwd(x[i], w, None)
+                alone, _ = model._project_fwd(x[i], w, None, None)
             np.testing.assert_array_equal(gated[i], alone)
 
     @pytest.mark.parametrize("d_in, d_out", [(64, 64), (64, 256), (256, 64)])
@@ -222,10 +222,10 @@ class TestRowInvariance:
         x = rng.normal(size=(16, 42, d_in)).astype(np.float32)
         w = rng.normal(0.0, d_in ** -0.5, size=(d_in, d_out)).astype(np.float32)
         at = model._two_up(np.arange(41 - n, 41))
-        whole, _ = model._project_fwd(x, w, None)
-        pruned, _ = model._project_fwd(x[:, at], w, None)
+        whole, _ = model._project_fwd(x, w, None, None)
+        pruned, _ = model._project_fwd(x[:, at], w, None, None)
         np.testing.assert_array_equal(pruned, whole[:, at])
-        one, _ = model._project_fwd(x[:1, at], w, None)
+        one, _ = model._project_fwd(x[:1, at], w, None, None)
         np.testing.assert_array_equal(one, whole[:1, at])
 
 

@@ -1,6 +1,7 @@
 """Checkpoint containers, run configs and TSV reports."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -213,6 +214,31 @@ class TestAdaptersContainer:
                          for n, t in tensors.items())
         atomic_write_bytes(p, _encode_container(MAGIC_ADAPTERS, header, renamed))
         with pytest.raises(ParseError, match="adapter at layer 1 'gate' is not among"):
+            load_adapters(p)
+
+    @pytest.mark.parametrize("field, value, cause", [
+        ("rank", "x", "header field 'rank' must be int, got 'x'"),
+        ("rank", 2.5, "header field 'rank' must be int, got 2.5"),
+        ("n_layers", "two", "header field 'n_layers' must be int, got 'two'"),
+        ("n_layers", True, "header field 'n_layers' must be int, got True"),
+        ("alpha", "a", "header field 'alpha' must be int or float, got 'a'"),
+        ("alpha", [1], "header field 'alpha' must be int or float, got [1]"),
+        ("targets", 5, "header field 'targets' must be list, got 5"),
+        ("base_fingerprint", None, "header field 'base_fingerprint' must be str, got None"),
+        ("alpha", 0, "alpha must be positive and finite, got 0"),
+        ("rank", 0, "rank must be positive, got 0"),
+        ("rank", 2, "adapter at layer 1 'q' has rank 8, header rank is 2"),
+        ("targets", ["q", "gate"], "unknown projection targets ['gate']"),
+        ("base_fingerprint", "\ud800", "header at offset 12 is not valid JSON"),
+    ])
+    def test_header_field_checked(self, tmp_path, field, value, cause):
+        p = tmp_path / "a.lbad"
+        save_adapters(p, micro_adapters())
+        header, tensors = _decode_container(p, MAGIC_ADAPTERS)
+        header[field] = value
+        atomic_write_bytes(p, _encode_container(MAGIC_ADAPTERS, header,
+                                                sorted(tensors.items())))
+        with pytest.raises(ParseError, match=re.escape(f"a.lbad: {cause}")):
             load_adapters(p)
 
     def test_non_finite_factor_rejected(self, tmp_path):

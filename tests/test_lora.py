@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from lorabound.errors import CompatibilityError, ConfigError, InputError, ShapeError
 from lorabound.lora import (DEFAULT_ALPHA, DEFAULT_RANK, DEFAULT_TARGETS,
-                            LoraAdapter, check_compat, drop_above, init_adapters,
-                            lora_param_dict, merge, normalize_targets,
+                            LoraAdapter, LoraSet, check_compat, drop_above,
+                            init_adapters, lora_param_dict, merge, normalize_targets,
                             projection_dims)
 from lorabound.model import (ModelConfig, forward_collect, generate_greedy,
                              init_base, lens_logits)
@@ -22,25 +23,88 @@ def micro_weights(seed=0):
                              np.random.default_rng(seed + 100))
 
 
-class TestAdapter:
-    def test_hand_delta(self):
-        ad = LoraAdapter(a=np.array([[1.0, 2.0]]), b=np.array([[3.0], [4.0]]),
-                         alpha=2.0)
-        assert ad.rank == 1
-        assert ad.scale == 2.0
-        np.testing.assert_allclose(ad.delta(), [[6.0, 12.0], [8.0, 16.0]])
+def one_adapter_set(ad, alpha=2.0, rank=1, key=(1, "q"), targets=("q",)):
+    return LoraSet(n_layers=MICRO.n_layers, alpha=alpha, rank=rank, targets=targets,
+                   fingerprint=MICRO.config_hash(), adapters={key: ad})
 
+
+class TestAdapter:
     def test_param_count(self):
-        ad = LoraAdapter(a=np.zeros((2, 5)), b=np.zeros((3, 2)), alpha=1.0)
+        ad = LoraAdapter(a=np.zeros((2, 5)), b=np.zeros((3, 2)))
+        assert ad.rank == 2
         assert ad.param_count() == 10 + 6
 
     def test_factor_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            LoraAdapter(a=np.zeros((2, 5)), b=np.zeros((3, 4)), alpha=1.0)
+            LoraAdapter(a=np.zeros((2, 5)), b=np.zeros((3, 4)))
+
+
+class TestSetChecks:
+    def test_hand_delta(self):
+        # delta = (alpha / rank) * B @ A, folded into wq as its transpose
+        a = np.zeros((1, 8), np.float32)
+        b = np.zeros((8, 1), np.float32)
+        a[0, :2] = [1.0, 2.0]
+        b[:2, 0] = [3.0, 4.0]
+        lset = one_adapter_set(LoraAdapter(a=a, b=b))
+        assert lset.scale == 2.0
+        base = micro_weights()
+        lset.fingerprint = base.fingerprint()
+        delta = merge(base, lset).tensors["layer01.wq"] - base.tensors["layer01.wq"]
+        want = np.zeros((8, 8))
+        want[:2, :2] = [[6.0, 8.0], [12.0, 16.0]]
+        np.testing.assert_allclose(delta, want, atol=1e-6)
 
     def test_bad_alpha(self):
-        with pytest.raises(ConfigError):
-            LoraAdapter(a=np.zeros((1, 2)), b=np.zeros((2, 1)), alpha=0.0)
+        ad = LoraAdapter(a=np.zeros((1, 8)), b=np.zeros((8, 1)))
+        for alpha in (0.0, -1.0, np.nan, np.inf, 10 ** 400):
+            with pytest.raises(ConfigError, match="alpha must be positive and finite"):
+                one_adapter_set(ad, alpha=alpha)
+
+    def test_alpha_is_stored_as_a_float(self):
+        # an int alpha would hash as "4:1" but load back from a file as 4.0
+        ad = LoraAdapter(a=np.zeros((1, 8)), b=np.zeros((8, 1)))
+        lset = one_adapter_set(ad, alpha=4)
+        assert type(lset.alpha) is float
+        assert lset.content_hash() == one_adapter_set(ad, alpha=4.0).content_hash()
+
+    def test_bad_rank(self):
+        with pytest.raises(ConfigError, match="rank must be positive, got 0"):
+            LoraSet(n_layers=2, alpha=1.0, rank=0, targets=("q",), fingerprint="f")
+
+    def test_adapter_of_another_rank(self):
+        ad = LoraAdapter(a=np.zeros((2, 8)), b=np.zeros((8, 2)))
+        with pytest.raises(ConfigError,
+                           match="adapter at layer 1 'q' has rank 2, header rank is 1"):
+            one_adapter_set(ad)
+
+    def test_key_outside_targets(self):
+        ad = LoraAdapter(a=np.zeros((1, 8)), b=np.zeros((8, 1)))
+        with pytest.raises(ConfigError, match=re.escape(
+                "adapter at layer 1 'k' is not among the header targets ['q']")):
+            one_adapter_set(ad, key=(1, "k"))
+
+
+class TestScale:
+    def test_alpha_moves_logits_and_hash_together(self, tmp_path):
+        from lorabound.fileio import load_adapters, save_adapters
+        base = micro_weights()
+        lset = randomize_adapters(init_adapters(MICRO, seed=4, alpha=4.0),
+                                  np.random.default_rng(4))
+        lset.fingerprint = base.fingerprint()
+        other = dataclasses.replace(lset, alpha=1.0)
+        tokens = [1, 5, 9, 3]
+
+        def logits(s):
+            return lens_logits(base, forward_collect(base, s, tokens)[-1])
+
+        assert np.abs(logits(lset) - logits(other)).max() > 1e-3
+        assert lset.content_hash() != other.content_hash()
+        assert other.scale == lset.scale / 4
+        save_adapters(tmp_path / "a.lbad", other)
+        back = load_adapters(tmp_path / "a.lbad")
+        assert back.content_hash() == other.content_hash()
+        np.testing.assert_array_equal(logits(back), logits(other))
 
 
 class TestTargets:
@@ -81,7 +145,7 @@ class TestInitAdapters:
     def test_fresh_delta_is_zero(self):
         lset = init_adapters(MICRO, seed=3)
         for ad in lset.adapters.values():
-            assert not ad.delta().any()
+            assert not (ad.b @ ad.a).any()
 
     def test_rank_bounds(self):
         with pytest.raises(ConfigError):
@@ -168,7 +232,7 @@ class TestCompat:
         lset = init_adapters(MICRO, seed=0)
         lset.fingerprint = base.fingerprint()
         lset.adapters[key] = LoraAdapter(a=np.zeros(a_shape, np.float32),
-                                         b=np.zeros(b_shape, np.float32), alpha=4.0)
+                                         b=np.zeros(b_shape, np.float32))
         with pytest.raises(CompatibilityError, match=re.escape(cause)):
             check_compat(base, lset)
         with pytest.raises(CompatibilityError, match=re.escape(cause)):

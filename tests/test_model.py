@@ -151,7 +151,8 @@ class TestForward:
         for l, cache in enumerate(caches, start=1):
             p = f"layer{l:02d}."
             np.testing.assert_array_equal(cache["pre_attn"], h)
-            mid = model._attention_half(w, p, h.copy(), cache["ad"], None, None, 0, None)
+            mid = model._attention_half(w, p, h.copy(), cache["ad"], lset.scale, None, None,
+                                        0, None)
             np.testing.assert_array_equal(cache["pre_ffn"], mid)
             h = full[l - 1]
         np.testing.assert_array_equal(h_final, full[-1])

@@ -41,7 +41,8 @@ class TestDeterminism:
     def test_different_seed_different_data(self):
         a = gen_kvqa(seed=1, sizes=SMALL)
         b = gen_kvqa(seed=2, sizes=SMALL)
-        assert [s.prompt_text for s in a.train] != [s.prompt_text for s in b.train]
+        assert ([s.prompt_text for s in a.splits["train"]]
+                != [s.prompt_text for s in b.splits["train"]])
 
 
 class TestSplitHygiene:
