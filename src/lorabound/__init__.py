@@ -5,8 +5,8 @@ probe how early in the stack the right answer becomes readable, pick the
 layer above which adapters stop paying for themselves, and drop them.
 """
 
-from .boundary import (BoundaryDecision, apply_boundary, default_boundary,
-                       detect_knee, sweep_boundary)
+from .boundary import (BoundaryDecision, default_boundary, detect_knee,
+                       sweep_boundary)
 from .errors import (CompatibilityError, ComparisonError, ConfigError,
                      DegenerateInputError, InputError, LoraBoundError,
                      NoKneeError, ParseError, ShapeError)

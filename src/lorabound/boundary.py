@@ -2,11 +2,12 @@
 
 Two routes produce a BoundaryDecision: detect_knee reads the largest
 jump off a per-layer probability curve, and sweep_boundary measures a
-task metric under every candidate keep level and takes the smallest
-level that attains the best validation score. apply_boundary then drops
-every adapter above the chosen level. The sweep scores every sample it
-is given against the golds given with them; the caller picks the
-validation subset.
+registry metric under every candidate keep level and takes the smallest
+level that attains the best validation score. The sweep scores every
+sample it is given against the golds given with them; the caller picks
+the validation subset. A decision is applied by checking it against its
+set (BoundaryDecision.check_set) and then cutting the set with
+lora.drop_above(set, decision.k_star).
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics as metrics_mod
 from .errors import CompatibilityError, InputError, NoKneeError
-from .lora import LoraSet, check_compat, drop_above
+from .lora import LoraSet, check_compat
+from .metrics import corpus_score
 from .model import BaseWeights, check_keep_level, decode_batch
 from .probe import ProbeReport
 from .tasks import sample_ids
@@ -145,14 +146,14 @@ def knee_from_report(report: ProbeReport,
     )
 
 
-def sweep_boundary(base: BaseWeights, full_set: LoraSet, samples, metric, *,
+def sweep_boundary(base: BaseWeights, full_set: LoraSet, samples, metric: str, *,
                    golds: list[str], keeps=None,
                    decode_budget: int = DEFAULT_DECODE_BUDGET, seed: int = 0,
                    stop_token: int = EOS_ID) -> BoundaryDecision:
     """Score every candidate keep level on held-out samples and pick the best.
 
-    metric is a name from the metrics registry or a callable
-    (preds, golds) -> float; golds[i] is the gold text of samples[i].
+    metric is a name from the metrics registry; golds[i] is the gold
+    text of samples[i].
     keeps lists the levels to score, every level 0..L when None. seed is
     recorded in the decision as the provenance of the caller's sample
     draw; it selects nothing here. The winner is the smallest level
@@ -173,31 +174,19 @@ def sweep_boundary(base: BaseWeights, full_set: LoraSet, samples, metric, *,
     if len(golds) != len(prompts):
         raise InputError(f"got {len(golds)} golds for {len(prompts)} samples")
 
-    if callable(metric):
-        metric_name = getattr(metric, "__name__", "custom")
-        score_fn = metric
-    else:
-        metric_name = str(metric)
-        score_fn = lambda preds, gs: metrics_mod.corpus_score(metric_name, preds, gs).score
-
     rows = [(prompt, k) for k in keeps for prompt in prompts]
     outs = decode_batch(base, full_set, rows, decode_budget, stop_token)
     n = len(prompts)
-    per_k = {k: float(score_fn([decode(o) for o in outs[i * n:(i + 1) * n]], golds))
+    per_k = {k: float(corpus_score(metric, [decode(o) for o in outs[i * n:(i + 1) * n]],
+                                   golds).score)
              for i, k in enumerate(keeps)}
     best = max(per_k.values())
     k_star = min(k for k, v in per_k.items() if v == best)
 
     return BoundaryDecision(
-        k_star=k_star, per_k_scores=per_k, metric=metric_name,
+        k_star=k_star, per_k_scores=per_k, metric=metric,
         sample_count=len(prompts), method="sweep", seed=seed,
         set_hash=full_set.content_hash(),
         extra={"decode_budget": decode_budget},
     )
-
-
-def apply_boundary(full_set: LoraSet, decision: BoundaryDecision) -> LoraSet:
-    """Drop every adapter above the decided level; checks the set matches."""
-    decision.check_set(full_set)
-    return drop_above(full_set, decision.k_star)
 

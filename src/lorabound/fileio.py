@@ -223,6 +223,9 @@ def load_weights(path) -> BaseWeights:
 # -- adapter sets ---------------------------------------------------------------
 
 def save_adapters(path, lset: LoraSet) -> None:
+    """Write lset; a set edited since it was built into one load_adapters
+    would reject raises ConfigError and writes nothing."""
+    lset.validate()
     header = {
         "kind": "adapters",
         "n_layers": lset.n_layers,

@@ -5,7 +5,8 @@ A [r, d_in] and B [d_out, r]. Its set owns alpha and rank: every dense
 delta is set.scale * B @ A with scale = alpha / r, but the hot path
 always applies the two factors separately. Sets are keyed by (layer,
 projection) with layers numbered 1..L, carry the fingerprint of the base
-model they belong to, and check their adapters when built.
+model they belong to, and check their adapters when built and again
+when saved.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class LoraAdapter:
 @dataclass
 class LoraSet:
     """All adapters trained against one base model. The header fields (what
-    an .lbad header stores) hold for every adapter; the constructor checks."""
+    an .lbad header stores) hold for every adapter; validate checks."""
 
     n_layers: int
     alpha: float
@@ -54,6 +55,11 @@ class LoraSet:
     adapters: dict[tuple[int, str], LoraAdapter] = field(default_factory=dict)
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise ConfigError unless the header fields hold for every adapter.
+        The constructor runs it, and save_adapters again on what it writes."""
         if not 0 < self.alpha <= sys.float_info.max:   # also rejects nan and inf
             raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
         self.alpha = float(self.alpha)   # one spelling for content_hash and the header
@@ -81,10 +87,11 @@ class LoraSet:
         return sum(ad.param_count() for ad in self.adapters.values())
 
     def content_hash(self) -> str:
-        """Hash of adapter values, alpha, rank and the base fingerprint; identifies this set."""
+        """Hash of adapter values, n_layers, alpha, rank and the base
+        fingerprint; identifies this set."""
         h = hashlib.sha256()
         h.update(self.fingerprint.encode())
-        h.update(f"{self.alpha}:{self.rank}".encode())
+        h.update(f"{self.n_layers}:{self.alpha}:{self.rank}".encode())
         for layer, proj in self.keys_sorted():
             ad = self.adapters[(layer, proj)]
             h.update(f"{layer}.{proj}".encode())

@@ -48,6 +48,8 @@ from .numerics import cross_entropy_grad, rmsnorm_bwd, rmsnorm_fwd, softmax_rows
 
 PROJECTIONS = ("q", "k", "v", "o", "up", "down")
 
+INIT_STD = 0.02   # init_base's weight std, before the output projections' scale-down
+
 
 # accepted JSON values of a config field, by its annotation (up to any "[")
 _JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
@@ -57,9 +59,10 @@ _JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"
 
 def config_fields(cls, data, section: str) -> dict:
     """The keyword arguments config dataclass cls takes from one JSON section.
-    An unknown key, or a value of the wrong JSON type for its field (a bool
-    is not a number), raises ConfigError naming section.key. Lists become
-    tuples; their elements are left to the checks of cls itself."""
+    An unknown key, a value of the wrong JSON type for its field (a bool
+    is not a number) or a NaN or infinite number raises ConfigError naming
+    section.key. Lists become tuples; their elements are left to the
+    checks of cls itself."""
     if not isinstance(data, dict):
         raise ConfigError(f"section {section!r} must be a JSON object")
     types = {f.name: f.type for f in fields(cls)}
@@ -73,6 +76,8 @@ def config_fields(cls, data, section: str) -> dict:
         accepted, name = _JSON_TYPES[kind.split("[")[0]]
         if not isinstance(value, accepted) or isinstance(value, bool) != (kind == "bool"):
             raise ConfigError(f"{section}.{key} must be {name}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{section}.{key} must be a finite number, got {value!r}")
     return {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
 
 
@@ -185,11 +190,12 @@ class BaseWeights:
         return BaseWeights(self.cfg, {k: v.copy() for k, v in self.tensors.items()})
 
 
-def init_base(cfg: ModelConfig, seed: int, std: float = 0.02) -> BaseWeights:
-    """Seeded random initialization; residual output projections are scaled down."""
+def init_base(cfg: ModelConfig, seed: int) -> BaseWeights:
+    """Seeded random initialization, N(0, INIT_STD^2); residual output
+    projections are scaled down by sqrt(2 * n_layers)."""
     cfg.validate()
     rng = np.random.default_rng(seed)
-    out_std = std / math.sqrt(2 * cfg.n_layers)
+    out_std = INIT_STD / math.sqrt(2 * cfg.n_layers)
     tensors: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(cfg).items():
         if name.endswith("_norm"):
@@ -197,7 +203,7 @@ def init_base(cfg: ModelConfig, seed: int, std: float = 0.02) -> BaseWeights:
         elif name.endswith(".wo") or name.endswith(".wdown"):
             tensors[name] = rng.normal(0.0, out_std, size=shape).astype(np.float32)
         else:
-            tensors[name] = rng.normal(0.0, std, size=shape).astype(np.float32)
+            tensors[name] = rng.normal(0.0, INIT_STD, size=shape).astype(np.float32)
     return BaseWeights(cfg, tensors)
 
 
@@ -678,8 +684,7 @@ def lens_probs(weights: BaseWeights, hidden: np.ndarray, positions) -> np.ndarra
 
 # -- backward -----------------------------------------------------------------
 
-def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask, *,
-                   want_base: bool = True, want_lora: bool = False):
+def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask):
     """Masked next-token cross-entropy and its gradients in one backward pass.
 
     inputs/targets are aligned id arrays, one sequence [t] or a batch of
@@ -689,10 +694,10 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask, *,
     its rows' losses, so a batch gives what the mean of one call per row
     gives, whatever its pad tokens are: causal attention keeps pads out
     of the earlier positions and uncounted positions send no gradient.
-    Returns (loss, grads) where grads maps canonical base tensor names
-    and/or "layerNN.<proj>.lora_a"/"lora_b" to arrays, depending on the
-    want_* flags. Gradients of parameters not asked for are skipped, not
-    zeroed.
+    Returns (loss, grads). With adapters=None, grads maps every canonical
+    base tensor name to its gradient (pretraining); with a set, it maps
+    "layerNN.<proj>.lora_a"/"lora_b" of each adapter in the set to its
+    gradient and holds no base tensor (fine-tuning).
     """
     cfg = weights.cfg
     ts = weights.tensors
@@ -705,6 +710,7 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask, *,
     logits = _matmul(fin_n, head)
     loss, d_logits = cross_entropy_grad(logits, targets, mask)
 
+    train_base = adapters is None
     grads: dict[str, np.ndarray] = {}
 
     def add(name, g):
@@ -718,14 +724,14 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask, *,
         return x.reshape(-1, x.shape[-1])
 
     d_fin_n = _matmul(d_logits, head.T)
-    if want_base:
+    if train_base:
         d_head = flat(fin_n).T @ flat(d_logits)
         if cfg.tied_embeddings:
             add("tok_emb", d_head.T)
         else:
             add("head", d_head)
     d_h, d_gain = rmsnorm_bwd(d_fin_n, h_final, inv_f, ts["final_norm"])
-    if want_base:
+    if train_base:
         add("final_norm", d_gain)
 
     scale = None if adapters is None else adapters.scale
@@ -733,15 +739,13 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask, *,
     def back_project(d_y, x, w, adapter, mid, base_name, layer, proj):
         """Backward through y = x @ w (+ adapter path). Returns d_x."""
         d_x = _matmul(d_y, w.T)
-        if want_base:
+        if train_base:
             add(base_name, flat(x).T @ flat(d_y))
         if adapter is not None:
             d_mid = scale * _matmul(d_y, adapter.b)
             d_x += _matmul(d_mid, adapter.a)
-            if want_lora:
-                add(f"layer{layer:02d}.{proj}.lora_b",
-                    scale * (flat(d_y).T @ flat(mid)))
-                add(f"layer{layer:02d}.{proj}.lora_a", flat(d_mid).T @ flat(x))
+            add(f"layer{layer:02d}.{proj}.lora_b", scale * (flat(d_y).T @ flat(mid)))
+            add(f"layer{layer:02d}.{proj}.lora_a", flat(d_mid).T @ flat(x))
         return d_x
 
     for l in range(cfg.n_layers, 0, -1):
@@ -757,7 +761,7 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask, *,
                              c["mids"]["up"], p + "wup", l, "up")
         d_pre_ffn, d_gain2 = rmsnorm_bwd(d_xn2, c["pre_ffn"], c["inv2"],
                                          ts[p + "ffn_norm"])
-        if want_base:
+        if train_base:
             add(p + "ffn_norm", d_gain2)
         d_h = d_h + d_pre_ffn
 
@@ -773,11 +777,11 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask, *,
                               c["mids"]["v"], p + "wv", l, "v")
         d_pre_attn, d_gain1 = rmsnorm_bwd(d_xn1, c["pre_attn"], c["inv1"],
                                           ts[p + "attn_norm"])
-        if want_base:
+        if train_base:
             add(p + "attn_norm", d_gain1)
         d_h = d_h + d_pre_attn
 
-    if want_base:
+    if train_base:
         d_tok = np.zeros_like(ts["tok_emb"])
         np.add.at(d_tok, ids, d_h)
         add("tok_emb", d_tok)

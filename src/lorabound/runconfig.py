@@ -7,7 +7,6 @@ rather than a silent ignore, so typos cannot quietly change a run.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 from .boundary import DEFAULT_DECODE_BUDGET
@@ -154,6 +153,3 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)   # tuple fields serialize as JSON lists
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

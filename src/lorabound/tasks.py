@@ -1,7 +1,8 @@
 """Synthetic task generators over the frozen vocabulary.
 
 Five supervised tasks plus a pretraining corpus. Every sample is
-solvable by an explicit rule (see the solve_* oracles), splits are
+solvable by an explicit rule (the test suite's reference solvers in
+tests/oracles.py reproduce every reference from its prompt), splits are
 disjoint by construction (split-specific key pools or hash
 partitioning on the prompt string), and generation is a pure function
 of the seed.
@@ -26,8 +27,6 @@ from .fileio import atomic_write_text, read_json, write_json
 from .vocab import (ADJECTIVES, ADVERBS, CIPHER_MAP, EOS_ID, KEYS, NAMES,
                     NOUNS_BIO, NOUNS_GENERAL, NOUNS_NEWS, VALUES, VERBS, encode)
 
-_KEY_SET = frozenset(KEYS)
-
 SPLITS = ("train", "validation", "test")
 DEFAULT_SIZES = {"train": 2000, "validation": 500, "test": 500}
 
@@ -48,6 +47,12 @@ KEY_POOLS = {
     "validation": KEYS[36:48],
     "test": KEYS[48:60],
 }
+
+# facts in each of a kv-qa prompt's two documents, distractors included
+KVQA_FACTS_PER_DOC = 4
+
+# the arithmetic operands, 2..49, of the arith task and the corpus's stanzas
+OPERANDS = range(2, 50)
 
 _MAX_ATTEMPTS_PER_SAMPLE = 500
 
@@ -186,8 +191,7 @@ def _fill_by_bucket(sizes: dict[str, int], make_candidate, describe: str,
 # -- kv-qa ---------------------------------------------------------------------
 
 def _kvqa_sample(rng, pool: list[str], qtype: str, hops: int,
-                 facts_per_doc: int, yes_label: bool, which_first: bool) -> Sample:
-    slots = 2 * facts_per_doc
+                 yes_label: bool, which_first: bool) -> Sample:
     facts: list[tuple[str, str]] = []
     if qtype == "bridge":
         chain = [pool[i] for i in rng.choice(len(pool), size=hops, replace=False)]
@@ -226,11 +230,7 @@ def _kvqa_sample(rng, pool: list[str], qtype: str, hops: int,
 
     forbidden_values = {v for _, v in edges}
     free_keys = [k for k in pool if k not in used]
-    n_distract = slots - len(edges)
-    if n_distract > len(free_keys):
-        raise InputError(
-            f"facts_per_doc {facts_per_doc} needs {slots} distinct keys, pool has "
-            f"{len(pool)}")
+    n_distract = 2 * KVQA_FACTS_PER_DOC - len(edges)
     picks = rng.choice(len(free_keys), size=n_distract, replace=False)
     for i in picks:
         v = VALUES[rng.integers(len(VALUES))]
@@ -243,7 +243,7 @@ def _kvqa_sample(rng, pool: list[str], qtype: str, hops: int,
     for i, e in enumerate(edges):
         docs[min(i, 1) if len(edges) <= 2 else (0 if i < (len(edges) + 1) // 2 else 1)].append(e)
     for f in facts:
-        docs[0 if len(docs[0]) < facts_per_doc else 1].append(f)
+        docs[0 if len(docs[0]) < KVQA_FACTS_PER_DOC else 1].append(f)
     for doc in docs:
         rng.shuffle(doc)
 
@@ -253,8 +253,7 @@ def _kvqa_sample(rng, pool: list[str], qtype: str, hops: int,
                   question_type="bridge" if qtype == "bridge" else "comparison")
 
 
-def gen_kvqa(seed: int, sizes=None, hops: int = 2, bridge_ratio: float = 0.75,
-             facts_per_doc: int = 4) -> Dataset:
+def gen_kvqa(seed: int, sizes=None, hops: int = 2, bridge_ratio: float = 0.75) -> Dataset:
     """Two-document key lookup: bridge chains and comparison questions.
 
     Keys come from disjoint per-split pools, so no fact pattern leaks
@@ -280,8 +279,8 @@ def gen_kvqa(seed: int, sizes=None, hops: int = 2, bridge_ratio: float = 0.75,
         flips = 0
         for qtype in qtypes:
             for _ in range(_MAX_ATTEMPTS_PER_SAMPLE):
-                s = _kvqa_sample(rng, pool, qtype, hops, facts_per_doc,
-                                 yes_label=flips % 2 == 0, which_first=flips % 2 == 0)
+                s = _kvqa_sample(rng, pool, qtype, hops, yes_label=flips % 2 == 0,
+                                 which_first=flips % 2 == 0)
                 if s.prompt_text not in seen:
                     break
             else:
@@ -293,71 +292,21 @@ def gen_kvqa(seed: int, sizes=None, hops: int = 2, bridge_ratio: float = 0.75,
     return Dataset(task="kvqa", seed=seed, splits=splits)
 
 
-def solve_kvqa(prompt_text: str) -> str:
-    """Rule-based extractor: parse the facts, follow the chain, answer exactly."""
-    words = prompt_text.split()
-    try:
-        q_at = words.index("question")
-    except ValueError:
-        raise InputError("prompt has no question section") from None
-    facts: dict[str, str] = {}
-    i = 0
-    while i < q_at - 2:
-        if words[i] in _KEY_SET and words[i + 1] == ":":
-            facts[words[i]] = words[i + 2]
-            i += 3
-        else:
-            i += 1
-    q = words[q_at + 2:]
-    if q and q[-1] == "?":
-        q = q[:-1]
-
-    def resolve(key: str) -> str:
-        cur = facts.get(key)
-        hops = 0
-        while cur in facts and hops < 8:
-            cur = facts[cur]
-            hops += 1
-        if cur is None:
-            raise InputError(f"question key {key!r} has no fact")
-        return cur
-
-    if len(q) == 1:
-        return f"answer = {resolve(q[0])}"
-    if len(q) == 3 and q[1] == "same":
-        return f"answer = {'yes' if resolve(q[0]) == resolve(q[2]) else 'no'}"
-    if len(q) == 6 and q[0] == "which" and q[2] == "or" and q[4] == ":":
-        ka, kb, vt = q[1], q[3], q[5]
-        if resolve(ka) == vt:
-            return f"answer = {ka}"
-        if resolve(kb) == vt:
-            return f"answer = {kb}"
-        raise InputError(f"neither {ka} nor {kb} maps to {vt}")
-    raise InputError(f"unrecognized question form: {' '.join(q)}")
-
-
 # -- arithmetic ----------------------------------------------------------------
 
-def gen_arith(seed: int, sizes=None, operand_min: int = 2,
-              operand_max: int = 49) -> Dataset:
-    """Two-step integer chains with worked steps in the reference.
+def gen_arith(seed: int, sizes=None) -> Dataset:
+    """Two-step integer chains over OPERANDS with worked steps in the reference.
 
     All intermediate and final values stay inside the number vocabulary.
     Splits partition the operand-tuple space by hash.
     """
-    if not 0 <= operand_min <= operand_max < vocab.NUMBER_LIMIT:
-        raise InputError(
-            f"operand range [{operand_min}, {operand_max}] must sit inside "
-            f"[0, {vocab.NUMBER_LIMIT})")
     sizes = _normalize_sizes(sizes)
     rng = np.random.default_rng(seed)
     ops = ("+", "-")
 
     def make() -> Sample:
         while True:
-            a = int(rng.integers(operand_min, operand_max + 1))
-            b = int(rng.integers(operand_min, operand_max + 1))
-            c = int(rng.integers(operand_min, operand_max + 1))
+            a, b, c = (int(rng.integers(OPERANDS.start, OPERANDS.stop)) for _ in range(3))
             op1 = ops[rng.integers(2)]
             op2 = ops[rng.integers(2)]
             r1 = a + b if op1 == "+" else a - b
@@ -370,17 +319,6 @@ def gen_arith(seed: int, sizes=None, operand_min: int = 2,
 
     splits = _fill_by_bucket(sizes, make, "arith")
     return Dataset(task="arith", seed=seed, splits=splits)
-
-
-def solve_arith(prompt_text: str) -> str:
-    words = prompt_text.split()
-    if len(words) < 8 or words[0] != "compute":
-        raise InputError(f"unrecognized arith prompt: {prompt_text!r}")
-    a, op1, b, op2, c = words[2:7]
-    x, y, z = int(a), int(b), int(c)
-    r1 = x + y if op1 == "+" else x - y
-    r2 = r1 + z if op2 == "+" else r1 - z
-    return f"{a} {op1} {b} = {r1} | {r1} {op2} {c} = {r2} | answer = {r2}"
 
 
 # -- cipher translation --------------------------------------------------------
@@ -448,13 +386,6 @@ def gen_cipher_mt(seed: int, sizes=None, domain: str = "in-domain") -> Dataset:
     return Dataset(task="cipher-mt", seed=seed, splits=splits)
 
 
-def solve_cipher(prompt_text: str) -> str:
-    words = prompt_text.split()
-    if len(words) < 3 or words[0] != "translate" or words[-1] != "=":
-        raise InputError(f"unrecognized cipher prompt: {prompt_text!r}")
-    return " ".join(cipher_transform(words[2:-1]))
-
-
 # -- salient summary -----------------------------------------------------------
 
 def gen_salient_summary(seed: int, sizes=None) -> Dataset:
@@ -495,26 +426,6 @@ def gen_salient_summary(seed: int, sizes=None) -> Dataset:
 
     splits = _fill_by_bucket(sizes, make, "salient-summary")
     return Dataset(task="salient-summary", seed=seed, splits=splits)
-
-
-def solve_summary(prompt_text: str) -> str:
-    words = prompt_text.split()
-    facts = []
-    i = 0
-    while i < len(words):
-        if words[i] == "note":
-            j = i + 1
-            span = []
-            while j < len(words) and words[j] not in (".", "|"):
-                span.append(words[j])
-                j += 1
-            facts.append(" ".join(span))
-            i = j
-        else:
-            i += 1
-    if not facts:
-        raise InputError("no note-marked facts in prompt")
-    return " | ".join(facts)
 
 
 # -- response selection --------------------------------------------------------
@@ -570,27 +481,6 @@ def gen_resp_select(seed: int, sizes=None) -> Dataset:
     return Dataset(task="resp-select", seed=seed, splits=splits)
 
 
-def solve_resp_select(prompt_text: str) -> str:
-    words = prompt_text.split()
-    try:
-        cand_at = words.index("candidate")
-    except ValueError:
-        raise InputError("prompt has no candidate section") from None
-    topics = set(NOUNS_GENERAL + NOUNS_NEWS)
-    dialog_nouns = {w for w in words[:cand_at] if w in topics}
-    cand_end = words.index("suitable") if "suitable" in words else len(words)
-    cand_nouns = {w for w in words[cand_at:cand_end] if w in topics}
-    return "yes" if cand_nouns & dialog_nouns else "no"
-
-
-SOLVERS = {
-    "kvqa": solve_kvqa,
-    "arith": solve_arith,
-    "cipher-mt": solve_cipher,
-    "salient-summary": solve_summary,
-    "resp-select": solve_resp_select,
-}
-
 GENERATORS = {
     "kvqa": gen_kvqa,
     "arith": gen_arith,
@@ -604,8 +494,8 @@ GENERATORS = {
 
 def _all_arith_facts() -> list[str]:
     facts = []
-    for a in range(2, 50):
-        for b in range(2, 50):
+    for a in OPERANDS:
+        for b in OPERANDS:
             facts.append(f"{a} + {b} = {a + b}")
             if a - b >= 0:
                 facts.append(f"{a} - {b} = {a - b}")
@@ -709,15 +599,12 @@ def gen_pretrain_corpus(seed: int, n_tokens: int = 250_000,
         parts = [next_arith() for _ in range(int(rng.integers(2, 5)))]
         roll = rng.random()
         if roll < 0.35:
-            a = int(rng.integers(2, 50))
-            b = int(rng.integers(2, 50))
-            c = int(rng.integers(2, 50))
+            a, b, c = (int(rng.integers(OPERANDS.start, OPERANDS.stop)) for _ in range(3))
             r1 = a + b
             if r1 - c >= 0:
                 parts.append(f"{a} + {b} = {r1} | {r1} - {c} = {r1 - c}")
         elif roll < 0.6:
-            a = int(rng.integers(2, 50))
-            b = int(rng.integers(2, 50))
+            a, b = (int(rng.integers(OPERANDS.start, OPERANDS.stop)) for _ in range(2))
             parts.append(f"compute : {a} + {b} = ? {a + b}")
         return " . ".join(parts).split() + ["."]
 

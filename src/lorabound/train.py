@@ -8,9 +8,9 @@ step's longest input) rows, at least one, which bounds the activations
 one backward keeps. A step whose loss or gradient norm is not finite
 raises DegenerateInputError before its update, so a diverged run leaves
 no artifact. Runs are deterministic for a given seed. Fine-tuning
-trains the adapter set it is given (a fresh set on every layer when
-none is): the caller picks its layers, targets and rank. It touches
-adapter factors only; the base weights are read, never written.
+trains the adapter set it is given: the caller picks its layers,
+targets and rank. It touches adapter factors only; the base weights are
+read, never written.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, InputError
 from .fileio import atomic_write_text
-from .lora import LoraSet, init_adapters, lora_param_dict
+from .lora import LoraSet, lora_param_dict
 from .model import (TRAIN_CHUNK_POSITIONS, BaseWeights, ModelConfig, check_seed,
                     init_base, loss_and_grads)
 from .numerics import AdamState, adam_step, clip_by_global_norm
@@ -154,17 +154,15 @@ def pretrain(cfg: ModelConfig, tcfg: TrainConfig, corpus,
         examples.append((ids[:-1], ids[1:], np.ones(ids.size - 1, dtype=bool)))
 
     def grad_fn(inputs, targets, mask):
-        return loss_and_grads(weights, None, inputs, targets, mask,
-                              want_base=True, want_lora=False)
+        return loss_and_grads(weights, None, inputs, targets, mask)
 
     history = _train_loop(examples, grad_fn, weights.tensors, tcfg, log_path, "pretrain")
     return weights, history
 
 
-def finetune_lora(base: BaseWeights, dataset, tcfg: TrainConfig,
-                  adapters: LoraSet | None = None, *, log_path=None):
-    """Train the given adapter set on prompt/reference pairs; None trains
-    init_adapters(base.cfg, seed=tcfg.seed), a default set on every layer.
+def finetune_lora(base: BaseWeights, dataset, tcfg: TrainConfig, adapters: LoraSet, *,
+                  log_path=None):
+    """Train the given adapter set on prompt/reference pairs.
 
     Only A and B factors are updated, in place; the loss covers the
     reference positions only. Returns (LoraSet, history).
@@ -181,8 +179,6 @@ def finetune_lora(base: BaseWeights, dataset, tcfg: TrainConfig,
                 f"sample {i} spans {len(prompt) + len(ref)} tokens, "
                 f"max_seq is {base.cfg.max_seq}")
 
-    if adapters is None:
-        adapters = init_adapters(base.cfg, seed=tcfg.seed)
     adapters.fingerprint = base.fingerprint()
     examples = []
     for prompt, ref in pairs:
@@ -190,8 +186,7 @@ def finetune_lora(base: BaseWeights, dataset, tcfg: TrainConfig,
         examples.append((seq[:-1], seq[1:], np.arange(seq.size - 1) >= len(prompt) - 1))
 
     def grad_fn(inputs, targets, mask):
-        return loss_and_grads(base, adapters, inputs, targets, mask,
-                              want_base=False, want_lora=True)
+        return loss_and_grads(base, adapters, inputs, targets, mask)
 
     history = _train_loop(examples, grad_fn, lora_param_dict(adapters), tcfg, log_path,
                           "finetune")

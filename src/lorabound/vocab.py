@@ -74,10 +74,7 @@ def _build() -> list[str]:
 WORDS: list[str] = _build()
 WORD_TO_ID: dict[str, int] = {w: i for i, w in enumerate(WORDS)}
 
-PAD_ID = WORD_TO_ID["<pad>"]
-BOS_ID = WORD_TO_ID["<bos>"]
 EOS_ID = WORD_TO_ID["<eos>"]
-UNK_ID = WORD_TO_ID["<unk>"]
 
 
 def _build_cipher() -> dict[str, str]:

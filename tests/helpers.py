@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from lorabound.fileio import _encode_container, atomic_write_bytes
 from lorabound.probe import ProbeReport
 from lorabound.reports import emit_probe, emit_tsv, parse_tsv
 
@@ -69,3 +70,10 @@ def write_probe_report(path, drop=(), **meta):
         del head[key]
     path.write_text(emit_tsv(kind, head, columns, rows))
     return path
+
+
+def write_container(path, magic, header, tensors):
+    """A container file holding exactly this header and these tensors (a name
+    -> array dict), past every check save_weights and save_adapters run: the
+    way to store a file that a loader must reject."""
+    atomic_write_bytes(path, _encode_container(magic, header, sorted(tensors.items())))

@@ -7,15 +7,20 @@ runs one forward per sample, a training step that runs one forward
 and backward per sequence, a gelu backward written as one expression,
 and the softmax, rmsnorm and gelu forwards as chains of fresh arrays.
 Slow but obviously correct on short inputs; the real implementations
-must agree with them.
+must agree with them. The task solvers (SOLVERS) rebuild each task's
+reference from its prompt by an explicit rule, so every generated
+sample is shown solvable.
 """
 
 import math
 
 import numpy as np
 
+from lorabound.errors import InputError
 from lorabound.model import forward_collect, lens_probs, next_token_logits
 from lorabound.numerics import adam_step, clip_by_global_norm
+from lorabound.tasks import cipher_transform
+from lorabound.vocab import KEYS, NOUNS_GENERAL, NOUNS_NEWS
 
 
 def softmax_rows_oracle(x):
@@ -227,3 +232,107 @@ def bleu_oracle(preds, golds):
     else:
         bp = math.exp(1.0 - gold_len / max(1, pred_len))
     return 100.0 * bp * math.exp(log_sum)
+
+
+# -- task solvers --------------------------------------------------------------
+
+_KEY_SET = frozenset(KEYS)
+
+
+def solve_kvqa(prompt_text: str) -> str:
+    """Rule-based extractor: parse the facts, follow the chain, answer exactly."""
+    words = prompt_text.split()
+    try:
+        q_at = words.index("question")
+    except ValueError:
+        raise InputError("prompt has no question section") from None
+    facts: dict[str, str] = {}
+    i = 0
+    while i < q_at - 2:
+        if words[i] in _KEY_SET and words[i + 1] == ":":
+            facts[words[i]] = words[i + 2]
+            i += 3
+        else:
+            i += 1
+    q = words[q_at + 2:]
+    if q and q[-1] == "?":
+        q = q[:-1]
+
+    def resolve(key: str) -> str:
+        cur = facts.get(key)
+        hops = 0
+        while cur in facts and hops < 8:
+            cur = facts[cur]
+            hops += 1
+        if cur is None:
+            raise InputError(f"question key {key!r} has no fact")
+        return cur
+
+    if len(q) == 1:
+        return f"answer = {resolve(q[0])}"
+    if len(q) == 3 and q[1] == "same":
+        return f"answer = {'yes' if resolve(q[0]) == resolve(q[2]) else 'no'}"
+    if len(q) == 6 and q[0] == "which" and q[2] == "or" and q[4] == ":":
+        ka, kb, vt = q[1], q[3], q[5]
+        if resolve(ka) == vt:
+            return f"answer = {ka}"
+        if resolve(kb) == vt:
+            return f"answer = {kb}"
+        raise InputError(f"neither {ka} nor {kb} maps to {vt}")
+    raise InputError(f"unrecognized question form: {' '.join(q)}")
+
+def solve_arith(prompt_text: str) -> str:
+    words = prompt_text.split()
+    if len(words) < 8 or words[0] != "compute":
+        raise InputError(f"unrecognized arith prompt: {prompt_text!r}")
+    a, op1, b, op2, c = words[2:7]
+    x, y, z = int(a), int(b), int(c)
+    r1 = x + y if op1 == "+" else x - y
+    r2 = r1 + z if op2 == "+" else r1 - z
+    return f"{a} {op1} {b} = {r1} | {r1} {op2} {c} = {r2} | answer = {r2}"
+
+def solve_cipher(prompt_text: str) -> str:
+    words = prompt_text.split()
+    if len(words) < 3 or words[0] != "translate" or words[-1] != "=":
+        raise InputError(f"unrecognized cipher prompt: {prompt_text!r}")
+    return " ".join(cipher_transform(words[2:-1]))
+
+def solve_summary(prompt_text: str) -> str:
+    words = prompt_text.split()
+    facts = []
+    i = 0
+    while i < len(words):
+        if words[i] == "note":
+            j = i + 1
+            span = []
+            while j < len(words) and words[j] not in (".", "|"):
+                span.append(words[j])
+                j += 1
+            facts.append(" ".join(span))
+            i = j
+        else:
+            i += 1
+    if not facts:
+        raise InputError("no note-marked facts in prompt")
+    return " | ".join(facts)
+
+def solve_resp_select(prompt_text: str) -> str:
+    words = prompt_text.split()
+    try:
+        cand_at = words.index("candidate")
+    except ValueError:
+        raise InputError("prompt has no candidate section") from None
+    topics = set(NOUNS_GENERAL + NOUNS_NEWS)
+    dialog_nouns = {w for w in words[:cand_at] if w in topics}
+    cand_end = words.index("suitable") if "suitable" in words else len(words)
+    cand_nouns = {w for w in words[cand_at:cand_end] if w in topics}
+    return "yes" if cand_nouns & dialog_nouns else "no"
+
+
+SOLVERS = {
+    "kvqa": solve_kvqa,
+    "arith": solve_arith,
+    "cipher-mt": solve_cipher,
+    "salient-summary": solve_summary,
+    "resp-select": solve_resp_select,
+}

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from lorabound import boundary
-from lorabound.boundary import (BoundaryDecision, apply_boundary, default_boundary,
-                                detect_knee, knee_from_report, sweep_boundary)
+from lorabound.boundary import (BoundaryDecision, default_boundary, detect_knee,
+                                knee_from_report, sweep_boundary)
 from lorabound.errors import (CompatibilityError, InputError, NoKneeError)
 from lorabound.lora import drop_above, init_adapters
+from lorabound.metrics import corpus_score
 from lorabound.model import ModelConfig, init_base
 from lorabound.probe import ProbeReport
 from lorabound.vocab import decode
@@ -147,33 +148,29 @@ class TestSweepBoundary:
         # the sweep must equal: score every level, max, smallest argmax
         base, lset = micro_setup()
         samples = tuple_samples()
-        golds = ["a"] * len(samples)
-
-        def metric(preds, gs):
-            return float(np.mean([len(p) % 3 for p in preds]))
-
-        dec = sweep_boundary(base, lset, samples, metric, golds=golds,
-                             decode_budget=3, stop_token=0)
-        by_hand = {}
-        for k in range(MICRO.n_layers + 1):
-            dropped = drop_above(lset, k)
-            preds = [decode(greedy_oracle(base, dropped, p, 3, 0))
+        preds = {k: [decode(greedy_oracle(base, drop_above(lset, k), p, 3, 0))
                      for p, _ in samples]
-            by_hand[k] = metric(preds, golds)
+                 for k in range(MICRO.n_layers + 1)}
+        golds = preds[1]   # level 1 scores 1.0, and at least one level less
+        by_hand = {k: corpus_score("f1", preds[k], golds).score for k in preds}
+        assert len(set(by_hand.values())) >= 2
+        dec = sweep_boundary(base, lset, samples, "f1", golds=golds,
+                             decode_budget=3, stop_token=0)
         assert dec.per_k_scores == by_hand
         best = max(by_hand.values())
         assert dec.k_star == min(k for k, v in by_hand.items() if v == best)
 
     def test_smallest_level_wins_ties(self):
         base, lset = micro_setup()
-        dec = sweep_boundary(base, lset, tuple_samples(),
-                             lambda preds, golds: 1.0, golds=["x"] * 8,
+        # "zz" is no vocabulary word, so every level scores 0
+        dec = sweep_boundary(base, lset, tuple_samples(), "em", golds=["zz"] * 8,
                              decode_budget=2)
+        assert set(dec.per_k_scores.values()) == {0.0}
         assert dec.k_star == 0
 
     def test_respects_keeps_argument(self):
         base, lset = micro_setup()
-        dec = sweep_boundary(base, lset, tuple_samples(), lambda p, g: 0.5,
+        dec = sweep_boundary(base, lset, tuple_samples(), "em",
                              golds=["x"] * 8, keeps=[0, 2], decode_budget=2)
         assert sorted(dec.per_k_scores) == [0, 2]
 
@@ -237,12 +234,15 @@ class TestSweepBoundary:
 
 
 class TestApplyBoundary:
+    """A decision applies as check_set, then drop_above(set, k_star)."""
+
     def test_drops_above_the_decision(self):
         base, lset = micro_setup()
         dec = BoundaryDecision(k_star=1, per_k_scores={1: 0.5}, metric="em",
                                sample_count=4, method="sweep", seed=0,
                                set_hash=lset.content_hash())
-        pruned = apply_boundary(lset, dec)
+        dec.check_set(lset)
+        pruned = drop_above(lset, dec.k_star)
         assert {layer for layer, _ in pruned.adapters} == {1}
 
     def test_wrong_set_rejected(self):
@@ -251,14 +251,15 @@ class TestApplyBoundary:
                                sample_count=4, method="sweep", seed=0,
                                set_hash="deadbeef")
         with pytest.raises(CompatibilityError):
-            apply_boundary(lset, dec)
+            dec.check_set(lset)
 
     def test_missing_hash_skips_the_check(self):
         base, lset = micro_setup()
         dec = BoundaryDecision(k_star=2, per_k_scores={}, metric="em",
                                sample_count=4, method="knee", seed=0,
                                set_hash=None)
-        pruned = apply_boundary(lset, dec)
+        dec.check_set(lset)
+        pruned = drop_above(lset, dec.k_star)
         assert len(pruned.adapters) == len(lset.adapters)
 
 

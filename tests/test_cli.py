@@ -13,15 +13,14 @@ import pytest
 import lorabound
 from lorabound.boundary import BoundaryDecision
 from lorabound.cli import build_parser, main
-from lorabound.fileio import (MAGIC_ADAPTERS, _decode_container, _encode_container,
-                              atomic_write_bytes, load_adapters, load_weights,
-                              save_adapters, save_weights)
+from lorabound.fileio import (MAGIC_ADAPTERS, MAGIC_WEIGHTS, _decode_container,
+                              load_adapters, load_weights, save_adapters, save_weights)
 from lorabound.lora import LoraAdapter, drop_above
 from lorabound.probe import ProbeReport, select_samples
 from lorabound.reports import parse_tsv, read_probe_tsv, write_probe_tsv
 from lorabound.tasks import load_dataset
 
-from helpers import write_probe_report
+from helpers import write_container, write_probe_report
 
 MICRO_CFG = {
     "model": {"n_layers": 2, "d_model": 8, "n_heads": 2, "d_ff": 16,
@@ -503,12 +502,12 @@ class TestDomainErrors:
         assert sorted(os.listdir(tmp_path)) == ["bad.lbad"]
 
     def test_adapter_of_another_rank_exits_two(self, pipeline, tmp_path, capsys):
-        lset = load_adapters(pipeline["full"])
-        assert lset.rank == 2
-        lset.adapters[(1, "q")] = LoraAdapter(a=np.zeros((8, 8), np.float32),
-                                              b=np.zeros((8, 8), np.float32))
+        header, tensors = _decode_container(pipeline["full"], MAGIC_ADAPTERS)
+        assert header["rank"] == 2
+        tensors["layer01.q.a"] = np.zeros((8, 8), np.float32)
+        tensors["layer01.q.b"] = np.zeros((8, 8), np.float32)
         bad = tmp_path / "bad.lbad"
-        save_adapters(bad, lset)
+        write_container(bad, MAGIC_ADAPTERS, header, tensors)
         rc = run("probe", "--config", pipeline["cfg"], "--model", pipeline["base"],
                  "--data", pipeline["data"], "--adapters", bad, "--out", tmp_path / "p.tsv")
         assert rc == 2
@@ -657,9 +656,8 @@ class TestInputsCheckedBeforeCompute:
     def test_adapter_outside_header_targets(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "gate.lbad"
         header, tensors = _decode_container(pipeline["full"], MAGIC_ADAPTERS)
-        renamed = sorted((n.replace("layer01.q.", "layer01.gate."), t)
-                         for n, t in tensors.items())
-        atomic_write_bytes(bad, _encode_container(MAGIC_ADAPTERS, header, renamed))
+        renamed = {n.replace("layer01.q.", "layer01.gate."): t for n, t in tensors.items()}
+        write_container(bad, MAGIC_ADAPTERS, header, renamed)
         rc = self.probe(pipeline, tmp_path / "p.tsv", adapters=bad)
         assert rc == 2
         assert "adapter at layer 1 'gate' is not among the header targets" \
@@ -670,8 +668,7 @@ class TestInputsCheckedBeforeCompute:
         bad = tmp_path / "rank.lbad"
         header, tensors = _decode_container(pipeline["full"], MAGIC_ADAPTERS)
         header["rank"] = "x"
-        atomic_write_bytes(bad, _encode_container(MAGIC_ADAPTERS, header,
-                                                  sorted(tensors.items())))
+        write_container(bad, MAGIC_ADAPTERS, header, tensors)
         rc = self.probe(pipeline, tmp_path / "p.tsv", adapters=bad)
         assert rc == 2
         assert "rank.lbad: header field 'rank' must be int, got 'x'" \
@@ -688,6 +685,16 @@ class TestInputsCheckedBeforeCompute:
         assert "tensor 'layer02.wup' holds non-finite values" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["nan.lbwt"]
 
+    def test_non_finite_model_header_value(self, pipeline, tmp_path, capsys):
+        header, tensors = _decode_container(pipeline["base"], MAGIC_WEIGHTS)
+        header["config"]["norm_eps"] = float("nan")
+        bad = tmp_path / "eps.lbwt"
+        write_container(bad, MAGIC_WEIGHTS, header, tensors)
+        rc = self.probe(pipeline, tmp_path / "p.tsv", model=bad)
+        assert rc == 2
+        assert "model.norm_eps must be a finite number, got nan" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["eps.lbwt"]
+
     def test_keep_bottom_without_adapters(self, pipeline, tmp_path, capsys):
         rc = run("eval", "--config", pipeline["cfg"], "--model", pipeline["base"],
                  "--data", pipeline["data"], "--keep-bottom", 1,
@@ -695,6 +702,14 @@ class TestInputsCheckedBeforeCompute:
         assert rc == 2
         assert "--keep-bottom needs --adapters" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    def test_non_finite_config_value(self, pipeline, tmp_path, capsys):
+        path = config_with(pipeline, tmp_path, "train", "grad_clip", float("nan"))
+        rc = run("finetune", "--config", path, "--model", pipeline["base"],
+                 "--data", pipeline["data"], "--out", tmp_path / "a.lbad")
+        assert rc == 2
+        assert "train.grad_clip must be a finite number, got nan" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     @pytest.mark.parametrize("epochs", ["3", 2.5])
     def test_config_value_of_wrong_type(self, pipeline, tmp_path, capsys, epochs):

@@ -1,5 +1,6 @@
 """Checkpoint containers, run configs and TSV reports."""
 
+import dataclasses
 import json
 import re
 import struct
@@ -14,7 +15,7 @@ from lorabound.fileio import (MAGIC_ADAPTERS, MAGIC_WEIGHTS, _decode_container,
                               atomic_write_text, file_sha256, load_adapters,
                               load_weights, read_json, save_adapters, save_weights,
                               write_manifest)
-from lorabound.lora import init_adapters
+from lorabound.lora import LoraAdapter, init_adapters
 from lorabound.metrics import corpus_score
 from lorabound.model import ModelConfig, init_base
 from lorabound.probe import ProbeReport, probe_ground_truth
@@ -241,6 +242,22 @@ class TestAdaptersContainer:
         with pytest.raises(ParseError, match=re.escape(f"a.lbad: {cause}")):
             load_adapters(p)
 
+    @pytest.mark.parametrize("edit, cause", [
+        (lambda s: s.adapters.update({(1, "q"): LoraAdapter(a=np.zeros((4, 8), np.float32),
+                                                              b=np.zeros((8, 4), np.float32))}),
+         "adapter at layer 1 'q' has rank 4, header rank is 8"),
+        (lambda s: setattr(s, "targets", ("q",)),
+         "adapter at layer 1 'v' is not among the header targets ['q']"),
+        (lambda s: setattr(s, "alpha", float("nan")), "alpha must be positive and finite"),
+    ], ids=["rank", "targets", "alpha"])
+    def test_save_rejects_a_set_edited_into_an_invalid_one(self, tmp_path, edit, cause):
+        lset = micro_adapters()
+        edit(lset)
+        p = tmp_path / "a.lbad"
+        with pytest.raises(ConfigError, match=re.escape(cause)):
+            save_adapters(p, lset)
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_finite_factor_rejected(self, tmp_path):
         lset = micro_adapters()
         lset.adapters[(2, "v")].b[0, 0] = np.nan
@@ -292,10 +309,16 @@ class TestManifest:
         assert a.read_text() == b.read_text()
 
 
+# every float field of every run config section, as (section, key)
+FLOAT_FIELDS = [(section.name, f.name) for section in dataclasses.fields(RunConfig)
+                for f in dataclasses.fields(getattr(RunConfig.default(), section.name))
+                if f.type == "float"]
+
+
 class TestRunConfig:
     def test_default_round_trips(self):
         cfg = RunConfig.default()
-        back = RunConfig.from_dict(json.loads(cfg.canonical_json()))
+        back = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert back == cfg
 
     def test_partial_override(self):
@@ -349,6 +372,14 @@ class TestRunConfig:
     def test_scalar_of_wrong_json_type_rejected(self, section, key, value, cause):
         with pytest.raises(ConfigError, match=cause):
             RunConfig.from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("section, key", FLOAT_FIELDS)
+    def test_non_finite_number_rejected(self, tmp_path, section, key, value):
+        p = tmp_path / "run.json"
+        p.write_text(f'{{"{section}": {{"{key}": {value}}}}}')
+        with pytest.raises(ConfigError, match=f"{section}.{key} must be a finite number"):
+            RunConfig.load(p)
 
     def test_number_fields_take_integers(self):
         cfg = RunConfig.from_dict({"train": {"lr": 1, "grad_clip": 0},

@@ -306,3 +306,9 @@ class TestContentHash:
         two = init_adapters(MICRO, seed=0)
         two.fingerprint = "0" * 16 + "." + "1" * 16
         assert one.content_hash() != two.content_hash()
+
+    def test_depends_on_n_layers(self):
+        one = init_adapters(MICRO, seed=0)
+        deeper = dataclasses.replace(one, n_layers=7)
+        assert deeper.adapters == one.adapters
+        assert one.content_hash() != deeper.content_hash()

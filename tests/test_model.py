@@ -259,23 +259,23 @@ def check_grads(weights, lset, toks, prompt_len, *, eps, tol, dtype):
 
 def check_batch_grads(weights, lset, inputs, targets, mask, *, eps, tol):
     """Every gradient of loss_and_grads against central finite differences of
-    the forward-only loss; inputs is one sequence or a padded batch."""
-    loss, grads = model.loss_and_grads(
-        weights, lset, inputs, targets, mask,
-        want_base=True, want_lora=lset is not None)
-
-    def loss_fn():
-        hidden = model.forward_collect(weights, lset, inputs)
-        l, _ = numerics.cross_entropy_grad(model.lens_logits(weights, hidden[-1]),
-                                           targets, mask)
-        return l
-
-    assert abs(loss - loss_fn()) < 1e-12
+    the forward-only loss; inputs is one sequence or a padded batch. The base
+    tensors are checked in a call without adapters and, given lset, the
+    adapter factors in a call with it."""
     params = flatten_params(weights, lset)
     worst = {}
-    for name, g in grads.items():
-        fd = fd_grad(loss_fn, params[name], eps)
-        worst[name] = rel_error(g, fd)
+    for adapters in (None,) if lset is None else (None, lset):
+        loss, grads = model.loss_and_grads(weights, adapters, inputs, targets, mask)
+
+        def loss_fn():
+            hidden = model.forward_collect(weights, adapters, inputs)
+            l, _ = numerics.cross_entropy_grad(model.lens_logits(weights, hidden[-1]),
+                                               targets, mask)
+            return l
+
+        assert abs(loss - loss_fn()) < 1e-12
+        for name, g in grads.items():
+            worst[name] = rel_error(g, fd_grad(loss_fn, params[name], eps))
     bad = {k: v for k, v in worst.items() if v >= tol}
     assert not bad, f"gradient mismatches over {tol}: {bad}"
     return worst
@@ -323,8 +323,7 @@ class TestGradients:
         randomize_adapters(lset, np.random.default_rng(24))
         inputs, targets = np.array([1, 2, 3]), np.array([2, 3, 4])
         mask = np.ones(3, dtype=bool)
-        _, grads = model.loss_and_grads(w, lset, inputs, targets, mask,
-                                        want_base=False, want_lora=True)
+        _, grads = model.loss_and_grads(w, lset, inputs, targets, mask)
         assert all(k.endswith((".lora_a", ".lora_b")) for k in grads)
         assert len(grads) == 2 * 2 * 2
 
@@ -334,8 +333,7 @@ class TestGradients:
         randomize_adapters(lset, np.random.default_rng(26))
         inputs, targets = np.array([1, 2, 3]), np.array([2, 3, 4])
         mask = np.ones(3, dtype=bool)
-        _, grads = model.loss_and_grads(w, lora.drop_above(lset, 1), inputs, targets, mask,
-                                        want_base=False, want_lora=True)
+        _, grads = model.loss_and_grads(w, lora.drop_above(lset, 1), inputs, targets, mask)
         assert set(grads) == {"layer01.q.lora_a", "layer01.q.lora_b",
                               "layer01.v.lora_a", "layer01.v.lora_b"}
 
@@ -348,20 +346,17 @@ def all_target_adapters(cfg, seed, dtype=np.float64):
 class TestBatchedGradients:
     """[B, t] padded rows against one call per row."""
 
-    @pytest.mark.parametrize("tied, want_base, want_lora", [
-        (False, True, True), (False, True, False), (False, False, True), (True, True, True)])
-    def test_batch_is_the_mean_of_row_calls_float64(self, tied, want_base, want_lora):
+    @pytest.mark.parametrize("with_set", [False, True], ids=["base", "lora"])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_batch_is_the_mean_of_row_calls_float64(self, tied, with_set):
         w = micro_weights(seed=30, dtype=np.float64, tied=tied)
-        lset = all_target_adapters(w.cfg, seed=31)
+        lset = all_target_adapters(w.cfg, seed=31) if with_set else None
         rows = ragged_rows(32, [7, 3, 5, 1, 6])
-        flags = {"want_base": want_base, "want_lora": want_lora}
-        loss, grads = model.loss_and_grads(w, lset, *padded(rows), **flags)
-        per_row = [model.loss_and_grads(w, lset, *row, **flags) for row in rows]
+        loss, grads = model.loss_and_grads(w, lset, *padded(rows))
+        per_row = [model.loss_and_grads(w, lset, *row) for row in rows]
         assert rel_error(loss, np.mean([l for l, _ in per_row])) < 1e-6
         assert set(grads) == set(per_row[0][1])
-        assert any(name.endswith(".lora_a") for name in grads) == want_lora
-        assert ("tok_emb" in grads) == want_base
-        assert len(grads) == want_base * (len(w.tensors)) + want_lora * 2 * 6 * 2
+        assert set(grads) == set(lora.lora_param_dict(lset) if with_set else w.tensors)
         for name, g in grads.items():
             mean = sum(row_grads[name] for _, row_grads in per_row) / len(rows)
             assert rel_error(g, mean) < 1e-6, name
@@ -369,14 +364,14 @@ class TestBatchedGradients:
     def test_one_row_batch_is_the_sequence_bit_for_bit(self):
         w = micro_weights(seed=46)
         lset = all_target_adapters(MICRO, seed=47, dtype=np.float32)
-        for row in ragged_rows(48, [7, 4]):
-            loss, grads = model.loss_and_grads(w, lset, *row, want_lora=True)
-            one, one_grads = model.loss_and_grads(w, lset, *(a[None] for a in row),
-                                                  want_lora=True)
-            assert one == loss
-            assert set(one_grads) == set(grads)
-            for name, g in grads.items():
-                np.testing.assert_array_equal(one_grads[name], g, err_msg=name)
+        for adapters in (None, lset):
+            for row in ragged_rows(48, [7, 4]):
+                loss, grads = model.loss_and_grads(w, adapters, *row)
+                one, one_grads = model.loss_and_grads(w, adapters, *(a[None] for a in row))
+                assert one == loss
+                assert set(one_grads) == set(grads)
+                for name, g in grads.items():
+                    np.testing.assert_array_equal(one_grads[name], g, err_msg=name)
 
     def test_ragged_batch_against_finite_differences(self):
         w = micro_weights(seed=33, dtype=np.float64)
@@ -390,14 +385,14 @@ class TestBatchedGradients:
         w = micro_weights(seed=37, tied=tied)
         lset = all_target_adapters(w.cfg, seed=38, dtype=np.float32)
         rows = ragged_rows(39, [2, 7, 4])
-        flags = {"want_base": True, "want_lora": True}
-        loss, grads = model.loss_and_grads(w, lset, *padded(rows), **flags)
-        for pad_seed in (40, 41):
-            other_loss, other = model.loss_and_grads(w, lset, *padded(rows, pad_seed), **flags)
-            assert other_loss == loss
-            assert set(other) == set(grads)
-            for name, g in grads.items():
-                np.testing.assert_array_equal(other[name], g, err_msg=name)
+        for adapters in (None, lset):
+            loss, grads = model.loss_and_grads(w, adapters, *padded(rows))
+            for pad_seed in (40, 41):
+                other_loss, other = model.loss_and_grads(w, adapters, *padded(rows, pad_seed))
+                assert other_loss == loss
+                assert set(other) == set(grads)
+                for name, g in grads.items():
+                    np.testing.assert_array_equal(other[name], g, err_msg=name)
 
     def test_row_without_a_counted_target(self):
         w = micro_weights(seed=42)

@@ -34,6 +34,11 @@ def tiny_pairs():
     return [([a, b], [9]) for a in range(4, 8) for b in range(4, 8)]
 
 
+def fresh():
+    """A fresh default set on every layer, as `finetune` builds it for seed 0."""
+    return init_adapters(MICRO, seed=0)
+
+
 def snapshot(weights):
     return {k: v.copy() for k, v in weights.tensors.items()}
 
@@ -103,25 +108,25 @@ class TestFinetune:
     def test_base_weights_never_change(self):
         base, _ = pretrain(MICRO, FAST, tiny_corpus())
         snap = snapshot(base)
-        finetune_lora(base, tiny_pairs(), FAST)
+        finetune_lora(base, tiny_pairs(), FAST, fresh())
         assert_identical(base.tensors, snap)
 
     def test_loss_decreases(self):
         base, _ = pretrain(MICRO, FAST, tiny_corpus())
         # full batch keeps every history entry comparable
         _, hist = finetune_lora(base, tiny_pairs(),
-                                TrainConfig(lr=1e-2, epochs=20, batch=16))
+                                TrainConfig(lr=1e-2, epochs=20, batch=16), fresh())
         assert hist[-1][2] < 0.85 * hist[0][2]
 
     def test_adapters_bound_to_base(self):
         base, _ = pretrain(MICRO, FAST, tiny_corpus())
-        lset, _ = finetune_lora(base, tiny_pairs(), FAST)
+        lset, _ = finetune_lora(base, tiny_pairs(), FAST, fresh())
         assert lset.fingerprint == base.fingerprint()
 
     def test_deterministic(self):
         base, _ = pretrain(MICRO, FAST, tiny_corpus())
-        a, ha = finetune_lora(base, tiny_pairs(), FAST)
-        b, hb = finetune_lora(base, tiny_pairs(), FAST)
+        a, ha = finetune_lora(base, tiny_pairs(), FAST, fresh())
+        b, hb = finetune_lora(base, tiny_pairs(), FAST, fresh())
         assert ha == hb
         for key in a.adapters:
             assert np.array_equal(a.adapters[key].a, b.adapters[key].a)
@@ -130,7 +135,7 @@ class TestFinetune:
     def test_training_changes_logits(self):
         base, _ = pretrain(MICRO, FAST, tiny_corpus())
         lset, _ = finetune_lora(base, tiny_pairs(),
-                                TrainConfig(lr=3e-2, epochs=4, batch=4))
+                                TrainConfig(lr=3e-2, epochs=4, batch=4), fresh())
         ids = np.array([5, 6])
         plain = next_token_logits(base, None, ids)
         tuned = next_token_logits(base, lset, ids)
@@ -159,24 +164,24 @@ class TestFinetune:
             return real(weights, adapters, inputs, targets, mask, **kwargs)
 
         monkeypatch.setattr(train, "loss_and_grads", spy)
-        finetune_lora(base, [([4, 5, 6], [7, 8])] * 4, TrainConfig(epochs=1, batch=4))
+        finetune_lora(base, [([4, 5, 6], [7, 8])] * 4, TrainConfig(epochs=1, batch=4), fresh())
         # inputs 4 5 6 7 predict 5 6 7 8: only the targets 7 and 8 count
         assert [m.tolist() for m in masks] == [[[False, False, True, True]] * 4]
 
     def test_empty_dataset(self):
         base, _ = pretrain(MICRO, FAST, tiny_corpus())
         with pytest.raises(InputError):
-            finetune_lora(base, [], FAST)
+            finetune_lora(base, [], FAST, fresh())
 
     def test_empty_reference(self):
         base, _ = pretrain(MICRO, FAST, tiny_corpus())
         with pytest.raises(InputError):
-            finetune_lora(base, [([4, 5], [])], FAST)
+            finetune_lora(base, [([4, 5], [])], FAST, fresh())
 
     def test_over_long_pair(self):
         base, _ = pretrain(MICRO, FAST, tiny_corpus())
         with pytest.raises(InputError):
-            finetune_lora(base, [([4, 5, 6, 7, 8], [9, 10, 11, 12])], FAST)
+            finetune_lora(base, [([4, 5, 6, 7, 8], [9, 10, 11, 12])], FAST, fresh())
 
 
 class TestFinetunePartial:
