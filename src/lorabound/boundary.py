@@ -89,17 +89,14 @@ class BoundaryDecision:
                 f"got {full_set.content_hash()}")
 
 
-def detect_knee(curve, min_jump_ratio: float = DEFAULT_MIN_JUMP_RATIO) -> int:
+def detect_knee(curve) -> int:
     """Layer index (1-based) whose successor shows the largest curve jump.
 
     curve[i] is the value at layer i+1. The winning jump must be at least
-    min_jump_ratio of the curve's total range; otherwise, or when the
-    curve is flat, there is no knee and the caller must fall back.
-    Ties break toward the smallest layer. min_jump_ratio must lie in
-    [0, 1]: below 0 a falling step would pass as a knee.
+    DEFAULT_MIN_JUMP_RATIO of the curve's total range; otherwise, or when
+    the curve is flat, there is no knee and the caller must fall back.
+    Ties break toward the smallest layer.
     """
-    if not 0.0 <= min_jump_ratio <= 1.0:   # also rejects nan
-        raise InputError(f"min_jump_ratio must be in [0, 1], got {min_jump_ratio}")
     c = np.asarray(curve, dtype=np.float64)
     if c.ndim != 1 or c.size < 2:
         raise InputError(f"curve must be a flat series of at least 2 layers, got {c.shape}")
@@ -110,25 +107,23 @@ def detect_knee(curve, min_jump_ratio: float = DEFAULT_MIN_JUMP_RATIO) -> int:
         raise NoKneeError("curve is flat; no knee to detect")
     jumps = c[1:] - c[:-1]
     idx = int(np.argmax(jumps))          # first occurrence wins ties
-    if jumps[idx] < min_jump_ratio * span:
+    if jumps[idx] < DEFAULT_MIN_JUMP_RATIO * span:
         raise NoKneeError(
-            f"largest jump {jumps[idx]:.6g} is below {min_jump_ratio} of the "
+            f"largest jump {jumps[idx]:.6g} is below {DEFAULT_MIN_JUMP_RATIO} of the "
             f"curve range {span:.6g}")
     return idx + 1
 
 
-def knee_from_report(report: ProbeReport,
-                     min_jump_ratio: float = DEFAULT_MIN_JUMP_RATIO,
-                     fallback: bool = False) -> BoundaryDecision:
+def knee_from_report(report: ProbeReport, fallback: bool = False) -> BoundaryDecision:
     """Run knee detection on the row-mean ground-truth curve of a probe report.
 
     With fallback=True a missing knee resolves to the default depth
-    instead of raising.
+    instead of raising. The decision records the jump ratio it used.
     """
     curve = report.mean_gt_by_layer()
     used_fallback = False
     try:
-        k = detect_knee(curve, min_jump_ratio)
+        k = detect_knee(curve)
     except NoKneeError:
         if not fallback:
             raise
@@ -142,14 +137,14 @@ def knee_from_report(report: ProbeReport,
         method="knee",
         seed=int(report.config.get("seed", 0)),
         set_hash=report.config.get("adapters"),
-        extra={"min_jump_ratio": min_jump_ratio, "fallback": used_fallback},
+        extra={"min_jump_ratio": DEFAULT_MIN_JUMP_RATIO, "fallback": used_fallback},
     )
 
 
 def sweep_boundary(base: BaseWeights, full_set: LoraSet, samples, metric: str, *,
                    golds: list[str], keeps=None,
-                   decode_budget: int = DEFAULT_DECODE_BUDGET, seed: int = 0,
-                   stop_token: int = EOS_ID) -> BoundaryDecision:
+                   decode_budget: int = DEFAULT_DECODE_BUDGET,
+                   seed: int = 0) -> BoundaryDecision:
     """Score every candidate keep level on held-out samples and pick the best.
 
     metric is a name from the metrics registry; golds[i] is the gold
@@ -158,7 +153,7 @@ def sweep_boundary(base: BaseWeights, full_set: LoraSet, samples, metric: str, *
     recorded in the decision as the provenance of the caller's sample
     draw; it selects nothing here. The winner is the smallest level
     attaining the maximum score. All (level, sample) rows are decoded in
-    one `decode_batch` call.
+    one `decode_batch` call and stop at EOS_ID, as eval's decode does.
     """
     check_compat(base, full_set)
     n_layers = base.cfg.n_layers
@@ -175,7 +170,7 @@ def sweep_boundary(base: BaseWeights, full_set: LoraSet, samples, metric: str, *
         raise InputError(f"got {len(golds)} golds for {len(prompts)} samples")
 
     rows = [(prompt, k) for k in keeps for prompt in prompts]
-    outs = decode_batch(base, full_set, rows, decode_budget, stop_token)
+    outs = decode_batch(base, full_set, rows, decode_budget, EOS_ID)
     n = len(prompts)
     per_k = {k: float(corpus_score(metric, [decode(o) for o in outs[i * n:(i + 1) * n]],
                                    golds).score)

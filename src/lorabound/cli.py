@@ -62,31 +62,23 @@ def _load_split(data_dir: str, split: str):
     return ds, samples
 
 
-def _adapters(path, base, keep_bottom=None):
-    """The adapter set at path, checked against the model it will run on and
-    cut once by --keep-bottom; None when no path is given."""
+def _adapters(path, base):
+    """The adapter set at path, checked against the model it will run on;
+    None when no path is given. A kept set is written by export."""
     if not path:
-        if keep_bottom is not None:
-            raise InputError("--keep-bottom needs --adapters")
         return None
     lset = load_adapters(path)
     check_compat(base, lset)
-    if keep_bottom is not None:
-        lset = drop_above(lset, _keep_level(keep_bottom, lset))
     return lset
 
 
-def _read_decision(path, full_set) -> BoundaryDecision:
-    """The boundary decision at path; it must have been made for full_set."""
-    decision = BoundaryDecision.from_dict(read_json(path))
-    decision.check_set(full_set)
-    return decision
-
-
 def _keep_level(value: str, full_set) -> int:
-    """--keep-bottom accepts a plain integer or from:<decision.json>."""
+    """export's --keep-bottom: a plain integer, or from:<decision.json> for
+    the k_star of a decision made for full_set."""
     if value.startswith("from:"):
-        return _read_decision(value[len("from:"):], full_set).k_star
+        decision = BoundaryDecision.from_dict(read_json(value[len("from:"):]))
+        decision.check_set(full_set)
+        return decision.k_star
     try:
         return int(value)
     except ValueError:
@@ -101,6 +93,18 @@ def _probe_samples(cfg, samples, split: str):
             {"split": split, "budget": cfg.probe.sample_budget, "seed": cfg.probe.seed})
 
 
+def _base_diff(probed, n_layers: int, split: str):
+    """The full set's ground-truth curve minus the base's, from one
+    probe_under_drop result that covers levels 0 and n_layers, with the
+    diff's meta."""
+    by_level = dict(probed)
+    full, none = by_level[n_layers], by_level[0]
+    meta = {"model": full.config["base"], "ours": full.config["adapters"],
+            "baseline": None, "split": split, "sample_count": full.sample_count,
+            "n_tokens": full.n_tokens}
+    return probe_difference(full, none), meta
+
+
 def _predictions(weights, adapters, samples, decode_budget: int) -> list[str]:
     rows = [(s.prompt_ids, weights.cfg.n_layers) for s in samples]
     return [decode(out) for out in
@@ -112,8 +116,6 @@ def _predictions(weights, adapters, samples, decode_budget: int) -> list[str]:
 def cmd_gen_data(args) -> int:
     task = _load_config(args.config).task
     kwargs = {"sizes": task.sizes()}
-    if task.name == "kvqa":
-        kwargs.update(hops=task.hops, bridge_ratio=task.bridge_ratio)
     if task.name == "cipher-mt":
         kwargs["domain"] = task.domain
     ds = GENERATORS[task.name](task.seed, **kwargs)
@@ -170,7 +172,7 @@ def cmd_probe(args) -> int:
     cfg = _load_config(args.config)
     base = load_weights(args.model)
     _, samples = _load_split(args.data, args.split)
-    adapters = _adapters(args.adapters, base, args.keep_bottom)
+    adapters = _adapters(args.adapters, base)
     chosen, descriptor = _probe_samples(cfg, samples, args.split)
     report = probe_ground_truth(base, adapters, chosen, n_tokens=cfg.probe.n_tokens,
                                 descriptor=descriptor)
@@ -188,15 +190,12 @@ def cmd_diff_probe(args) -> int:
     cfg = _load_config(args.config)
     base = load_weights(args.model)
     _, samples = _load_split(args.data, args.split)
-    ours_set = _adapters(args.adapters, base)
-    baseline_set = _adapters(args.baseline_adapters, base)
+    full_set = _adapters(args.adapters, base)
     chosen, _ = _probe_samples(cfg, samples, args.split)
-    ours = probe_ground_truth(base, ours_set, chosen, n_tokens=cfg.probe.n_tokens)
-    baseline = probe_ground_truth(base, baseline_set, chosen, n_tokens=cfg.probe.n_tokens)
-    diff = probe_difference(ours, baseline)
-    meta = {"model": ours.config["base"], "ours": ours.config["adapters"],
-            "baseline": baseline.config["adapters"], "split": args.split,
-            "sample_count": ours.sample_count, "n_tokens": ours.n_tokens}
+    n_layers = base.cfg.n_layers
+    probed = probe_under_drop(base, full_set, chosen, keeps=[0, n_layers],
+                              n_tokens=cfg.probe.n_tokens)
+    diff, meta = _base_diff(probed, n_layers, args.split)
     write_diff_tsv(args.out, diff, meta)
     write_manifest(args.out + ".manifest.json", "diff-probe", meta, [args.out])
     print(f"diff-probe: max |delta| {abs(diff).max():.4f}")
@@ -205,12 +204,11 @@ def cmd_diff_probe(args) -> int:
 
 def cmd_knee(args) -> int:
     report = read_probe_tsv(args.probe)
-    decision = knee_from_report(report, min_jump_ratio=args.min_jump_ratio,
-                                fallback=args.fallback)
+    decision = knee_from_report(report, fallback=args.fallback)
     write_json(args.out, decision.to_dict())
     write_manifest(args.out + ".manifest.json", "knee",
                    {"probe": os.path.abspath(args.probe),
-                    "min_jump_ratio": args.min_jump_ratio,
+                    "min_jump_ratio": DEFAULT_MIN_JUMP_RATIO,
                     "fallback": args.fallback}, [args.out])
     tag = " (fallback)" if decision.extra.get("fallback") else ""
     print(f"knee: boundary k* = {decision.k_star}{tag}")
@@ -265,7 +263,7 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args.config)
     base = load_weights(args.model)
     ds, samples = _load_split(args.data, args.split)
-    adapters = _adapters(args.adapters, base, args.keep_bottom)
+    adapters = _adapters(args.adapters, base)
     metric = args.metric or TASK_METRICS.get(ds.task, "em")
     budget = len(samples) if args.budget is None else args.budget
     chosen = select_samples(samples, budget, cfg.sweep.seed)
@@ -288,7 +286,6 @@ def cmd_report(args) -> int:
     base = load_weights(args.model)
     _, samples = _load_split(args.data, args.split)
     full_set = _adapters(args.adapters, base)
-    decision = _read_decision(args.sweep_json, full_set) if args.sweep_json else None
     outputs = []
 
     chosen, descriptor = _probe_samples(cfg, samples, args.split)
@@ -300,9 +297,10 @@ def cmd_report(args) -> int:
 
     probed = probe_under_drop(base, full_set, chosen, keeps=levels,
                               n_tokens=cfg.probe.n_tokens, descriptor=descriptor)
-    # the base was hashed once for every report of the probe
-    model_hash = probed[0][1].config["base"]
-    set_hash = full_set.content_hash()
+    # the base and the set were hashed once for every report of the probe
+    full_report = dict(probed)[n_layers]
+    model_hash = full_report.config["base"]
+    set_hash = full_report.config["adapters"]
     os.makedirs(args.out_dir, exist_ok=True)
     curves_path = os.path.join(args.out_dir, "layer_curves.tsv")
     write_drop_probe_tsv(curves_path, probed,
@@ -310,24 +308,13 @@ def cmd_report(args) -> int:
                                "split": args.split})
     outputs.append(curves_path)
 
-    full_report = next(r for k, r in probed if k == n_layers)
     full_path = os.path.join(args.out_dir, "probe_full.tsv")
     write_probe_tsv(full_path, full_report)
     outputs.append(full_path)
 
-    none_report = next(r for k, r in probed if k == 0)
-    diff = probe_difference(full_report, none_report)
     diff_path = os.path.join(args.out_dir, "probe_diff.tsv")
-    write_diff_tsv(diff_path, diff,
-                   {"model": model_hash, "ours": set_hash, "baseline": None,
-                    "split": args.split, "sample_count": full_report.sample_count,
-                    "n_tokens": full_report.n_tokens})
+    write_diff_tsv(diff_path, *_base_diff(probed, n_layers, args.split))
     outputs.append(diff_path)
-
-    if decision is not None:
-        sweep_path = os.path.join(args.out_dir, "sweep_scores.tsv")
-        write_sweep_tsv(sweep_path, decision)
-        outputs.append(sweep_path)
 
     write_manifest(os.path.join(args.out_dir, "manifest.json"), "report",
                    {"model": model_hash, "adapters": set_hash,
@@ -398,23 +385,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--adapters", default=None)
-    p.add_argument("--keep-bottom", default=None)
     p.add_argument("--split", default="validation", choices=SPLITS)
     p.add_argument("--out", required=True)
 
     p = add("diff-probe", cmd_diff_probe,
-            "probe difference between two adapter states")
+            "probe difference between the adapter set and the base")
     p.add_argument("--config", default=None)
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--adapters", required=True)
-    p.add_argument("--baseline-adapters", default=None)
     p.add_argument("--split", default="validation", choices=SPLITS)
     p.add_argument("--out", required=True)
 
     p = add("knee", cmd_knee, "detect the boundary from a stored probe report")
     p.add_argument("--probe", required=True)
-    p.add_argument("--min-jump-ratio", type=float, default=DEFAULT_MIN_JUMP_RATIO)
     p.add_argument("--fallback", action="store_true",
                    help="fall back to the default depth when no knee is found")
     p.add_argument("--out", required=True)
@@ -442,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--adapters", default=None)
-    p.add_argument("--keep-bottom", default=None)
     p.add_argument("--metric", default=None, choices=(None,) + METRIC_NAMES)
     p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--budget", type=int, default=None,
@@ -450,13 +433,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decode-budget", type=int, default=DEFAULT_DECODE_BUDGET)
     p.add_argument("--out", required=True)
 
-    p = add("report", cmd_report, "emit the probe and sweep report bundle")
+    p = add("report", cmd_report, "emit the probe, drop and diff report bundle")
     p.add_argument("--config", default=None)
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--adapters", required=True)
     p.add_argument("--split", default="validation", choices=SPLITS)
-    p.add_argument("--sweep-json", default=None)
     p.add_argument("--out-dir", required=True)
 
     return parser

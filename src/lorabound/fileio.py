@@ -210,8 +210,10 @@ def load_weights(path) -> BaseWeights:
     header, tensors = _decode_container(path, MAGIC_WEIGHTS)
     if "config" not in header:
         raise ParseError(f"{path}: header field 'config' is missing")
-    cfg = ModelConfig.from_dict(header["config"])
-    weights = BaseWeights(cfg, tensors)
+    try:
+        weights = BaseWeights(ModelConfig.from_dict(header["config"]), tensors)
+    except (ConfigError, ShapeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     stored = header.get("fingerprint")
     actual = weights.fingerprint()
     if stored != actual:

@@ -58,8 +58,6 @@ class TaskSection:
     validation_size: int = DEFAULT_SIZES["validation"]
     test_size: int = DEFAULT_SIZES["test"]
     domain: str = "in-domain"
-    hops: int = 2
-    bridge_ratio: float = 0.75
 
     def validate(self) -> "TaskSection":
         if self.name not in TASK_NAMES:
@@ -69,14 +67,11 @@ class TaskSection:
             if getattr(self, f) < 0:
                 raise ConfigError(f"{f} must be non-negative")
         check_seed(self.seed, "task.seed")
-        # a field only one generator reads must keep its default elsewhere,
+        # domain only cipher-mt reads; it must keep its default elsewhere,
         # or a run would record a setting that changed nothing
-        default = TaskSection()
-        for f, owner in (("domain", "cipher-mt"), ("hops", "kvqa"),
-                         ("bridge_ratio", "kvqa")):
-            if self.name != owner and getattr(self, f) != getattr(default, f):
-                raise ConfigError(f"task.{f} applies only to task {owner!r}, "
-                                  f"not {self.name!r}")
+        if self.name != "cipher-mt" and self.domain != TaskSection.domain:
+            raise ConfigError(f"task.domain applies only to task 'cipher-mt', "
+                              f"not {self.name!r}")
         return self
 
     def sizes(self) -> dict[str, int]:

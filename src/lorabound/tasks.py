@@ -50,6 +50,9 @@ KEY_POOLS = {
 
 # facts in each of a kv-qa prompt's two documents, distractors included
 KVQA_FACTS_PER_DOC = 4
+# keys in a kv-qa bridge chain, and the share of each split that is bridges
+KVQA_HOPS = 2
+KVQA_BRIDGE_RATIO = 0.75
 
 # the arithmetic operands, 2..49, of the arith task and the corpus's stanzas
 OPERANDS = range(2, 50)
@@ -190,11 +193,11 @@ def _fill_by_bucket(sizes: dict[str, int], make_candidate, describe: str,
 
 # -- kv-qa ---------------------------------------------------------------------
 
-def _kvqa_sample(rng, pool: list[str], qtype: str, hops: int,
+def _kvqa_sample(rng, pool: list[str], qtype: str,
                  yes_label: bool, which_first: bool) -> Sample:
     facts: list[tuple[str, str]] = []
     if qtype == "bridge":
-        chain = [pool[i] for i in rng.choice(len(pool), size=hops, replace=False)]
+        chain = [pool[i] for i in rng.choice(len(pool), size=KVQA_HOPS, replace=False)]
         answer = VALUES[rng.integers(len(VALUES))]
         targets = chain[1:] + [answer]
         edges = list(zip(chain, targets))
@@ -253,23 +256,20 @@ def _kvqa_sample(rng, pool: list[str], qtype: str, hops: int,
                   question_type="bridge" if qtype == "bridge" else "comparison")
 
 
-def gen_kvqa(seed: int, sizes=None, hops: int = 2, bridge_ratio: float = 0.75) -> Dataset:
-    """Two-document key lookup: bridge chains and comparison questions.
+def gen_kvqa(seed: int, sizes=None) -> Dataset:
+    """Two-document key lookup: bridge chains of KVQA_HOPS keys on
+    KVQA_BRIDGE_RATIO of each split, comparison questions on the rest.
 
     Keys come from disjoint per-split pools, so no fact pattern leaks
     between splits. Answers are always extractable from the prompt.
     """
-    if hops < 1:
-        raise InputError(f"hops must be at least 1, got {hops}")
-    if not 0.0 <= bridge_ratio <= 1.0:
-        raise InputError(f"bridge_ratio must be in [0, 1], got {bridge_ratio}")
     sizes = _normalize_sizes(sizes)
     rng = np.random.default_rng(seed)
     splits: dict[str, list[Sample]] = {}
     for split in SPLITS:
         size = sizes[split]
         pool = KEY_POOLS[split]
-        n_bridge = round(size * bridge_ratio)
+        n_bridge = round(size * KVQA_BRIDGE_RATIO)
         qtypes = ["bridge"] * n_bridge
         for i in range(size - n_bridge):
             qtypes.append("same" if i % 2 == 0 else "which")
@@ -279,7 +279,7 @@ def gen_kvqa(seed: int, sizes=None, hops: int = 2, bridge_ratio: float = 0.75) -
         flips = 0
         for qtype in qtypes:
             for _ in range(_MAX_ATTEMPTS_PER_SAMPLE):
-                s = _kvqa_sample(rng, pool, qtype, hops, yes_label=flips % 2 == 0,
+                s = _kvqa_sample(rng, pool, qtype, yes_label=flips % 2 == 0,
                                  which_first=flips % 2 == 0)
                 if s.prompt_text not in seen:
                     break

@@ -165,9 +165,12 @@ def finetune_lora(base: BaseWeights, dataset, tcfg: TrainConfig, adapters: LoraS
     """Train the given adapter set on prompt/reference pairs.
 
     Only A and B factors are updated, in place; the loss covers the
-    reference positions only. Returns (LoraSet, history).
+    reference positions only. Returns (LoraSet, history). A set that
+    holds no adapters has nothing to train and raises InputError.
     """
     tcfg.validate()
+    if not adapters.adapters:
+        raise InputError("the adapter set holds no adapters; there is nothing to train")
     pairs = sample_ids(dataset)
     if not pairs:
         raise InputError("dataset is empty")

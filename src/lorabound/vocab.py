@@ -96,13 +96,14 @@ def encode(text: str) -> list[int]:
     return ids
 
 
-def decode(ids, skip_specials: bool = True) -> str:
+def decode(ids) -> str:
+    """Space-joined words of the ids; special tokens are left out."""
     words = []
     for i in ids:
         i = int(i)
         if i < 0 or i >= VOCAB_SIZE:
             raise InputError(f"token id {i} out of range [0, {VOCAB_SIZE})")
-        if skip_specials and i < len(SPECIALS):
+        if i < len(SPECIALS):
             continue
         words.append(WORDS[i])
     return " ".join(words)

@@ -127,7 +127,7 @@ def desk(tmp_path_factory) -> DeskArtifacts:
     p["report_dir"] = root / "report"
     run_cli("report", "--config", cfg_path, "--model", p["trained"],
             "--adapters", p["full"], "--data", p["data"],
-            "--sweep-json", p["sweep_json"], "--out-dir", p["report_dir"])
+            "--out-dir", p["report_dir"])
     return d
 
 

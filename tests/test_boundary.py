@@ -11,7 +11,7 @@ from lorabound.lora import drop_above, init_adapters
 from lorabound.metrics import corpus_score
 from lorabound.model import ModelConfig, init_base
 from lorabound.probe import ProbeReport
-from lorabound.vocab import decode
+from lorabound.vocab import EOS_ID, decode
 
 from helpers import randomize_adapters, randomize_weights
 from oracles import greedy_oracle
@@ -54,13 +54,18 @@ class TestDetectKnee:
     def test_gentle_slope_has_no_knee(self):
         # every jump is an equal fraction of the range, below the threshold
         with pytest.raises(NoKneeError):
-            detect_knee(np.linspace(0.1, 0.9, 9), min_jump_ratio=0.25)
+            detect_knee(np.linspace(0.1, 0.9, 9))
 
     def test_threshold_is_relative_to_range(self):
-        curve = [0.10, 0.11, 0.16, 0.17]
-        assert detect_knee(curve, min_jump_ratio=0.5) == 2
+        # a 0.05 jump is 5/7 of a 0.07 range, a knee, and 1/6 of a 0.3
+        # range, below DEFAULT_MIN_JUMP_RATIO (0.25)
+        assert detect_knee([0.10, 0.11, 0.16, 0.17]) == 2
         with pytest.raises(NoKneeError):
-            detect_knee(curve, min_jump_ratio=0.9)
+            detect_knee([0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40])
+
+    def test_jump_of_exactly_the_ratio_is_a_knee(self):
+        assert boundary.DEFAULT_MIN_JUMP_RATIO == 0.25
+        assert detect_knee([0.0, 0.25, 0.5, 0.75, 1.0]) == 1
 
     def test_decreasing_curve_has_no_positive_jump(self):
         with pytest.raises(NoKneeError):
@@ -73,16 +78,6 @@ class TestDetectKnee:
             detect_knee([[0.1, 0.2], [0.3, 0.4]])
         with pytest.raises(InputError):
             detect_knee([0.1, np.nan, 0.3])
-
-    @pytest.mark.parametrize("ratio", [-1.0, 1.5, np.nan, np.inf])
-    def test_ratio_outside_zero_one_rejected(self, ratio):
-        # at -1 the falling steps of this curve would pass as a knee
-        with pytest.raises(InputError, match=r"min_jump_ratio must be in \[0, 1\]"):
-            detect_knee([0.9, 0.6, 0.3, 0.1], min_jump_ratio=ratio)
-
-    def test_ratio_bounds_are_accepted(self):
-        assert detect_knee([0.0, 0.0, 1.0], min_jump_ratio=1.0) == 2
-        assert detect_knee([0.1, 0.2, 0.2], min_jump_ratio=0.0) == 1
 
     def test_matches_brute_force_on_random_curves(self):
         rng = np.random.default_rng(606)
@@ -148,14 +143,13 @@ class TestSweepBoundary:
         # the sweep must equal: score every level, max, smallest argmax
         base, lset = micro_setup()
         samples = tuple_samples()
-        preds = {k: [decode(greedy_oracle(base, drop_above(lset, k), p, 3, 0))
+        preds = {k: [decode(greedy_oracle(base, drop_above(lset, k), p, 3, EOS_ID))
                      for p, _ in samples]
                  for k in range(MICRO.n_layers + 1)}
         golds = preds[1]   # level 1 scores 1.0, and at least one level less
         by_hand = {k: corpus_score("f1", preds[k], golds).score for k in preds}
         assert len(set(by_hand.values())) >= 2
-        dec = sweep_boundary(base, lset, samples, "f1", golds=golds,
-                             decode_budget=3, stop_token=0)
+        dec = sweep_boundary(base, lset, samples, "f1", golds=golds, decode_budget=3)
         assert dec.per_k_scores == by_hand
         best = max(by_hand.values())
         assert dec.k_star == min(k for k, v in by_hand.items() if v == best)

@@ -58,6 +58,7 @@ def pipeline(tmp_path_factory):
         "sweep": root / "sweep.json",
         "sweep_tsv": root / "sweep.tsv",
         "kept": root / "kept.lbad",
+        "kept1": root / "kept1.lbad",
         "merged": root / "merged.lbwt",
         "eval": root / "eval.tsv",
         "report_dir": root / "report",
@@ -92,12 +93,13 @@ def pipeline(tmp_path_factory):
                "--format", "adapters", "--out", p["kept"]) == 0
     assert run("export", "--model", p["base"], "--adapters", p["full"],
                "--keep-bottom", 1, "--out", p["merged"]) == 0
+    assert run("export", "--model", p["base"], "--adapters", p["full"],
+               "--keep-bottom", 1, "--format", "adapters", "--out", p["kept1"]) == 0
     assert run("eval", *c, "--model", p["base"], "--data", p["data"],
-               "--adapters", p["full"], "--keep-bottom", 1, "--budget", 4,
+               "--adapters", p["kept1"], "--budget", 4,
                "--decode-budget", 6, "--out", p["eval"]) == 0
     assert run("report", *c, "--model", p["base"], "--data", p["data"],
-               "--adapters", p["full"], "--sweep-json", p["sweep"],
-               "--out-dir", p["report_dir"]) == 0
+               "--adapters", p["full"], "--out-dir", p["report_dir"]) == 0
     return p
 
 
@@ -113,7 +115,7 @@ def config_with(pipeline, tmp_path, section: str, key: str, value):
 class TestArtifacts:
     def test_every_command_leaves_a_manifest(self, pipeline):
         for key in ("base", "full", "partial", "probe", "diff", "knee",
-                    "sweep", "kept", "merged", "eval", "untrained"):
+                    "sweep", "kept", "kept1", "merged", "eval", "untrained"):
             path = pipeline[key].parent / (pipeline[key].name + ".manifest.json")
             doc = json.loads(path.read_text())
             assert set(doc) == {"command", "params", "outputs"}
@@ -211,8 +213,13 @@ class TestArtifacts:
         assert read_probe_tsv(d / "probe_full.tsv").sample_count == 4
         kind, _, _, _ = parse_tsv((d / "probe_diff.tsv").read_text())
         assert kind == "diff-probe"
-        kind, _, _, _ = parse_tsv((d / "sweep_scores.tsv").read_text())
-        assert kind == "sweep"
+        # sweep scores come from `sweep --tsv` alone
+        outputs = json.loads((d / "manifest.json").read_text())["outputs"]
+        assert sorted(outputs) == ["layer_curves.tsv", "probe_diff.tsv", "probe_full.tsv"]
+
+    def test_diff_probe_is_the_report_diff(self, pipeline):
+        report_diff = pipeline["report_dir"] / "probe_diff.tsv"
+        assert pipeline["diff"].read_bytes() == report_diff.read_bytes()
 
 
 class TestDeterminism:
@@ -244,23 +251,32 @@ class TestDeterminism:
 
 
 class TestDropFlag:
+    """A kept set comes from `export --keep-bottom`; every other command
+    takes it through --adapters."""
+
     def test_probe_keep_bottom_drops_adapters(self, pipeline, tmp_path):
-        out = tmp_path / "probe_kept.tsv"
+        kept, out = tmp_path / "kept.lbad", tmp_path / "probe_kept.tsv"
+        assert run("export", "--model", pipeline["base"], "--adapters", pipeline["full"],
+                   "--keep-bottom", 1, "--format", "adapters", "--out", kept) == 0
         assert run("probe", "--config", pipeline["cfg"], "--model",
                    pipeline["base"], "--data", pipeline["data"],
-                   "--adapters", pipeline["full"], "--keep-bottom", 1,
-                   "--out", out) == 0
+                   "--adapters", kept, "--out", out) == 0
         report = read_probe_tsv(out)
         full = load_adapters(pipeline["full"])
         assert report.config["adapters"] == drop_above(full, 1).content_hash()
 
     def test_keep_bottom_from_decision_file(self, pipeline, tmp_path):
-        out = tmp_path / "eval_kept.tsv"
+        kept, out = tmp_path / "kept.lbad", tmp_path / "eval_kept.tsv"
+        assert run("export", "--model", pipeline["base"], "--adapters", pipeline["full"],
+                   "--keep-bottom", "from:" + str(pipeline["sweep"]),
+                   "--format", "adapters", "--out", kept) == 0
         assert run("eval", "--config", pipeline["cfg"], "--model",
                    pipeline["base"], "--data", pipeline["data"],
-                   "--adapters", pipeline["full"],
-                   "--keep-bottom", "from:" + str(pipeline["sweep"]),
-                   "--budget", 2, "--out", out) == 0
+                   "--adapters", kept, "--budget", 2, "--out", out) == 0
+        _, meta, _, _ = parse_tsv(out.read_text())
+        k_star = json.loads(pipeline["sweep"].read_text())["k_star"]
+        full = load_adapters(pipeline["full"])
+        assert meta["adapters"] == drop_above(full, k_star).content_hash()
 
     def test_decision_with_a_refine_flag_still_loads(self, pipeline, tmp_path):
         # decisions written before the sweep lost its refine pass carry
@@ -274,13 +290,6 @@ class TestDropFlag:
                    "--keep-bottom", f"from:{old}", "--format", "adapters",
                    "--out", kept) == 0
         assert kept.read_bytes() == pipeline["kept"].read_bytes()
-        out_dir = tmp_path / "report"
-        assert run("report", "--config", pipeline["cfg"], "--model", pipeline["base"],
-                   "--data", pipeline["data"], "--adapters", pipeline["full"],
-                   "--sweep-json", old, "--out-dir", out_dir) == 0
-        _, meta, _, rows = parse_tsv((out_dir / "sweep_scores.tsv").read_text())
-        assert meta["extra"]["refine"] is False
-        assert rows == parse_tsv((pipeline["report_dir"] / "sweep_scores.tsv").read_text())[3]
 
 
 class TestStdout:
@@ -341,6 +350,17 @@ class TestUsageErrors:
         ["init-model", "--out", "o", "--seed", "notanint"],
         ["export", "--model", "m", "--adapters", "a", "--keep-bottom", "1",
          "--format", "bogus", "--out", "o"],
+        # removed options: a kept set comes from export, sweep scores from
+        # sweep --tsv, the diff's baseline is the base, the knee ratio is fixed
+        ["probe", "--model", "m", "--data", "d", "--adapters", "a",
+         "--keep-bottom", "1", "--out", "o"],
+        ["eval", "--model", "m", "--data", "d", "--adapters", "a",
+         "--keep-bottom", "1", "--out", "o"],
+        ["report", "--model", "m", "--data", "d", "--adapters", "a",
+         "--sweep-json", "s", "--out-dir", "o"],
+        ["diff-probe", "--model", "m", "--data", "d", "--adapters", "a",
+         "--baseline-adapters", "b", "--out", "o"],
+        ["knee", "--probe", "p", "--min-jump-ratio", "0.5", "--out", "o"],
     ])
     def test_usage_mistakes_exit_one(self, argv):
         with pytest.raises(SystemExit) as err:
@@ -357,8 +377,7 @@ class TestDomainErrors:
         assert os.listdir(tmp_path) == ["cfg.json"]
 
     @pytest.mark.parametrize("name, field, value, owner", [
-        ("kvqa", "domain", "bogus", "cipher-mt"), ("arith", "hops", -5, "kvqa"),
-        ("arith", "bridge_ratio", 7.0, "kvqa"), ("cipher-mt", "hops", 3, "kvqa")])
+        ("kvqa", "domain", "bogus", "cipher-mt")])
     def test_a_field_the_task_ignores_exits_two(self, tmp_path, capsys, name, field,
                                                 value, owner):
         path = tmp_path / "cfg.json"
@@ -386,15 +405,6 @@ class TestDomainErrors:
         assert rc == 2
         assert f"error: {field} must be non-negative, got -1" in capsys.readouterr().err
         assert set(os.listdir(tmp_path)) <= {"cfg.json"}
-
-    @pytest.mark.parametrize("ratio", ["-1", "nan", "1.5"])
-    def test_knee_ratio_outside_zero_one_exits_two(self, pipeline, tmp_path, capsys, ratio):
-        rc = run("knee", "--probe", pipeline["probe"], "--min-jump-ratio", ratio,
-                 "--fallback", "--out", tmp_path / "knee.json")
-        assert rc == 2
-        assert f"min_jump_ratio must be in [0, 1], got {float(ratio)}" \
-            in capsys.readouterr().err
-        assert os.listdir(tmp_path) == []
 
     def test_missing_model_file_exits_two(self, pipeline, tmp_path):
         rc = run("probe", "--config", pipeline["cfg"],
@@ -532,7 +542,9 @@ class TestDomainErrors:
         assert not (tmp_path / "s.json").exists()
 
     @pytest.mark.parametrize("section, key, value", [("sweep", "refine", False),
-                                                     ("train", "loss_mask_prompt", True)])
+                                                     ("train", "loss_mask_prompt", True),
+                                                     ("task", "hops", 2),
+                                                     ("task", "bridge_ratio", 0.75)])
     def test_removed_config_key_is_unknown(self, pipeline, tmp_path, capsys,
                                            section, key, value):
         path = config_with(pipeline, tmp_path, section, key, value)
@@ -577,44 +589,21 @@ class TestInputsCheckedBeforeCompute:
         return run("probe", *(a for k, v in argv.items() for a in (f"--{k}", v)),
                    "--out", out)
 
-    @pytest.mark.parametrize("k_star, cause", [
-        (None, "is not valid JSON"),
-        (1.7, "malformed boundary decision: k_star 1.7 is not an integer"),
-    ], ids=["not_json", "fractional_k_star"])
-    def test_bad_decision_for_export(self, pipeline, tmp_path, capsys, k_star, cause):
+    @pytest.mark.parametrize("decision, cause", [
+        ("{not json", "is not valid JSON"),
+        ({"k_star": 1.7}, "malformed boundary decision: k_star 1.7 is not an integer"),
+        ('{"k_star": 1, "per_k_scores": [1]}', "malformed boundary decision"),
+    ], ids=["not_json", "fractional_k_star", "malformed"])
+    def test_bad_decision_for_export(self, pipeline, tmp_path, capsys, decision, cause):
+        if isinstance(decision, dict):     # an edit of the sweep's decision
+            decision = json.dumps({**json.loads(pipeline["sweep"].read_text()), **decision})
         path = tmp_path / "decision.json"
-        if k_star is None:
-            path.write_text("{not json")
-        else:
-            decision = json.loads(pipeline["sweep"].read_text())
-            decision["k_star"] = k_star
-            path.write_text(json.dumps(decision))
+        path.write_text(decision)
         rc = run("export", "--model", pipeline["base"], "--adapters", pipeline["full"],
                  "--keep-bottom", f"from:{path}", "--out", tmp_path / "x.lbad")
         assert rc == 2
         assert cause in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["decision.json"]
-
-    @pytest.mark.parametrize("decision, cause", [
-        ("other-set", "decision was made for adapter set"),
-        ("{not json", "is not valid JSON"),
-        ('{"k_star": 1, "per_k_scores": [1]}', "malformed boundary decision"),
-    ], ids=["other_set", "not_json", "malformed"])
-    def test_bad_sweep_json_for_report(self, pipeline, tmp_path, capsys, decision, cause):
-        path = pipeline["sweep"]
-        adapters = pipeline["full"]
-        if decision == "other-set":
-            adapters = pipeline["partial"]
-        else:
-            path = tmp_path / "decision.json"
-            path.write_text(decision)
-        out_dir = tmp_path / "report"
-        rc = run("report", "--config", pipeline["cfg"], "--model", pipeline["base"],
-                 "--data", pipeline["data"], "--adapters", adapters,
-                 "--sweep-json", path, "--out-dir", out_dir)
-        assert rc == 2
-        assert cause in capsys.readouterr().err
-        assert not out_dir.exists()
 
     @pytest.mark.parametrize("meta, drop, cause", [
         ({"n_tokens": 5}, [], "columns"),
@@ -692,15 +681,27 @@ class TestInputsCheckedBeforeCompute:
         write_container(bad, MAGIC_WEIGHTS, header, tensors)
         rc = self.probe(pipeline, tmp_path / "p.tsv", model=bad)
         assert rc == 2
-        assert "model.norm_eps must be a finite number, got nan" in capsys.readouterr().err
+        assert (f"error: {bad}: model.norm_eps must be a finite number, got nan"
+                in capsys.readouterr().err)
         assert os.listdir(tmp_path) == ["eps.lbwt"]
 
-    def test_keep_bottom_without_adapters(self, pipeline, tmp_path, capsys):
-        rc = run("eval", "--config", pipeline["cfg"], "--model", pipeline["base"],
-                 "--data", pipeline["data"], "--keep-bottom", 1,
-                 "--out", tmp_path / "e.tsv")
+    def test_model_file_without_a_tensor(self, pipeline, tmp_path, capsys):
+        header, tensors = _decode_container(pipeline["base"], MAGIC_WEIGHTS)
+        del tensors["head"]
+        bad = tmp_path / "headless.lbwt"
+        write_container(bad, MAGIC_WEIGHTS, header, tensors)
+        rc = self.probe(pipeline, tmp_path / "p.tsv", model=bad)
         assert rc == 2
-        assert "--keep-bottom needs --adapters" in capsys.readouterr().err
+        assert (f"error: {bad}: weight names do not match config: missing ['head'], extra []"
+                in capsys.readouterr().err)
+        assert os.listdir(tmp_path) == ["headless.lbwt"]
+
+    def test_partial_finetune_of_no_layers(self, pipeline, tmp_path, capsys):
+        rc = run("finetune-partial", "--config", pipeline["cfg"], "--model", pipeline["base"],
+                 "--data", pipeline["data"], "--keep-bottom", 0,
+                 "--out", tmp_path / "a.lbad", "--log", tmp_path / "log.tsv")
+        assert rc == 2
+        assert "the adapter set holds no adapters" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     def test_non_finite_config_value(self, pipeline, tmp_path, capsys):

@@ -1,0 +1,62 @@
+"""The CLI calls in tests/conftest.py name subcommands and flags that exist.
+
+No tier-1 test requests the `desk` and `multi` fixtures, so a flag that
+the CLI drops would go unnoticed there until a desk test ran them. This
+reads conftest.py with `ast` and checks every `run_cli(...)` and
+`_timed(...)` call against `build_parser()` without running anything.
+"""
+
+import ast
+from pathlib import Path
+
+from lorabound.cli import build_parser
+
+CONFTEST = Path(__file__).resolve().parent / "conftest.py"
+
+# where the argv starts among each helper's positional arguments
+ARGV_START = {"run_cli": 0, "_timed": 2}
+
+
+def subcommand_options() -> dict[str, set[str]]:
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return {name: set(p._option_string_actions) for name, p in sub.choices.items()}
+
+
+def cli_calls(source: str):
+    """(line, argv) of each helper call; argv holds a string literal as its
+    value and any other expression as None. A call that forwards a
+    starred argv (`_timed` to `run_cli`) is checked at its callers."""
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ARGV_START
+                and not any(isinstance(a, ast.Starred) for a in node.args)):
+            argv = node.args[ARGV_START[node.func.id]:]
+            yield node.lineno, [a.value if isinstance(a, ast.Constant)
+                                and isinstance(a.value, str) else None for a in argv]
+
+
+def unknown_names(source: str) -> list[str]:
+    options = subcommand_options()
+    bad = []
+    for line, argv in cli_calls(source):
+        command = argv[0] if argv else None
+        if command not in options:
+            bad.append(f"line {line}: subcommand {command!r}")
+            continue
+        bad += [f"line {line}: {command} {flag}" for flag in argv[1:]
+                if flag is not None and flag.startswith("--")
+                and flag not in options[command]]
+    return bad
+
+
+def test_fixture_cli_calls_name_existing_flags():
+    source = CONFTEST.read_text()
+    assert len(list(cli_calls(source))) >= 10
+    assert unknown_names(source) == []
+
+
+def test_a_stale_flag_is_caught():
+    stale = 'run_cli("report", "--model", m, "--sweep-json", s, "--out-dir", d)\n'
+    assert unknown_names(stale) == ["line 1: report --sweep-json"]
+    assert unknown_names('_timed(d, "x", "frobnicate")\n') == \
+        ["line 1: subcommand 'frobnicate'"]

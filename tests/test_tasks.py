@@ -8,7 +8,8 @@ import pytest
 
 from lorabound import vocab
 from lorabound.errors import CompatibilityError, InputError, ParseError
-from lorabound.tasks import (Dataset, GENERATORS, KEY_POOLS, Sample, SPLITS,
+from lorabound.tasks import (Dataset, GENERATORS, KEY_POOLS, KVQA_BRIDGE_RATIO,
+                             KVQA_HOPS, Sample, SPLITS,
                              TASK_METRICS, TASK_NAMES, cipher_transform,
                              gen_arith, gen_cipher_mt, gen_kvqa,
                              gen_pretrain_corpus, gen_resp_select,
@@ -135,21 +136,30 @@ class TestSampleIds:
 
 class TestKvqa:
     def test_bridge_ratio_is_exact(self):
-        ds = gen_kvqa(seed=9, sizes=SMALL, bridge_ratio=0.75)
+        ds = gen_kvqa(seed=9, sizes=SMALL)
         for split in SPLITS:
             n_bridge = sum(1 for s in ds.splits[split] if s.question_type == "bridge")
-            assert n_bridge == round(SMALL[split] * 0.75)
+            assert n_bridge == round(SMALL[split] * KVQA_BRIDGE_RATIO)
+
+    def test_bridge_chains_take_kvqa_hops_steps(self):
+        keys = {k for pool in KEY_POOLS.values() for k in pool}
+        ds = gen_kvqa(seed=9, sizes=SMALL)
+        for s in all_samples(ds):
+            if s.question_type != "bridge":
+                continue
+            words = s.prompt_text.split()
+            facts = {words[i]: words[i + 2] for i in range(len(words) - 2)
+                     if words[i] in keys and words[i + 1] == ":"}
+            cur, steps = words[-2], 0
+            while cur in keys:
+                cur, steps = facts[cur], steps + 1
+            assert steps == KVQA_HOPS
+            assert s.reference_text == f"answer = {cur}"
 
     def test_two_documents_per_prompt(self):
         ds = gen_kvqa(seed=9, sizes={"train": 30, "validation": 6, "test": 6})
         for s in all_samples(ds):
             assert s.prompt_text.split().count("doc") == 2
-
-    def test_bad_arguments(self):
-        with pytest.raises(InputError):
-            gen_kvqa(seed=0, sizes=SMALL, hops=0)
-        with pytest.raises(InputError):
-            gen_kvqa(seed=0, sizes=SMALL, bridge_ratio=1.5)
 
     def test_answer_present_in_prompt_for_bridge(self):
         ds = gen_kvqa(seed=21, sizes={"train": 40, "validation": 10, "test": 10})

@@ -200,10 +200,18 @@ class TestFinetunePartial:
         for key in lset.adapters:
             assert fresh.adapters[key].a.shape == lset.adapters[key].a.shape
 
-    def test_keep_zero_trains_nothing_useful_but_runs(self):
+    def test_keep_zero_is_rejected_before_any_compute(self, tmp_path, monkeypatch):
         base, _ = pretrain(MICRO, FAST, tiny_corpus())
-        lset, _ = finetune_lora(base, tiny_pairs(), FAST, drop_above(init_adapters(MICRO), 0))
-        assert lset.adapters == {}
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("a set with no adapters reached a training step")
+
+        monkeypatch.setattr(train, "loss_and_grads", no_compute)
+        log = tmp_path / "log.tsv"
+        with pytest.raises(InputError, match="holds no adapters"):
+            finetune_lora(base, tiny_pairs(), FAST, drop_above(init_adapters(MICRO), 0),
+                          log_path=log)
+        assert not log.exists()
 
     def test_out_of_range(self):
         base, _ = pretrain(MICRO, FAST, tiny_corpus())
