@@ -388,6 +388,17 @@ class TestDomainErrors:
                 in capsys.readouterr().err)
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    @pytest.mark.parametrize("name, field, value", [("arith", "hops", -5),
+                                                    ("cipher-mt", "hops", 3)])
+    def test_removed_task_key_is_unknown_for_any_task(self, tmp_path, capsys, name,
+                                                      field, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"task": {"name": name, field: value}}))
+        rc = run("gen-data", "--config", path, "--out", tmp_path / "d")
+        assert rc == 2
+        assert f"unknown keys in section 'task': ['{field}']" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     @pytest.mark.parametrize("command, field", [
         ("gen-data", "task.seed"), ("pretrain", "pretrain.seed"), ("finetune", "train.seed"),
         ("probe", "probe.seed"), ("sweep", "sweep.seed"), ("init-model", "--seed"),
