@@ -3,7 +3,7 @@
 Two routes produce a BoundaryDecision: detect_knee reads the largest
 jump off a per-layer probability curve, and sweep_boundary measures a
 registry metric under every candidate keep level and takes the smallest
-level that attains the best validation score. The sweep scores every
+level 0..L that attains the best validation score. The sweep scores every
 sample it is given against the golds given with them; the caller picks
 the validation subset. A decision is applied by checking it against its
 set (BoundaryDecision.check_set) and then cutting the set with
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CompatibilityError, InputError, NoKneeError
 from .lora import LoraSet, check_compat
 from .metrics import corpus_score
-from .model import BaseWeights, check_keep_level, decode_batch
+from .model import BaseWeights, decode_batch
 from .probe import ProbeReport
 from .tasks import sample_ids
 from .vocab import EOS_ID, decode
@@ -142,26 +142,20 @@ def knee_from_report(report: ProbeReport, fallback: bool = False) -> BoundaryDec
 
 
 def sweep_boundary(base: BaseWeights, full_set: LoraSet, samples, metric: str, *,
-                   golds: list[str], keeps=None,
+                   golds: list[str],
                    decode_budget: int = DEFAULT_DECODE_BUDGET,
                    seed: int = 0) -> BoundaryDecision:
-    """Score every candidate keep level on held-out samples and pick the best.
+    """Score every keep level 0..L on held-out samples and pick the best.
 
     metric is a name from the metrics registry; golds[i] is the gold
-    text of samples[i].
-    keeps lists the levels to score, every level 0..L when None. seed is
-    recorded in the decision as the provenance of the caller's sample
-    draw; it selects nothing here. The winner is the smallest level
-    attaining the maximum score. All (level, sample) rows are decoded in
-    one `decode_batch` call and stop at EOS_ID, as eval's decode does.
+    text of samples[i]. seed is recorded in the decision as the
+    provenance of the caller's sample draw; it selects nothing here. The
+    winner is the smallest level attaining the maximum score. All
+    (level, sample) rows are decoded in one `decode_batch` call and stop
+    at EOS_ID, as eval's decode does.
     """
     check_compat(base, full_set)
-    n_layers = base.cfg.n_layers
-    if keeps is None:
-        keeps = range(n_layers + 1)
-    keeps = sorted(set(check_keep_level(k, n_layers) for k in keeps))
-    if not keeps:
-        raise InputError("no keep levels to sweep")
+    keeps = range(base.cfg.n_layers + 1)
 
     prompts = [prompt for prompt, _ in sample_ids(samples)]
     if not prompts:
@@ -172,9 +166,9 @@ def sweep_boundary(base: BaseWeights, full_set: LoraSet, samples, metric: str, *
     rows = [(prompt, k) for k in keeps for prompt in prompts]
     outs = decode_batch(base, full_set, rows, decode_budget, EOS_ID)
     n = len(prompts)
-    per_k = {k: float(corpus_score(metric, [decode(o) for o in outs[i * n:(i + 1) * n]],
+    per_k = {k: float(corpus_score(metric, [decode(o) for o in outs[k * n:(k + 1) * n]],
                                    golds).score)
-             for i, k in enumerate(keeps)}
+             for k in keeps}
     best = max(per_k.values())
     k_star = min(k for k, v in per_k.items() if v == best)
 

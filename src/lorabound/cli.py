@@ -24,8 +24,7 @@ from .fileio import (load_adapters, load_weights, read_json, save_adapters,
 from .lora import check_compat, drop_above, init_adapters, merge
 from .metrics import METRIC_NAMES, corpus_score
 from .model import check_keep_level, check_seed, decode_batch, init_base
-from .probe import (default_drop_levels, probe_difference, probe_ground_truth,
-                    probe_under_drop, select_samples)
+from .probe import probe_difference, probe_ground_truth, probe_under_drop, select_samples
 from .reports import (read_probe_tsv, write_diff_tsv, write_drop_probe_tsv,
                       write_eval_tsv, write_probe_tsv, write_sweep_tsv)
 from .runconfig import RunConfig
@@ -115,14 +114,10 @@ def _predictions(weights, adapters, samples, decode_budget: int) -> list[str]:
 
 def cmd_gen_data(args) -> int:
     task = _load_config(args.config).task
-    kwargs = {"sizes": task.sizes()}
-    if task.name == "cipher-mt":
-        kwargs["domain"] = task.domain
-    ds = GENERATORS[task.name](task.seed, **kwargs)
+    ds = GENERATORS[task.name](task.seed, task.sizes())
     paths = save_dataset(ds, args.out)
     write_manifest(os.path.join(args.out, "manifest.json"), "gen-data",
-                   {"task": task.name, "seed": task.seed, "sizes": kwargs["sizes"],
-                    "domain": kwargs.get("domain", "in-domain")}, paths)
+                   {"task": task.name, "seed": task.seed, "sizes": task.sizes()}, paths)
     counts = {s: len(v) for s, v in ds.splits.items()}
     print(f"gen-data: task={task.name} seed={task.seed} "
           + " ".join(f"{k}={v}" for k, v in counts.items()))
@@ -151,8 +146,7 @@ def cmd_finetune(args) -> int:
     cfg = _load_config(args.config)
     base = load_weights(args.model)
     _, samples = _load_split(args.data, "train")
-    adapters = init_adapters(base.cfg, cfg.lora.targets, cfg.lora.rank, cfg.lora.alpha,
-                             seed=cfg.train.seed)
+    adapters = init_adapters(base.cfg, cfg.lora.targets, cfg.lora.rank, seed=cfg.train.seed)
     params = {"model": base.fingerprint(), "data": os.path.abspath(args.data),
               "train": cfg.to_dict()["train"], "lora": cfg.to_dict()["lora"]}
     if args.command == "finetune-partial":
@@ -220,10 +214,10 @@ def cmd_sweep(args) -> int:
     base = load_weights(args.model)
     ds, samples = _load_split(args.data, args.split)
     full_set = _adapters(args.adapters, base)
-    metric = args.metric or TASK_METRICS.get(ds.task, "em")
+    metric = args.metric or TASK_METRICS[ds.task]
     chosen = select_samples(samples, cfg.sweep.budget, cfg.sweep.seed)
     decision = sweep_boundary(base, full_set, chosen, metric,
-                              golds=[s.gold_text() for s in chosen], keeps=cfg.sweep.keeps,
+                              golds=[s.gold_text() for s in chosen],
                               decode_budget=cfg.sweep.decode_budget, seed=cfg.sweep.seed)
     write_json(args.out, decision.to_dict())
     outputs = [args.out]
@@ -264,7 +258,7 @@ def cmd_eval(args) -> int:
     base = load_weights(args.model)
     ds, samples = _load_split(args.data, args.split)
     adapters = _adapters(args.adapters, base)
-    metric = args.metric or TASK_METRICS.get(ds.task, "em")
+    metric = args.metric or TASK_METRICS[ds.task]
     budget = len(samples) if args.budget is None else args.budget
     chosen = select_samples(samples, budget, cfg.sweep.seed)
     preds = _predictions(base, adapters, chosen, args.decode_budget)
@@ -292,7 +286,7 @@ def cmd_report(args) -> int:
     n_layers = base.cfg.n_layers
     levels = cfg.probe.keep_levels
     if levels is None:
-        levels = default_drop_levels(n_layers)
+        levels = range(n_layers + 1)
     levels = sorted({0, n_layers, *(check_keep_level(k, n_layers) for k in levels)})
 
     probed = probe_under_drop(base, full_set, chosen, keeps=levels,

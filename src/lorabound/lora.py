@@ -123,8 +123,9 @@ def normalize_targets(targets) -> tuple[str, ...]:
 
 
 def init_adapters(cfg: ModelConfig, targets=DEFAULT_TARGETS, rank: int = DEFAULT_RANK,
-                  alpha: float = DEFAULT_ALPHA, seed: int = 0) -> LoraSet:
-    """Fresh adapters on every layer: A ~ N(0, 0.02^2) seeded, B = 0.
+                  seed: int = 0) -> LoraSet:
+    """Fresh adapters on every layer: A ~ N(0, 0.02^2) seeded, B = 0, in a
+    set of alpha DEFAULT_ALPHA.
 
     A new set's delta is exactly zero, so it leaves the base model's
     behavior untouched until trained. The fingerprint is bound to the
@@ -146,7 +147,7 @@ def init_adapters(cfg: ModelConfig, targets=DEFAULT_TARGETS, rank: int = DEFAULT
             a = rng.normal(0.0, 0.02, size=(rank, d_in)).astype(np.float32)
             b = np.zeros((d_out, rank), dtype=np.float32)
             adapters[(layer, proj)] = LoraAdapter(a=a, b=b)
-    return LoraSet(n_layers=cfg.n_layers, alpha=alpha, rank=rank,
+    return LoraSet(n_layers=cfg.n_layers, alpha=DEFAULT_ALPHA, rank=rank,
                    targets=targets, fingerprint=cfg.config_hash(), adapters=adapters)
 
 

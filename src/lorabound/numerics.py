@@ -140,14 +140,17 @@ def cross_entropy_grad(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray
     return loss, grad if batch else grad[0]
 
 
+# Adam's moment decay rates and the denominator's guard, the same for every run
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """First/second moment buffers plus hyperparameters for one optimizer."""
+    """First/second moment buffers and the learning rate of one optimizer."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -161,7 +164,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     their values and accumulate no optimizer state.
     """
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     # bias correction uses the shared step counter, so all tensors must be
     # updated together on every step
     c1 = 1.0 - b1**state.step
@@ -183,7 +186,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         v += (1.0 - b2) * (g * g)
         mhat = m / c1
         vhat = v / c2
-        p -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        p -= state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return params, state
 
 
@@ -198,10 +201,11 @@ def global_norm(grads: dict[str, np.ndarray]) -> float:
 def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place so their joint norm is at most max_norm.
 
-    Returns the pre-clip norm. max_norm <= 0 disables clipping.
+    Returns the pre-clip norm; gradients already within max_norm are left
+    as they are.
     """
     norm = global_norm(grads)
-    if max_norm > 0 and norm > max_norm:
+    if norm > max_norm:
         scale = max_norm / norm
         for g in grads.values():
             g *= g.dtype.type(scale)

@@ -58,14 +58,6 @@ log = logging.getLogger(__name__)
 DEFAULT_N_TOKENS = 4
 DEFAULT_SAMPLE_BUDGET = 100
 
-# keep-depth fractions for the standard drop levels, scaled to any stack height
-DEFAULT_KEEP_FRACTIONS = (10 / 32, 20 / 32, 25 / 32)
-
-
-def default_drop_levels(n_layers: int) -> list[int]:
-    """The standard keep-bottom levels used by drop-probing reports."""
-    return sorted({int(n_layers * f) for f in DEFAULT_KEEP_FRACTIONS})
-
 
 @dataclass
 class ProbeReport:
@@ -241,16 +233,14 @@ def probe_ground_truth(base: BaseWeights, adapters: LoraSet | None, samples, *,
                    n_tokens=n_tokens, descriptor=descriptor)
 
 
-def probe_under_drop(base: BaseWeights, full_set: LoraSet, samples, keeps=None, *,
+def probe_under_drop(base: BaseWeights, full_set: LoraSet, samples, keeps, *,
                      n_tokens: int = DEFAULT_N_TOKENS,
                      descriptor: dict | None = None) -> list[tuple[int, ProbeReport]]:
-    """Probe the given samples under several keep-bottom levels.
+    """Probe the given samples under each keep-bottom level in keeps.
 
     Every level and n_tokens are checked before any compute. One report
     per entry of keeps, in the given order.
     """
-    if keeps is None:
-        keeps = default_drop_levels(base.cfg.n_layers)
     keeps = _check_request(base, n_tokens, keeps)
     kept = _long_enough(samples, n_tokens)
     sums = _probe_levels(base, full_set, kept, keeps, n_tokens)

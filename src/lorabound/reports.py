@@ -153,7 +153,7 @@ def read_probe_tsv(path) -> ProbeReport:
 
 # -- drop curves (probe under several keep levels) --------------------------------
 
-def emit_drop_probe(levels: list[tuple[int, ProbeReport]], meta: dict | None = None) -> str:
+def emit_drop_probe(levels: list[tuple[int, ProbeReport]], meta: dict) -> str:
     if not levels:
         raise ValueError("no drop levels to report")
     n_layers = levels[0][1].n_layers
@@ -163,12 +163,11 @@ def emit_drop_probe(levels: list[tuple[int, ProbeReport]], meta: dict | None = N
     full_meta = {"keeps": [int(k) for k, _ in levels],
                  "sample_count": levels[0][1].sample_count,
                  "n_tokens": levels[0][1].n_tokens}
-    if meta:
-        full_meta.update(meta)
+    full_meta.update(meta)
     return emit_tsv("drop-probe", full_meta, columns, rows)
 
 
-def write_drop_probe_tsv(path, levels, meta: dict | None = None) -> None:
+def write_drop_probe_tsv(path, levels, meta: dict) -> None:
     atomic_write_text(path, emit_drop_probe(levels, meta))
 
 
@@ -203,22 +202,16 @@ def write_diff_tsv(path, diff, meta: dict) -> None:
 
 # -- evaluation ------------------------------------------------------------------------
 
-def emit_eval(report: EvalReport, preds: list[str] | None = None,
-              golds: list[str] | None = None, meta: dict | None = None) -> str:
+def emit_eval(report: EvalReport, preds: list[str], golds: list[str], meta: dict) -> str:
     full_meta = {"metric": report.metric, "score": report.score,
                  "display_score": report.display_score,
                  "sample_count": report.sample_count}
-    if meta:
-        full_meta.update(meta)
+    full_meta.update(meta)
     columns = ["index", "score", "prediction", "gold"]
-    rows = []
-    for i, s in enumerate(report.per_sample):
-        p = preds[i] if preds is not None else ""
-        g = golds[i] if golds is not None else ""
-        rows.append([i, float(s), p, g])
+    rows = [[i, float(s), preds[i], golds[i]] for i, s in enumerate(report.per_sample)]
     return emit_tsv("eval", full_meta, columns, rows)
 
 
-def write_eval_tsv(path, report: EvalReport, preds=None, golds=None,
-                   meta: dict | None = None) -> None:
+def write_eval_tsv(path, report: EvalReport, preds: list[str], golds: list[str],
+                   meta: dict) -> None:
     atomic_write_text(path, emit_eval(report, preds, golds, meta))

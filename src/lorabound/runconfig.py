@@ -12,8 +12,7 @@ from dataclasses import asdict, dataclass
 from .boundary import DEFAULT_DECODE_BUDGET
 from .errors import ConfigError, ParseError
 from .fileio import read_json
-from .lora import (DEFAULT_ALPHA, DEFAULT_RANK, DEFAULT_TARGETS,
-                   normalize_targets)
+from .lora import DEFAULT_RANK, DEFAULT_TARGETS, normalize_targets
 from .model import ModelConfig, check_seed, config_fields
 from .probe import DEFAULT_N_TOKENS, DEFAULT_SAMPLE_BUDGET
 from .tasks import DEFAULT_SIZES, TASK_NAMES
@@ -36,17 +35,14 @@ class PretrainSection(TrainConfig):
 class LoraSection:
     targets: tuple[str, ...] = DEFAULT_TARGETS
     rank: int = DEFAULT_RANK
-    alpha: float = DEFAULT_ALPHA
 
     def validate(self) -> "LoraSection":
         if self.rank < 1:
             raise ConfigError(f"rank must be at least 1, got {self.rank}")
-        if self.alpha <= 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
         # canonical order keeps config hashes independent of spelling order
         canon = normalize_targets(self.targets)
         if canon != self.targets:
-            return LoraSection(targets=canon, rank=self.rank, alpha=self.alpha)
+            return LoraSection(targets=canon, rank=self.rank)
         return self
 
 
@@ -57,7 +53,6 @@ class TaskSection:
     train_size: int = DEFAULT_SIZES["train"]
     validation_size: int = DEFAULT_SIZES["validation"]
     test_size: int = DEFAULT_SIZES["test"]
-    domain: str = "in-domain"
 
     def validate(self) -> "TaskSection":
         if self.name not in TASK_NAMES:
@@ -67,11 +62,6 @@ class TaskSection:
             if getattr(self, f) < 0:
                 raise ConfigError(f"{f} must be non-negative")
         check_seed(self.seed, "task.seed")
-        # domain only cipher-mt reads; it must keep its default elsewhere,
-        # or a run would record a setting that changed nothing
-        if self.name != "cipher-mt" and self.domain != TaskSection.domain:
-            raise ConfigError(f"task.domain applies only to task 'cipher-mt', "
-                              f"not {self.name!r}")
         return self
 
     def sizes(self) -> dict[str, int]:
@@ -84,7 +74,7 @@ class ProbeSection:
     n_tokens: int = DEFAULT_N_TOKENS
     sample_budget: int = DEFAULT_SAMPLE_BUDGET
     seed: int = 0
-    keep_levels: tuple[int, ...] | None = None   # None: scaled defaults
+    keep_levels: tuple[int, ...] | None = None   # None: every level 0..n_layers
 
     def validate(self) -> "ProbeSection":
         if self.n_tokens < 1:
@@ -100,7 +90,6 @@ class SweepSection:
     budget: int = 500
     decode_budget: int = DEFAULT_DECODE_BUDGET
     seed: int = 0
-    keeps: tuple[int, ...] | None = None   # None: every level 0..n_layers
 
     def validate(self) -> "SweepSection":
         if self.budget < 1 or self.decode_budget < 1:

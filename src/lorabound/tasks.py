@@ -65,7 +65,6 @@ class Sample:
     prompt_text: str
     reference_text: str
     task: str
-    domain: str = "in-domain"
     question_type: str = "none"
 
     @cached_property
@@ -99,7 +98,6 @@ class Sample:
             "prompt": self.prompt_text,
             "reference": self.reference_text,
             "task": self.task,
-            "domain": self.domain,
             "question_type": self.question_type,
         }
 
@@ -107,7 +105,7 @@ class Sample:
     def from_dict(cls, data: dict) -> "Sample":
         try:
             fields = {"prompt": data["prompt"], "reference": data["reference"],
-                      "task": data["task"], "domain": data.get("domain", "in-domain"),
+                      "task": data["task"],
                       "question_type": data.get("question_type", "none")}
         except KeyError as exc:
             raise InputError(f"sample record is missing field {exc}") from exc
@@ -115,8 +113,7 @@ class Sample:
             if not isinstance(value, str):
                 raise InputError(f"sample field {name!r} must be a string, got {value!r}")
         return cls(prompt_text=fields["prompt"], reference_text=fields["reference"],
-                   task=fields["task"], domain=fields["domain"],
-                   question_type=fields["question_type"])
+                   task=fields["task"], question_type=fields["question_type"])
 
 
 def sample_ids(items) -> list[tuple[list[int], list[int]]]:
@@ -323,19 +320,10 @@ def gen_arith(seed: int, sizes=None) -> Dataset:
 
 # -- cipher translation --------------------------------------------------------
 
-_CIPHER_DOMAINS = {
-    "in-domain": {
-        "nouns": NOUNS_GENERAL + NOUNS_NEWS, "verbs": VERBS,
-        "adjs": ADJECTIVES, "advs": ADVERBS,
-    },
-    "ood-a": {
-        "nouns": NOUNS_NEWS, "verbs": VERBS[:6],
-        "adjs": ADJECTIVES[:8], "advs": ADVERBS[:4],
-    },
-    "ood-b": {
-        "nouns": NOUNS_BIO, "verbs": VERBS[6:],
-        "adjs": ADJECTIVES[8:], "advs": ADVERBS[4:],
-    },
+# the source words of each part of speech
+_CIPHER_POOLS = {
+    "nouns": NOUNS_GENERAL + NOUNS_NEWS, "verbs": VERBS,
+    "adjs": ADJECTIVES, "advs": ADVERBS,
 }
 
 _CIPHER_CATS = ("nouns", "verbs", "adjs", "advs")
@@ -358,19 +346,16 @@ def cipher_transform(words: list[str]) -> list[str]:
     return reorder_pairs([CIPHER_MAP[w] for w in words])
 
 
-def gen_cipher_mt(seed: int, sizes=None, domain: str = "in-domain") -> Dataset:
+def gen_cipher_mt(seed: int, sizes=None) -> Dataset:
     """Token substitution cipher plus pair reordering as a translation stand-in.
 
-    The cipher is shared by every domain; domains only shift which source
-    words appear, so out-of-domain splits test the same mapping under a
-    different unigram distribution.
+    Sources are 4 to 8 words drawn by part of speech from _CIPHER_POOLS;
+    the reference is cipher_transform of the source. Splits partition the
+    sources by hash.
     """
-    if domain not in _CIPHER_DOMAINS:
-        raise InputError(
-            f"unknown domain {domain!r}; expected one of {sorted(_CIPHER_DOMAINS)}")
     sizes = _normalize_sizes(sizes)
     rng = np.random.default_rng(seed)
-    pools = _CIPHER_DOMAINS[domain]
+    pools = _CIPHER_POOLS
 
     def make() -> Sample:
         length = int(rng.integers(4, 9))
@@ -379,10 +364,9 @@ def gen_cipher_mt(seed: int, sizes=None, domain: str = "in-domain") -> Dataset:
                  for c in cats]
         target = cipher_transform(words)
         return Sample(prompt_text=f"translate : {' '.join(words)} =",
-                      reference_text=" ".join(target), task="cipher-mt",
-                      domain=domain)
+                      reference_text=" ".join(target), task="cipher-mt")
 
-    splits = _fill_by_bucket(sizes, make, f"cipher-mt/{domain}")
+    splits = _fill_by_bucket(sizes, make, "cipher-mt")
     return Dataset(task="cipher-mt", seed=seed, splits=splits)
 
 
@@ -706,17 +690,24 @@ def save_dataset(dataset: Dataset, out_dir) -> list[str]:
 
 
 def load_dataset(in_dir) -> Dataset:
-    """Read a dataset directory back; token ids are recomputed from the table."""
+    """Read a dataset directory back; token ids are recomputed from the table.
+
+    dataset.json must name a task of TASK_NAMES and an integer seed,
+    vocab.json must hold this vocabulary, and every record must be of the
+    dataset's task.
+    """
     meta_path = os.path.join(in_dir, "dataset.json")
-    if not os.path.exists(meta_path):
-        raise InputError(f"{in_dir} has no dataset.json")
-    meta = read_json(meta_path)
-    task, seed = meta.get("task", "unknown"), meta.get("seed", 0)
-    if not isinstance(task, str) or type(seed) is not int:
-        raise InputError(f"{meta_path}: task must be a string and seed an integer")
     vocab_path = os.path.join(in_dir, "vocab.json")
-    if os.path.exists(vocab_path):
-        vocab.check_vocab_file(vocab_path)
+    for path in (meta_path, vocab_path):
+        if not os.path.exists(path):
+            raise InputError(f"{in_dir} has no {os.path.basename(path)}")
+    meta = read_json(meta_path)
+    task, seed = meta.get("task"), meta.get("seed")
+    if task not in TASK_NAMES:
+        raise InputError(f"{meta_path}: task must be one of {TASK_NAMES}, got {task!r}")
+    if type(seed) is not int:
+        raise InputError(f"{meta_path}: seed must be an integer, got {seed!r}")
+    vocab.check_vocab_file(vocab_path)
     splits: dict[str, list[Sample]] = {}
     for split in SPLITS:
         path = os.path.join(in_dir, f"{split}.jsonl")
@@ -735,8 +726,12 @@ def load_dataset(in_dir) -> Dataset:
                     if not isinstance(record, dict):
                         raise InputError(f"{path}:{line_no} is not a JSON object")
                     try:
-                        samples.append(Sample.from_dict(record))
+                        sample = Sample.from_dict(record)
                     except InputError as exc:
                         raise InputError(f"{path}:{line_no}: {exc}") from None
+                    if sample.task != task:
+                        raise InputError(f"{path}:{line_no}: record task {sample.task!r} "
+                                         f"is not the dataset's task {task!r}")
+                    samples.append(sample)
         splits[split] = samples
     return Dataset(task=task, seed=seed, splits=splits)

@@ -1,16 +1,16 @@
 """Training loops: base-model pretraining and adapter-only fine-tuning.
 
-Each optimizer step averages the gradients of its batch, clips them and
-then takes one Adam step. The batch goes through the model in
-consecutive chunks of right-padded rows with a loss mask, one forward
-and backward per chunk; a chunk holds TRAIN_CHUNK_POSITIONS // (the
-step's longest input) rows, at least one, which bounds the activations
-one backward keeps. A step whose loss or gradient norm is not finite
-raises DegenerateInputError before its update, so a diverged run leaves
-no artifact. Runs are deterministic for a given seed. Fine-tuning
-trains the adapter set it is given: the caller picks its layers,
-targets and rank. It touches adapter factors only; the base weights are
-read, never written.
+Each optimizer step averages the gradients of its batch, clips them to
+a global norm of GRAD_CLIP and then takes one Adam step. The batch goes
+through the model in consecutive chunks of right-padded rows with a
+loss mask, one forward and backward per chunk; a chunk holds
+TRAIN_CHUNK_POSITIONS // (the step's longest input) rows, at least one,
+which bounds the activations one backward keeps. A step whose loss or
+gradient norm is not finite raises DegenerateInputError before its
+update, so a diverged run leaves no artifact. Runs are deterministic
+for a given seed. Fine-tuning trains the adapter set it is given: the
+caller picks its layers, targets and rank. It touches adapter factors
+only; the base weights are read, never written.
 """
 
 from __future__ import annotations
@@ -30,14 +30,20 @@ from .tasks import sample_ids
 
 log = logging.getLogger(__name__)
 
+# the global-norm ceiling of every optimizer step's averaged gradients
+GRAD_CLIP = 1.0
+
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The settings of one training run: Adam's learning rate, passes over
+    the data, sequences per optimizer step and the seed of the init and
+    the shuffle. Every step clips to GRAD_CLIP."""
+
     lr: float = 1e-4
     epochs: int = 3
     batch: int = 16
     seed: int = 0
-    grad_clip: float = 1.0   # global-norm ceiling; 0 disables
 
     def validate(self, section: str = "train") -> "TrainConfig":
         if self.lr <= 0:
@@ -45,8 +51,6 @@ class TrainConfig:
         if self.epochs < 1 or self.batch < 1:
             raise ConfigError(
                 f"epochs and batch must be at least 1, got {self.epochs}/{self.batch}")
-        if self.grad_clip < 0:
-            raise ConfigError(f"grad_clip must be non-negative, got {self.grad_clip}")
         check_seed(self.seed, f"{section}.seed")
         return self
 
@@ -67,8 +71,9 @@ def _padded(chunk):
     return out
 
 
-def _batched_step(examples, grad_fn, params, state, grad_clip):
-    """Average grad_fn over the batch, clip, apply one Adam step; returns mean loss.
+def _batched_step(examples, grad_fn, params, state):
+    """Average grad_fn over the batch, clip to GRAD_CLIP, apply one Adam step;
+    returns mean loss.
 
     examples are (inputs, targets, mask) rows. grad_fn gets them in
     consecutive padded chunks of at most TRAIN_CHUNK_POSITIONS // (the
@@ -96,7 +101,7 @@ def _batched_step(examples, grad_fn, params, state, grad_clip):
         for g in total.values():
             g *= g.dtype.type(inv)
         loss = loss_sum * inv
-        norm = clip_by_global_norm(total, grad_clip)
+        norm = clip_by_global_norm(total, GRAD_CLIP)
     if not (np.isfinite(loss) and np.isfinite(norm)):
         raise DegenerateInputError(
             f"non-finite loss {float(loss)} or gradient norm {float(norm)}")
@@ -117,7 +122,7 @@ def _train_loop(examples, grad_fn, params, tcfg: TrainConfig, log_path, name: st
             batch = [examples[i] for i in order[start:start + tcfg.batch]]
             step = len(history) + 1
             try:
-                loss = _batched_step(batch, grad_fn, params, state, tcfg.grad_clip)
+                loss = _batched_step(batch, grad_fn, params, state)
             except DegenerateInputError as exc:
                 raise DegenerateInputError(
                     f"{name} epoch {epoch}, step {step}: {exc}") from None

@@ -82,7 +82,7 @@ def _build_cipher() -> dict[str, str]:
     return {w: CIPHER_TOKENS[perm[i]] for i, w in enumerate(CIPHERABLE)}
 
 
-# fixed bijection word -> cipher token, shared by all splits and domains
+# fixed bijection word -> cipher token, shared by all splits
 CIPHER_MAP: dict[str, str] = _build_cipher()
 
 

@@ -28,6 +28,8 @@ DESK_TASK = {"name": "kvqa", "seed": 0, "train_size": 2000,
              "validation_size": 500, "test_size": 500}
 DESK_PROBE = {"n_tokens": 4, "sample_budget": 100, "seed": 0}
 DESK_SWEEP = {"budget": 500, "decode_budget": 16, "seed": 0}
+DESK_SECTIONS = {"pretrain": DESK_PRETRAIN, "train": DESK_TRAIN, "task": DESK_TASK,
+                 "probe": DESK_PROBE, "sweep": DESK_SWEEP}
 
 # Reduced sizes for the per-task, per-seed quality matrix.
 MULTI_TASK_SIZES = {"train_size": 800, "validation_size": 200,
@@ -38,16 +40,30 @@ MULTI_TASKS = ("kvqa", "arith", "cipher-mt", "salient-summary")
 MULTI_SEEDS = (0, 1, 2)
 
 
+def multi_sections(task: str, seed: int) -> dict:
+    """The run-config overrides of one cell of the quality matrix."""
+    return {"train": dict(MULTI_TRAIN, seed=seed),
+            "task": dict(MULTI_TASK_SIZES, name=task, seed=seed),
+            "probe": dict(DESK_PROBE, seed=seed),
+            "sweep": dict(MULTI_SWEEP, seed=seed)}
+
+
 def run_cli(*argv) -> None:
     argv = [str(a) for a in argv]
     rc = cli_main(argv)
     assert rc == 0, f"cli exited {rc}: {' '.join(argv)}"
 
 
-def write_config(path: Path, **sections) -> dict:
+def compose_config(**sections) -> dict:
+    """The default run config with each section's overrides applied."""
     cfg = RunConfig.default().to_dict()
     for name, overrides in sections.items():
         cfg[name].update(overrides)
+    return cfg
+
+
+def write_config(path: Path, **sections) -> dict:
+    cfg = compose_config(**sections)
     path.write_text(json.dumps(cfg, indent=2))
     return cfg
 
@@ -77,8 +93,7 @@ def desk(tmp_path_factory) -> DeskArtifacts:
     export, eval, with wall-clock per stage. One build per session."""
     root = tmp_path_factory.mktemp("desk")
     cfg_path = root / "config.json"
-    cfg = write_config(cfg_path, pretrain=DESK_PRETRAIN, train=DESK_TRAIN,
-                       task=DESK_TASK, probe=DESK_PROBE, sweep=DESK_SWEEP)
+    cfg = write_config(cfg_path, **DESK_SECTIONS)
     d = DeskArtifacts(root=root, cfg=cfg, cfg_path=cfg_path)
     p = d.paths
     p["data"] = root / "data"
@@ -163,13 +178,7 @@ def multi(desk, tmp_path_factory) -> list[QualityCell]:
             cdir = root / f"{task}-s{seed}"
             cdir.mkdir()
             cfg_path = cdir / "config.json"
-            write_config(
-                cfg_path,
-                train=dict(MULTI_TRAIN, seed=seed),
-                task=dict(MULTI_TASK_SIZES, name=task, seed=seed),
-                probe=dict(DESK_PROBE, seed=seed),
-                sweep=dict(MULTI_SWEEP, seed=seed),
-            )
+            write_config(cfg_path, **multi_sections(task, seed))
             data = cdir / "data"
             full = cdir / "full.lbad"
             sweep_json = cdir / "sweep.json"

@@ -162,12 +162,6 @@ class TestSweepBoundary:
         assert set(dec.per_k_scores.values()) == {0.0}
         assert dec.k_star == 0
 
-    def test_respects_keeps_argument(self):
-        base, lset = micro_setup()
-        dec = sweep_boundary(base, lset, tuple_samples(), "em",
-                             golds=["x"] * 8, keeps=[0, 2], decode_budget=2)
-        assert sorted(dec.per_k_scores) == [0, 2]
-
     def test_named_metric_from_registry(self):
         base, lset = micro_setup()
         dec = sweep_boundary(base, lset, tuple_samples(), "em",
@@ -195,30 +189,11 @@ class TestSweepBoundary:
         with pytest.raises(CompatibilityError):
             sweep_boundary(base, other, tuple_samples(), "em", golds=["z"] * 8)
 
-    def test_bad_keep_level(self):
-        base, lset = micro_setup()
-        with pytest.raises(InputError):
-            sweep_boundary(base, lset, tuple_samples(), "em", golds=["z"] * 8,
-                           keeps=[0, 5])
-
-    @pytest.mark.parametrize("keeps", [[1.5, True], [True], ["a"], [None], [0, -1],
-                                       [np.int64(3)]])
-    def test_non_levels_raise_before_decoding(self, monkeypatch, keeps):
-        base, lset = micro_setup()
-
-        def no_decode(*args, **kwargs):
-            raise AssertionError("decoded before the levels were checked")
-
-        monkeypatch.setattr(boundary, "decode_batch", no_decode)
-        with pytest.raises(InputError, match=r"keep level .* out of range 0\.\.2"):
-            sweep_boundary(base, lset, tuple_samples(), "em", golds=["z"] * 8,
-                           keeps=keeps)
-
-    def test_numpy_levels_are_levels(self):
+    def test_scores_every_level_as_an_int(self):
         base, lset = micro_setup()
         dec = sweep_boundary(base, lset, tuple_samples(), "em", golds=["z"] * 8,
-                             keeps=[np.int64(2), np.int32(0)], decode_budget=2)
-        assert list(dec.per_k_scores) == [0, 2]
+                             decode_budget=2)
+        assert list(dec.per_k_scores) == [0, 1, 2]
         assert all(type(k) is int for k in dec.per_k_scores)
 
     def test_gold_count_mismatch(self):

@@ -376,18 +376,6 @@ class TestDomainErrors:
         assert "error: unknown task 'bogus'" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["cfg.json"]
 
-    @pytest.mark.parametrize("name, field, value, owner", [
-        ("kvqa", "domain", "bogus", "cipher-mt")])
-    def test_a_field_the_task_ignores_exits_two(self, tmp_path, capsys, name, field,
-                                                value, owner):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"task": {"name": name, field: value}}))
-        rc = run("gen-data", "--config", path, "--out", tmp_path / "d")
-        assert rc == 2
-        assert (f"error: task.{field} applies only to task {owner!r}, not {name!r}"
-                in capsys.readouterr().err)
-        assert os.listdir(tmp_path) == ["cfg.json"]
-
     @pytest.mark.parametrize("name, field, value", [("arith", "hops", -5),
                                                     ("cipher-mt", "hops", 3)])
     def test_removed_task_key_is_unknown_for_any_task(self, tmp_path, capsys, name,
@@ -485,16 +473,6 @@ class TestDomainErrors:
         assert "keep level 99 out of range 0..2" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("keeps", [[1.5], [1.5, True], ["a"]])
-    def test_non_integer_sweep_level_exits_two(self, pipeline, tmp_path, capsys, keeps):
-        path = config_with(pipeline, tmp_path, "sweep", "keeps", keeps)
-        rc = run("sweep", "--config", path, "--model", pipeline["base"],
-                 "--data", pipeline["data"], "--adapters", pipeline["full"],
-                 "--out", tmp_path / "s.json")
-        assert rc == 2
-        assert f"keep level {keeps[0]!r} out of range 0..2" in capsys.readouterr().err
-        assert not (tmp_path / "s.json").exists()
-
     def test_non_integer_report_level_exits_two(self, pipeline, tmp_path, capsys):
         path = config_with(pipeline, tmp_path, "probe", "keep_levels", ["a"])
         rc = run("report", "--config", path, "--model", pipeline["base"],
@@ -555,7 +533,12 @@ class TestDomainErrors:
     @pytest.mark.parametrize("section, key, value", [("sweep", "refine", False),
                                                      ("train", "loss_mask_prompt", True),
                                                      ("task", "hops", 2),
-                                                     ("task", "bridge_ratio", 0.75)])
+                                                     ("task", "bridge_ratio", 0.75),
+                                                     ("task", "domain", "in-domain"),
+                                                     ("lora", "alpha", 16.0),
+                                                     ("pretrain", "grad_clip", 1.0),
+                                                     ("train", "grad_clip", 1.0),
+                                                     ("sweep", "keeps", None)])
     def test_removed_config_key_is_unknown(self, pipeline, tmp_path, capsys,
                                            section, key, value):
         path = config_with(pipeline, tmp_path, section, key, value)
@@ -653,6 +636,20 @@ class TestInputsCheckedBeforeCompute:
         assert cause in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["data"]
 
+    def test_dataset_of_an_unknown_task_exits_two(self, pipeline, tmp_path, capsys):
+        # the task picks the sweep's metric, so no default may stand in for it
+        data = tmp_path / "data"
+        data.mkdir()
+        for f in pipeline["data"].iterdir():
+            (data / f.name).write_bytes(f.read_bytes())
+        meta = json.loads((data / "dataset.json").read_text())
+        (data / "dataset.json").write_text(json.dumps(dict(meta, task="bogus")))
+        rc = run("sweep", "--config", pipeline["cfg"], "--model", pipeline["base"],
+                 "--data", data, "--adapters", pipeline["full"], "--out", tmp_path / "s.json")
+        assert rc == 2
+        assert f"{data / 'dataset.json'}: task must be one of" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["data"]
+
     def test_adapter_outside_header_targets(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "gate.lbad"
         header, tensors = _decode_container(pipeline["full"], MAGIC_ADAPTERS)
@@ -716,11 +713,11 @@ class TestInputsCheckedBeforeCompute:
         assert os.listdir(tmp_path) == []
 
     def test_non_finite_config_value(self, pipeline, tmp_path, capsys):
-        path = config_with(pipeline, tmp_path, "train", "grad_clip", float("nan"))
+        path = config_with(pipeline, tmp_path, "train", "lr", float("nan"))
         rc = run("finetune", "--config", path, "--model", pipeline["base"],
                  "--data", pipeline["data"], "--out", tmp_path / "a.lbad")
         assert rc == 2
-        assert "train.grad_clip must be a finite number, got nan" in capsys.readouterr().err
+        assert "train.lr must be a finite number, got nan" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["cfg.json"]
 
     @pytest.mark.parametrize("epochs", ["3", 2.5])

@@ -1,15 +1,26 @@
-"""The CLI calls in tests/conftest.py name subcommands and flags that exist.
+"""The CLI calls and run configs in tests/conftest.py are ones the CLI takes.
 
 No tier-1 test requests the `desk` and `multi` fixtures, so a flag that
-the CLI drops would go unnoticed there until a desk test ran them. This
-reads conftest.py with `ast` and checks every `run_cli(...)` and
-`_timed(...)` call against `build_parser()` without running anything.
+the CLI drops, or a run-config key that the schema drops, would go
+unnoticed there until a desk test ran them. This reads conftest.py with
+`ast` and checks every `run_cli(...)` and `_timed(...)` call against
+`build_parser()`, and loads the config of the desk chain and of every
+`multi` cell, composed as the fixtures compose it, without running
+anything.
 """
 
 import ast
+import json
 from pathlib import Path
 
+import pytest
+
 from lorabound.cli import build_parser
+from lorabound.errors import ConfigError
+from lorabound.runconfig import RunConfig
+
+from conftest import (DESK_SECTIONS, MULTI_SEEDS, MULTI_TASKS, compose_config,
+                      multi_sections)
 
 CONFTEST = Path(__file__).resolve().parent / "conftest.py"
 
@@ -60,3 +71,21 @@ def test_a_stale_flag_is_caught():
     assert unknown_names(stale) == ["line 1: report --sweep-json"]
     assert unknown_names('_timed(d, "x", "frobnicate")\n') == \
         ["line 1: subcommand 'frobnicate'"]
+
+
+def load_composed(**sections) -> RunConfig:
+    """The config the fixtures would write, read back as the CLI reads it."""
+    return RunConfig.from_dict(json.loads(json.dumps(compose_config(**sections))))
+
+
+def test_fixture_configs_load():
+    assert load_composed(**DESK_SECTIONS).task.train_size == 2000
+    cells = {(task, seed): load_composed(**multi_sections(task, seed))
+             for task in MULTI_TASKS for seed in MULTI_SEEDS}
+    assert all((cfg.task.name, cfg.task.seed, cfg.sweep.seed) == (task, seed, seed)
+               for (task, seed), cfg in cells.items())
+
+
+def test_a_stale_config_key_is_caught():
+    with pytest.raises(ConfigError, match=r"unknown keys in section 'train': \['grad_clip'\]"):
+        load_composed(**dict(DESK_SECTIONS, train=dict(DESK_SECTIONS["train"], grad_clip=1.0)))

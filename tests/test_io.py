@@ -361,12 +361,12 @@ class TestRunConfig:
         ("train", "epochs", 2.5, "train.epochs must be an integer, got 2.5"),
         ("train", "batch", True, "train.batch must be an integer, got True"),
         ("train", "lr", "0.1", "train.lr must be a number"),
-        ("pretrain", "grad_clip", False, "pretrain.grad_clip must be a number"),
+        ("pretrain", "lr", False, "pretrain.lr must be a number"),
         ("model", "tied_embeddings", 1, "model.tied_embeddings must be true or false"),
         ("task", "name", 3, "task.name must be a string"),
         ("model", "n_layers", 2.0, "model.n_layers must be an integer"),
         ("model", "norm_eps", None, "model.norm_eps must be a number"),
-        ("sweep", "keeps", 5, "sweep.keeps must be a list"),
+        ("probe", "keep_levels", 5, "probe.keep_levels must be a list"),
         ("lora", "targets", None, "lora.targets must be a list"),
     ])
     def test_scalar_of_wrong_json_type_rejected(self, section, key, value, cause):
@@ -382,9 +382,9 @@ class TestRunConfig:
             RunConfig.load(p)
 
     def test_number_fields_take_integers(self):
-        cfg = RunConfig.from_dict({"train": {"lr": 1, "grad_clip": 0},
+        cfg = RunConfig.from_dict({"train": {"lr": 1}, "pretrain": {"lr": 2},
                                    "probe": {"keep_levels": None}})
-        assert cfg.train.lr == 1 and cfg.train.grad_clip == 0
+        assert cfg.train.lr == 1 and cfg.pretrain.lr == 2
         assert cfg.probe.keep_levels is None
 
     def test_model_header_types_checked(self):
@@ -393,9 +393,9 @@ class TestRunConfig:
 
     def test_tuple_fields_from_lists(self):
         cfg = RunConfig.from_dict({"lora": {"targets": ["v", "q"]},
-                                   "sweep": {"keeps": [0, 4, 8]}})
+                                   "probe": {"keep_levels": [0, 4, 8]}})
         assert cfg.lora.targets == ("q", "v")
-        assert cfg.sweep.keeps == (0, 4, 8)
+        assert cfg.probe.keep_levels == (0, 4, 8)
 
 
 class TestTsvCore:
@@ -500,9 +500,10 @@ class TestReportFiles:
 
     def test_drop_probe_layout(self):
         rep = self.probe_report()
-        text = emit_drop_probe([(0, rep), (2, rep)])
+        text = emit_drop_probe([(0, rep), (2, rep)], meta={"split": "validation"})
         kind, meta, columns, rows = parse_tsv(text)
         assert kind == "drop-probe"
+        assert meta["keeps"] == [0, 2] and meta["split"] == "validation"
         assert columns == ["layer", "keep00", "keep02"]
         assert len(rows) == rep.n_layers
         assert reemit(text) == text
@@ -523,7 +524,7 @@ class TestReportFiles:
 
     def test_eval_tsv(self):
         rep = corpus_score("em", ["a b", "c"], ["b", "z"])
-        text = emit_eval(rep, preds=["a b", "c"], golds=["b", "z"])
+        text = emit_eval(rep, preds=["a b", "c"], golds=["b", "z"], meta={})
         kind, meta, columns, rows = parse_tsv(text)
         assert kind == "eval"
         assert meta["metric"] == "em"

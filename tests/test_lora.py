@@ -89,7 +89,7 @@ class TestScale:
     def test_alpha_moves_logits_and_hash_together(self, tmp_path):
         from lorabound.fileio import load_adapters, save_adapters
         base = micro_weights()
-        lset = randomize_adapters(init_adapters(MICRO, seed=4, alpha=4.0),
+        lset = randomize_adapters(dataclasses.replace(init_adapters(MICRO, seed=4), alpha=4.0),
                                   np.random.default_rng(4))
         lset.fingerprint = base.fingerprint()
         other = dataclasses.replace(lset, alpha=1.0)
@@ -186,7 +186,8 @@ class TestActiveMaskAndDrop:
             drop_above(init_adapters(MICRO, seed=1), keep)
 
     def test_metadata_preserved(self):
-        lset = init_adapters(MICRO, seed=1, rank=2, alpha=4.0, targets=("k", "o"))
+        lset = dataclasses.replace(init_adapters(MICRO, seed=1, rank=2, targets=("k", "o")),
+                                   alpha=4.0)
         kept = drop_above(lset, 1)
         assert (kept.rank, kept.alpha, kept.targets) == (2, 4.0, ("k", "o"))
         assert kept.n_layers == lset.n_layers

@@ -13,7 +13,7 @@ from lorabound.lora import drop_above, init_adapters
 from lorabound.model import (DECODE_BATCH_ROWS, ModelConfig, decode_batch,
                              forward_collect, init_base, next_token_logits)
 from lorabound.numerics import softmax_rows
-from lorabound.probe import (ProbeReport, default_drop_levels, probe_difference,
+from lorabound.probe import (ProbeReport, probe_difference,
                              probe_ground_truth, probe_under_drop,
                              samples_hash, select_samples)
 
@@ -166,11 +166,6 @@ class TestProbeGroundTruth:
 
 
 class TestProbeUnderDrop:
-    def test_default_levels_scale_with_depth(self):
-        assert default_drop_levels(32) == [10, 20, 25]
-        assert default_drop_levels(12) == [3, 7, 9]
-        assert default_drop_levels(2) == [0, 1]
-
     def test_probes_share_the_sample_set(self):
         base, lset = micro_setup()
         out = probe_under_drop(base, lset, select_samples(micro_samples(30), 10, seed=0),
@@ -303,17 +298,11 @@ class TestEngineAgainstOracle:
         base, lset = self.model_and_adapters(seed=12)
         self.assert_matches(base, lset, self.samples(10, seed=13), keeps, n_tokens=2)
 
-    def test_default_levels_of_a_one_layer_model(self):
+    def test_every_level_of_a_one_layer_model(self):
         cfg = ModelConfig(n_layers=1, d_model=8, n_heads=2, d_ff=16,
                           vocab_size=16, max_seq=12)
-        assert default_drop_levels(1) == [0]
         base, lset = self.model_and_adapters(seed=14, cfg=cfg)
-        samples = self.samples(10, seed=15)
-        out = probe_under_drop(base, lset, samples, n_tokens=2)
-        assert [k for k, _ in out] == [0]
-        gt, mx = probe_oracle(base, None, samples, 2)
-        np.testing.assert_array_equal(out[0][1].gt_curve, gt)
-        np.testing.assert_array_equal(out[0][1].max_curve, mx)
+        self.assert_matches(base, lset, self.samples(10, seed=15), [0, 1], n_tokens=2)
 
     def test_sums_run_in_sample_order(self):
         # Peaked readouts put true-token probabilities from 1e-15 to 1 in one

@@ -1,6 +1,5 @@
 import collections
 import json
-import math
 import types
 
 import numpy as np
@@ -11,7 +10,7 @@ from lorabound.errors import CompatibilityError, InputError, ParseError
 from lorabound.tasks import (Dataset, GENERATORS, KEY_POOLS, KVQA_BRIDGE_RATIO,
                              KVQA_HOPS, Sample, SPLITS,
                              TASK_METRICS, TASK_NAMES, cipher_transform,
-                             gen_arith, gen_cipher_mt, gen_kvqa,
+                             gen_arith, gen_kvqa,
                              gen_pretrain_corpus, gen_resp_select,
                              gen_salient_summary, load_dataset, reorder_pairs,
                              sample_ids, save_dataset)
@@ -20,6 +19,7 @@ from lorabound.vocab import EOS_ID, decode
 from oracles import SOLVERS
 
 SMALL = {"train": 120, "validation": 30, "test": 30}
+MISSING = object()   # a metadata key deleted from dataset.json
 
 
 def all_samples(ds: Dataset) -> list[Sample]:
@@ -80,13 +80,6 @@ class TestSolvability:
         for s in all_samples(ds):
             assert solve(s.prompt_text) == s.reference_text
 
-    def test_cipher_oracle_covers_both_ood_domains(self):
-        for domain in ("ood-a", "ood-b"):
-            ds = gen_cipher_mt(seed=13, sizes=SMALL, domain=domain)
-            for s in all_samples(ds):
-                assert SOLVERS["cipher-mt"](s.prompt_text) == s.reference_text
-                assert s.domain == domain
-
 
 class TestSampleFields:
     def test_reference_ids_end_with_stop_token(self):
@@ -97,7 +90,7 @@ class TestSampleFields:
 
     def test_round_trip_through_dict(self):
         s = Sample(prompt_text="compute : 1 + 2 = ?", reference_text="3",
-                   task="arith", domain="in-domain", question_type="none")
+                   task="arith", question_type="none")
         assert Sample.from_dict(s.to_dict()).to_dict() == s.to_dict()
 
     def test_from_dict_missing_field(self):
@@ -188,31 +181,6 @@ class TestCipher:
     def test_transform_rejects_uncovered_words(self):
         with pytest.raises(InputError):
             cipher_transform(["k00"])
-
-    def test_unknown_domain(self):
-        with pytest.raises(InputError):
-            gen_cipher_mt(seed=0, sizes=SMALL, domain="ood-z")
-
-    @pytest.mark.parametrize("domain", ["ood-a", "ood-b"])
-    def test_ood_source_distribution_diverges(self, domain):
-        # unigram KL(ood || in-domain) over source words, add-0.5 smoothed
-        def source_counts(ds):
-            counts = collections.Counter()
-            for s in all_samples(ds):
-                counts.update(s.prompt_text.split()[2:-1])
-            return counts
-
-        base = source_counts(gen_cipher_mt(seed=23, sizes=SMALL))
-        ood = source_counts(gen_cipher_mt(seed=23, sizes=SMALL, domain=domain))
-        support = sorted(set(base) | set(ood))
-        bn = sum(base.values()) + 0.5 * len(support)
-        on = sum(ood.values()) + 0.5 * len(support)
-        kl = 0.0
-        for w in support:
-            p = (ood[w] + 0.5) / on
-            q = (base[w] + 0.5) / bn
-            kl += p * math.log(p / q)
-        assert kl > 0.5
 
 
 class TestSummary:
@@ -317,14 +285,38 @@ class TestSerialization:
         with pytest.raises(InputError, match="validation.jsonl:2 is not a JSON object"):
             load_dataset(tmp_path)
 
-    @pytest.mark.parametrize("field, value", [("seed", "x"), ("seed", 1.5), ("task", 3)])
+    @pytest.mark.parametrize("field, value", [
+        ("seed", "x"), ("seed", 1.5), ("task", 3), ("task", "bogus"),
+        pytest.param("task", MISSING, id="task-missing"),
+        pytest.param("seed", MISSING, id="seed-missing")])
     def test_dataset_metadata_types_checked(self, tmp_path, field, value):
         ds = gen_arith(seed=1, sizes={"train": 4, "validation": 2, "test": 2})
         save_dataset(ds, tmp_path)
         meta = json.loads((tmp_path / "dataset.json").read_text())
-        meta[field] = value
+        if value is MISSING:
+            del meta[field]
+        else:
+            meta[field] = value
         (tmp_path / "dataset.json").write_text(json.dumps(meta))
-        with pytest.raises(InputError, match="task must be a string and seed an integer"):
+        with pytest.raises(InputError, match=f"dataset.json: {field} must be"):
+            load_dataset(tmp_path)
+
+    def test_missing_vocabulary_file_is_rejected(self, tmp_path):
+        save_dataset(gen_arith(seed=1, sizes={"train": 4, "validation": 2, "test": 2}),
+                     tmp_path)
+        (tmp_path / "vocab.json").unlink()
+        with pytest.raises(InputError, match="has no vocab.json"):
+            load_dataset(tmp_path)
+
+    def test_record_of_another_task_is_rejected(self, tmp_path):
+        save_dataset(gen_arith(seed=1, sizes={"train": 4, "validation": 2, "test": 2}),
+                     tmp_path)
+        path = tmp_path / "test.jsonl"
+        first, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([first.replace('"task":"arith"', '"task":"kvqa"')]
+                                  + rest) + "\n")
+        with pytest.raises(InputError, match="test.jsonl:1: record task 'kvqa' is not "
+                                             "the dataset's task 'arith'"):
             load_dataset(tmp_path)
 
     @pytest.mark.parametrize("name", ["dataset.json", "vocab.json"])
