@@ -5,8 +5,9 @@ arguments), 2 for domain failures (bad files, incompatible artifacts,
 undetectable knees). Each kind of input has one reader that checks it,
 and a command reads all of its inputs before it computes or writes
 anything. Each artifact-producing command also writes a
-timestamp-free manifest listing output hashes, so identical runs
-produce identical trees.
+timestamp-free manifest listing output hashes, and naming its input
+files by hash rather than by path, so identical runs produce identical
+trees wherever they run.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import sys
 from .boundary import (DEFAULT_DECODE_BUDGET, DEFAULT_MIN_JUMP_RATIO, BoundaryDecision,
                        knee_from_report, sweep_boundary)
 from .errors import InputError, LoraBoundError
-from .fileio import (load_adapters, load_weights, read_json, save_adapters,
-                     save_weights, write_json, write_manifest)
+from .fileio import (file_sha256, load_adapters, load_weights, read_json,
+                     save_adapters, save_weights, write_json, write_manifest)
 from .lora import check_compat, drop_above, init_adapters, merge
-from .metrics import METRIC_NAMES, corpus_score
+from .metrics import corpus_score
 from .model import check_keep_level, check_seed, decode_batch, init_base
 from .probe import probe_difference, probe_ground_truth, probe_under_drop, select_samples
 from .reports import (read_probe_tsv, write_diff_tsv, write_drop_probe_tsv,
@@ -132,11 +133,12 @@ def cmd_pretrain(args) -> int:
     weights, history = pretrain(cfg.model, cfg.pretrain, corpus, log_path=args.log)
     save_weights(args.out, weights)
     outputs = [args.out] + ([args.log] if args.log else [])
+    fingerprint = weights.fingerprint()
     write_manifest(args.out + ".manifest.json", "pretrain",
                    {"config": cfg.to_dict()["pretrain"], "model": cfg.model.to_dict(),
-                    "fingerprint": weights.fingerprint()}, outputs)
+                    "fingerprint": fingerprint}, outputs)
     print(f"pretrain: {len(corpus)} sequences, final loss {history[-1][2]:.4f}, "
-          f"fingerprint {weights.fingerprint()}")
+          f"fingerprint {fingerprint}")
     return 0
 
 
@@ -147,7 +149,8 @@ def cmd_finetune(args) -> int:
     base = load_weights(args.model)
     _, samples = _load_split(args.data, "train")
     adapters = init_adapters(base.cfg, cfg.lora.targets, cfg.lora.rank, seed=cfg.train.seed)
-    params = {"model": base.fingerprint(), "data": os.path.abspath(args.data),
+    params = {"model": base.fingerprint(),
+              "data": file_sha256(os.path.join(args.data, "train.jsonl")),
               "train": cfg.to_dict()["train"], "lora": cfg.to_dict()["lora"]}
     if args.command == "finetune-partial":
         adapters = drop_above(adapters, args.keep_bottom)
@@ -155,10 +158,10 @@ def cmd_finetune(args) -> int:
     adapters, history = finetune_lora(base, samples, cfg.train, adapters, log_path=args.log)
     save_adapters(args.out, adapters)
     outputs = [args.out] + ([args.log] if args.log else [])
-    params["content_hash"] = adapters.content_hash()
+    params["content_hash"] = set_hash = adapters.content_hash()
     write_manifest(args.out + ".manifest.json", args.command, params, outputs)
     print(f"{args.command}: {len(samples)} samples, final loss {history[-1][2]:.4f}, "
-          f"adapters {adapters.content_hash()}")
+          f"adapters {set_hash}")
     return 0
 
 
@@ -201,7 +204,7 @@ def cmd_knee(args) -> int:
     decision = knee_from_report(report, fallback=args.fallback)
     write_json(args.out, decision.to_dict())
     write_manifest(args.out + ".manifest.json", "knee",
-                   {"probe": os.path.abspath(args.probe),
+                   {"probe": file_sha256(args.probe),
                     "min_jump_ratio": DEFAULT_MIN_JUMP_RATIO,
                     "fallback": args.fallback}, [args.out])
     tag = " (fallback)" if decision.extra.get("fallback") else ""
@@ -214,7 +217,7 @@ def cmd_sweep(args) -> int:
     base = load_weights(args.model)
     ds, samples = _load_split(args.data, args.split)
     full_set = _adapters(args.adapters, base)
-    metric = args.metric or TASK_METRICS[ds.task]
+    metric = TASK_METRICS[ds.task]
     chosen = select_samples(samples, cfg.sweep.budget, cfg.sweep.seed)
     decision = sweep_boundary(base, full_set, chosen, metric,
                               golds=[s.gold_text() for s in chosen],
@@ -225,7 +228,7 @@ def cmd_sweep(args) -> int:
         write_sweep_tsv(args.tsv, decision)
         outputs.append(args.tsv)
     write_manifest(args.out + ".manifest.json", "sweep",
-                   {"model": base.fingerprint(), "adapters": full_set.content_hash(),
+                   {"model": base.fingerprint(), "adapters": decision.set_hash,
                     "metric": metric, "split": args.split,
                     "sweep": cfg.to_dict()["sweep"]}, outputs)
     best = decision.per_k_scores[decision.k_star]
@@ -258,7 +261,7 @@ def cmd_eval(args) -> int:
     base = load_weights(args.model)
     ds, samples = _load_split(args.data, args.split)
     adapters = _adapters(args.adapters, base)
-    metric = args.metric or TASK_METRICS[ds.task]
+    metric = TASK_METRICS[ds.task]
     budget = len(samples) if args.budget is None else args.budget
     chosen = select_samples(samples, budget, cfg.sweep.seed)
     preds = _predictions(base, adapters, chosen, args.decode_budget)
@@ -322,10 +325,11 @@ def cmd_init_model(args) -> int:
     cfg = _load_config(args.config)
     weights = init_base(cfg.model, seed=check_seed(args.seed, "--seed"))
     save_weights(args.out, weights)
+    fingerprint = weights.fingerprint()
     write_manifest(args.out + ".manifest.json", "init-model",
                    {"model": cfg.model.to_dict(), "seed": args.seed,
-                    "fingerprint": weights.fingerprint()}, [args.out])
-    print(f"init-model: fingerprint {weights.fingerprint()}")
+                    "fingerprint": fingerprint}, [args.out])
+    print(f"init-model: fingerprint {fingerprint}")
     return 0
 
 
@@ -402,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--adapters", required=True)
-    p.add_argument("--metric", default=None, choices=(None,) + METRIC_NAMES)
     p.add_argument("--split", default="validation", choices=SPLITS)
     p.add_argument("--out", required=True)
     p.add_argument("--tsv", default=None)
@@ -420,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--adapters", default=None)
-    p.add_argument("--metric", default=None, choices=(None,) + METRIC_NAMES)
     p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--budget", type=int, default=None,
                    help="evaluate at most this many samples")

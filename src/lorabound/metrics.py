@@ -49,21 +49,6 @@ def em_final_answer(pred: str, gold: str) -> float:
     return 1.0 if last == gold_tokens[0] else 0.0
 
 
-def token_f1(pred: str, gold: str) -> float:
-    """Bag-of-tokens F1 with multiset counting."""
-    p, g = normalize(pred), normalize(gold)
-    if not p and not g:
-        return 1.0
-    if not p or not g:
-        return 0.0
-    overlap = sum((Counter(p) & Counter(g)).values())
-    if overlap == 0:
-        return 0.0
-    precision = overlap / len(p)
-    recall = overlap / len(g)
-    return 2 * precision * recall / (precision + recall)
-
-
 def _lcs_len(a: list[str], b: list[str]) -> int:
     # rolling 1-D DP over the shorter side
     if len(b) > len(a):
@@ -135,14 +120,6 @@ def bleu_corpus(preds: list[str], golds: list[str]) -> float:
     return 100.0 * bp * math.exp(log_sum)
 
 
-def accuracy(pred: str, gold: str) -> float:
-    """Exact normalized equality on the first generated word."""
-    p, g = normalize(pred), normalize(gold)
-    if not g:
-        raise InputError("gold label is empty after normalization")
-    return 1.0 if p and p[0] == g[0] else 0.0
-
-
 @dataclass
 class EvalReport:
     """Corpus score plus per-sample breakdown for one metric."""
@@ -161,9 +138,7 @@ class EvalReport:
 _MEAN_METRICS = {
     "em": em_contains,
     "em-final": em_final_answer,
-    "f1": token_f1,
     "rouge-l": rouge_l,
-    "accuracy": accuracy,
 }
 
 METRIC_NAMES = tuple(sorted(_MEAN_METRICS)) + ("bleu",)

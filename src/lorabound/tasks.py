@@ -1,6 +1,7 @@
 """Synthetic task generators over the frozen vocabulary.
 
-Five supervised tasks plus a pretraining corpus. Every sample is
+The paper's four generation tasks (TASK_NAMES), each scored by one
+metric (TASK_METRICS), plus a pretraining corpus. Every sample is
 solvable by an explicit rule (the test suite's reference solvers in
 tests/oracles.py reproduce every reference from its prompt), splits are
 disjoint by construction (split-specific key pools or hash
@@ -30,7 +31,7 @@ from .vocab import (ADJECTIVES, ADVERBS, CIPHER_MAP, EOS_ID, KEYS, NAMES,
 SPLITS = ("train", "validation", "test")
 DEFAULT_SIZES = {"train": 2000, "validation": 500, "test": 500}
 
-TASK_NAMES = ("kvqa", "arith", "cipher-mt", "salient-summary", "resp-select")
+TASK_NAMES = ("kvqa", "arith", "cipher-mt", "salient-summary")
 
 # the headline metric each task is scored with
 TASK_METRICS = {
@@ -38,7 +39,6 @@ TASK_METRICS = {
     "arith": "em-final",
     "cipher-mt": "bleu",
     "salient-summary": "rouge-l",
-    "resp-select": "accuracy",
 }
 
 # split-specific key pools keep kv-qa prompts disjoint across splits
@@ -90,7 +90,7 @@ class Sample:
             if last is None:
                 raise InputError(f"arith reference has no number: {self.reference_text!r}")
             return last
-        # translation, summarization and selection grade the whole reference
+        # translation and summarization grade the whole reference
         return self.reference_text
 
     def to_dict(self) -> dict:
@@ -162,10 +162,10 @@ def _bucket(text: str) -> str:
     return "validation" if r == 4 else "test"
 
 
-def _fill_by_bucket(sizes: dict[str, int], make_candidate, describe: str,
-                    accept=None) -> dict[str, list[Sample]]:
+def _fill_by_bucket(sizes: dict[str, int], make_candidate,
+                    describe: str) -> dict[str, list[Sample]]:
     """Draw candidates until every split quota is met, routing by prompt hash;
-    accept(split_samples, sample), if given, may turn a candidate down."""
+    a repeated prompt or one whose split is full is drawn past."""
     splits: dict[str, list[Sample]] = {s: [] for s in SPLITS}
     seen: set[str] = set()
     want = sum(sizes.values())
@@ -180,8 +180,6 @@ def _fill_by_bucket(sizes: dict[str, int], make_candidate, describe: str,
             continue
         split = _bucket(sample.prompt_text)
         if len(splits[split]) >= sizes[split]:
-            continue
-        if accept is not None and not accept(splits[split], sample):
             continue
         seen.add(sample.prompt_text)
         splits[split].append(sample)
@@ -412,65 +410,11 @@ def gen_salient_summary(seed: int, sizes=None) -> Dataset:
     return Dataset(task="salient-summary", seed=seed, splits=splits)
 
 
-# -- response selection --------------------------------------------------------
-
-def gen_resp_select(seed: int, sizes=None) -> Dataset:
-    """Dialog/candidate pairs labeled yes/no, balanced exactly 50/50.
-
-    Negatives are responses swapped in from a dialogue about a different
-    topic noun, so topical match decides the label.
-    """
-    sizes = _normalize_sizes(sizes)
-    for name, n in sizes.items():
-        if n % 2 != 0:
-            raise InputError(
-                f"resp-select needs even split sizes for exact balance; "
-                f"{name} is {n}")
-    rng = np.random.default_rng(seed)
-    topics = NOUNS_GENERAL + NOUNS_NEWS
-
-    def make_response(topic: str) -> str:
-        return " ".join([
-            VERBS[rng.integers(len(VERBS))],
-            ADJECTIVES[rng.integers(len(ADJECTIVES))],
-            topic,
-            ADVERBS[rng.integers(len(ADVERBS))],
-        ])
-
-    def make() -> Sample:
-        topic = topics[rng.integers(len(topics))]
-        other = topics[rng.integers(len(topics))]
-        while other == topic:
-            other = topics[rng.integers(len(topics))]
-        speakers = [NAMES[i] for i in rng.choice(len(NAMES), size=2, replace=False)]
-        turns = []
-        for t in range(int(rng.integers(3, 5))):
-            words = [VERBS[rng.integers(len(VERBS))],
-                     ADJECTIVES[rng.integers(len(ADJECTIVES))],
-                     topic,
-                     ADVERBS[rng.integers(len(ADVERBS))]]
-            turns.append(f"{speakers[t % 2]} : {' '.join(words)} .")
-        positive = rng.random() < 0.5
-        candidate = make_response(topic if positive else other)
-        prompt = ("dialog : " + " | ".join(turns)
-                  + f" | candidate : {candidate} | suitable ?")
-        return Sample(prompt_text=prompt, reference_text="yes" if positive else "no",
-                      task="resp-select")
-
-    def balanced(split_samples: list[Sample], sample: Sample) -> bool:
-        # exact balance: a split takes a yes iff it holds an even count
-        return (sample.reference_text == "yes") == (len(split_samples) % 2 == 0)
-
-    splits = _fill_by_bucket(sizes, make, "resp-select", balanced)
-    return Dataset(task="resp-select", seed=seed, splits=splits)
-
-
 GENERATORS = {
     "kvqa": gen_kvqa,
     "arith": gen_arith,
     "cipher-mt": gen_cipher_mt,
     "salient-summary": gen_salient_summary,
-    "resp-select": gen_resp_select,
 }
 
 

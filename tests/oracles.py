@@ -20,7 +20,7 @@ from lorabound.errors import InputError
 from lorabound.model import forward_collect, lens_probs, next_token_logits
 from lorabound.numerics import adam_step, clip_by_global_norm
 from lorabound.tasks import cipher_transform
-from lorabound.vocab import KEYS, NOUNS_GENERAL, NOUNS_NEWS
+from lorabound.vocab import KEYS
 
 
 def softmax_rows_oracle(x):
@@ -165,24 +165,6 @@ def rouge_oracle(pred, gold):
     return 2 * precision * recall / (precision + recall)
 
 
-def f1_oracle(pred, gold):
-    p, g = norm(pred), norm(gold)
-    if not p and not g:
-        return 1.0
-    if not p or not g:
-        return 0.0
-    overlap = 0
-    for tok in set(p):
-        cp = sum(1 for x in p if x == tok)
-        cg = sum(1 for x in g if x == tok)
-        overlap += min(cp, cg)
-    if overlap == 0:
-        return 0.0
-    precision = overlap / len(p)
-    recall = overlap / len(g)
-    return 2 * precision * recall / (precision + recall)
-
-
 def contains_oracle(pred, gold):
     hay, needle = norm(pred), norm(gold)
     if not needle:
@@ -316,23 +298,9 @@ def solve_summary(prompt_text: str) -> str:
         raise InputError("no note-marked facts in prompt")
     return " | ".join(facts)
 
-def solve_resp_select(prompt_text: str) -> str:
-    words = prompt_text.split()
-    try:
-        cand_at = words.index("candidate")
-    except ValueError:
-        raise InputError("prompt has no candidate section") from None
-    topics = set(NOUNS_GENERAL + NOUNS_NEWS)
-    dialog_nouns = {w for w in words[:cand_at] if w in topics}
-    cand_end = words.index("suitable") if "suitable" in words else len(words)
-    cand_nouns = {w for w in words[cand_at:cand_end] if w in topics}
-    return "yes" if cand_nouns & dialog_nouns else "no"
-
-
 SOLVERS = {
     "kvqa": solve_kvqa,
     "arith": solve_arith,
     "cipher-mt": solve_cipher,
     "salient-summary": solve_summary,
-    "resp-select": solve_resp_select,
 }

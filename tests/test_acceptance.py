@@ -17,8 +17,7 @@ from lorabound import boundary, lora, metrics, model, numerics, probe
 from lorabound.vocab import VOCAB_SIZE
 
 from helpers import randomize_adapters, randomize_weights
-from oracles import (bleu_oracle, contains_oracle, f1_oracle, norm,
-                     rouge_oracle)
+from oracles import bleu_oracle, contains_oracle, norm, rouge_oracle
 
 DESK = model.ModelConfig()
 MICRO = model.ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=16,
@@ -223,11 +222,7 @@ class TestMetricsOracles:
         assert metrics.em_contains("answer = v17", "v07") == 0.0
         assert metrics.em_final_answer("steps 3 then 12 so 15", "15") == 1.0
         assert metrics.em_final_answer("15 but wait 16", "15") == 0.0
-        assert metrics.token_f1("red blue green", "blue green lamp") == \
-            pytest.approx(2.0 / 3.0)
         assert metrics.rouge_l("a b c d", "a c d e") == 0.75
-        assert metrics.accuracy("yes , obviously", "yes") == 1.0
-        assert metrics.accuracy("no", "yes") == 0.0
         out = metrics.bleu_corpus(["the lamp is red"], ["the lamp is red"])
         assert out == pytest.approx(100.0)
 
@@ -253,13 +248,6 @@ class TestMetricsOracles:
             want = 1.0 if last == gold else 0.0
             assert metrics.em_final_answer(pred, gold) == want
 
-    def test_token_f1_against_oracle(self, stopwatch):
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            pred, gold = self.rand_text(rng), self.rand_text(rng)
-            assert metrics.token_f1(pred, gold) == pytest.approx(
-                f1_oracle(pred, gold), abs=1e-12)
-
     def test_rouge_against_lcs_enumeration(self, stopwatch):
         rng = np.random.default_rng(13)
         for _ in range(200):
@@ -275,13 +263,3 @@ class TestMetricsOracles:
             golds = [self.rand_text(rng, 10) for _ in range(count)]
             assert metrics.bleu_corpus(preds, golds) == pytest.approx(
                 bleu_oracle(preds, golds), abs=1e-9)
-
-    def test_accuracy_against_first_word(self, stopwatch):
-        rng = np.random.default_rng(15)
-        for _ in range(200):
-            pred = self.rand_text(rng)
-            gold = self.WORDS[int(rng.integers(0, 11))]
-            if not norm(gold):
-                continue
-            want = 1.0 if norm(pred) and norm(pred)[0] == norm(gold)[0] else 0.0
-            assert metrics.accuracy(pred, gold) == want

@@ -147,9 +147,10 @@ class TestSweepBoundary:
                      for p, _ in samples]
                  for k in range(MICRO.n_layers + 1)}
         golds = preds[1]   # level 1 scores 1.0, and at least one level less
-        by_hand = {k: corpus_score("f1", preds[k], golds).score for k in preds}
+        by_hand = {k: corpus_score("rouge-l", preds[k], golds).score for k in preds}
         assert len(set(by_hand.values())) >= 2
-        dec = sweep_boundary(base, lset, samples, "f1", golds=golds, decode_budget=3)
+        dec = sweep_boundary(base, lset, samples, "rouge-l", golds=golds,
+                             decode_budget=3)
         assert dec.per_k_scores == by_hand
         best = max(by_hand.values())
         assert dec.k_star == min(k for k, v in by_hand.items() if v == best)

@@ -249,6 +249,25 @@ class TestDeterminism:
                    "--adapters", pipeline["full"], "--out", out) == 0
         assert out.read_bytes() == pipeline["sweep"].read_bytes()
 
+    def test_manifests_do_not_depend_on_the_run_directory(self, pipeline, tmp_path):
+        # finetune and knee name their input files by content, not by path
+        for name in ("cfg", "base", "probe"):
+            (tmp_path / pipeline[name].name).write_bytes(pipeline[name].read_bytes())
+        data = tmp_path / pipeline["data"].name
+        data.mkdir()
+        for f in pipeline["data"].iterdir():
+            (data / f.name).write_bytes(f.read_bytes())
+        full, knee = tmp_path / pipeline["full"].name, tmp_path / pipeline["knee"].name
+        assert run("finetune", "--config", tmp_path / pipeline["cfg"].name,
+                   "--model", tmp_path / pipeline["base"].name, "--data", data,
+                   "--out", full, "--log", tmp_path / "sft.tsv") == 0
+        assert run("knee", "--probe", tmp_path / pipeline["probe"].name, "--fallback",
+                   "--out", knee) == 0
+        for name in (full, knee):
+            manifest = name.name + ".manifest.json"
+            assert ((tmp_path / manifest).read_bytes()
+                    == (pipeline["root"] / manifest).read_bytes())
+
 
 class TestDropFlag:
     """A kept set comes from `export --keep-bottom`; every other command
@@ -345,13 +364,12 @@ class TestUsageErrors:
         ["probe", "--model", "m.lbwt"],
         ["eval", "--model", "m", "--data", "d", "--out", "o",
          "--split", "bogus"],
-        ["eval", "--model", "m", "--data", "d", "--out", "o",
-         "--metric", "bogus"],
         ["init-model", "--out", "o", "--seed", "notanint"],
         ["export", "--model", "m", "--adapters", "a", "--keep-bottom", "1",
          "--format", "bogus", "--out", "o"],
         # removed options: a kept set comes from export, sweep scores from
-        # sweep --tsv, the diff's baseline is the base, the knee ratio is fixed
+        # sweep --tsv, the diff's baseline is the base, the knee ratio is
+        # fixed, and sweep and eval score with the dataset task's metric
         ["probe", "--model", "m", "--data", "d", "--adapters", "a",
          "--keep-bottom", "1", "--out", "o"],
         ["eval", "--model", "m", "--data", "d", "--adapters", "a",
@@ -361,6 +379,9 @@ class TestUsageErrors:
         ["diff-probe", "--model", "m", "--data", "d", "--adapters", "a",
          "--baseline-adapters", "b", "--out", "o"],
         ["knee", "--probe", "p", "--min-jump-ratio", "0.5", "--out", "o"],
+        ["sweep", "--model", "m", "--data", "d", "--adapters", "a",
+         "--metric", "em", "--out", "o"],
+        ["eval", "--model", "m", "--data", "d", "--metric", "em", "--out", "o"],
     ])
     def test_usage_mistakes_exit_one(self, argv):
         with pytest.raises(SystemExit) as err:
@@ -370,11 +391,13 @@ class TestUsageErrors:
 
 class TestDomainErrors:
     def test_unknown_task_exits_two(self, pipeline, tmp_path, capsys):
-        path = config_with(pipeline, tmp_path, "task", "name", "bogus")
-        rc = run("gen-data", "--config", path, "--out", tmp_path / "d")
-        assert rc == 2
-        assert "error: unknown task 'bogus'" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == ["cfg.json"]
+        # resp-select, a yes/no classifier, is not one of the generation tasks
+        for name in ("bogus", "resp-select"):
+            path = config_with(pipeline, tmp_path, "task", "name", name)
+            rc = run("gen-data", "--config", path, "--out", tmp_path / "d")
+            assert rc == 2
+            assert f"error: unknown task '{name}'" in capsys.readouterr().err
+            assert os.listdir(tmp_path) == ["cfg.json"]
 
     @pytest.mark.parametrize("name, field, value", [("arith", "hops", -5),
                                                     ("cipher-mt", "hops", 3)])
@@ -638,17 +661,19 @@ class TestInputsCheckedBeforeCompute:
 
     def test_dataset_of_an_unknown_task_exits_two(self, pipeline, tmp_path, capsys):
         # the task picks the sweep's metric, so no default may stand in for it
-        data = tmp_path / "data"
-        data.mkdir()
-        for f in pipeline["data"].iterdir():
-            (data / f.name).write_bytes(f.read_bytes())
-        meta = json.loads((data / "dataset.json").read_text())
-        (data / "dataset.json").write_text(json.dumps(dict(meta, task="bogus")))
-        rc = run("sweep", "--config", pipeline["cfg"], "--model", pipeline["base"],
-                 "--data", data, "--adapters", pipeline["full"], "--out", tmp_path / "s.json")
-        assert rc == 2
-        assert f"{data / 'dataset.json'}: task must be one of" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == ["data"]
+        for task in ("bogus", "resp-select"):
+            data = tmp_path / task / "data"
+            data.mkdir(parents=True)
+            for f in pipeline["data"].iterdir():
+                (data / f.name).write_bytes(f.read_bytes())
+            meta = json.loads((data / "dataset.json").read_text())
+            (data / "dataset.json").write_text(json.dumps(dict(meta, task=task)))
+            rc = run("sweep", "--config", pipeline["cfg"], "--model", pipeline["base"],
+                     "--data", data, "--adapters", pipeline["full"],
+                     "--out", data.parent / "s.json")
+            assert rc == 2
+            assert f"{data / 'dataset.json'}: task must be one of" in capsys.readouterr().err
+            assert os.listdir(data.parent) == ["data"]
 
     def test_adapter_outside_header_targets(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "gate.lbad"

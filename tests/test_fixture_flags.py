@@ -1,4 +1,5 @@
-"""The CLI calls and run configs in tests/conftest.py are ones the CLI takes.
+"""The CLI calls and run configs of tests/conftest.py and of the benchmark
+are ones the CLI takes.
 
 No tier-1 test requests the `desk` and `multi` fixtures, so a flag that
 the CLI drops, or a run-config key that the schema drops, would go
@@ -6,10 +7,13 @@ unnoticed there until a desk test ran them. This reads conftest.py with
 `ast` and checks every `run_cli(...)` and `_timed(...)` call against
 `build_parser()`, and loads the config of the desk chain and of every
 `multi` cell, composed as the fixtures compose it, without running
-anything.
+anything. The benchmark's workloads (bench/workloads.py, loaded, not
+changed) get the same check at smoke scale: each config loads and the
+argv of every stage parses.
 """
 
 import ast
+import importlib.util
 import json
 from pathlib import Path
 
@@ -23,6 +27,7 @@ from conftest import (DESK_SECTIONS, MULTI_SEEDS, MULTI_TASKS, compose_config,
                       multi_sections)
 
 CONFTEST = Path(__file__).resolve().parent / "conftest.py"
+WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 # where the argv starts among each helper's positional arguments
 ARGV_START = {"run_cli": 0, "_timed": 2}
@@ -89,3 +94,41 @@ def test_fixture_configs_load():
 def test_a_stale_config_key_is_caught():
     with pytest.raises(ConfigError, match=r"unknown keys in section 'train': \['grad_clip'\]"):
         load_composed(**dict(DESK_SECTIONS, train=dict(DESK_SECTIONS["train"], grad_clip=1.0)))
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads_contract",
+                                                  WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = load_workloads().WORKLOADS
+
+
+def unparsed_stages(stages) -> list[str]:
+    """The stages whose argv the CLI rejects as a usage error."""
+    bad = []
+    for stage in stages:
+        try:
+            build_parser().parse_args(stage.argv)
+        except SystemExit:
+            bad.append(f"{stage.name}: {' '.join(stage.argv)}")
+    return bad
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_bench_workload_calls_parse(name, tmp_path):
+    workload = WORKLOADS[name]("smoke", seed=1)
+    workload.config()   # loads it through RunConfig.from_dict
+    stages = [workload.gen_data(tmp_path), *workload.stages(tmp_path)]
+    assert len(stages) >= 3
+    assert unparsed_stages(stages) == []
+
+
+def test_a_stale_bench_flag_is_caught(tmp_path, capsys):
+    stage = WORKLOADS["sweep-eval"]("smoke", seed=1).stages(tmp_path)[0]
+    stage.argv += ["--metric", "em"]
+    assert unparsed_stages([stage]) == [f"sweep: {' '.join(stage.argv)}"]
+    assert "unrecognized arguments: --metric em" in capsys.readouterr().err

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from lorabound.errors import InputError
-from lorabound.metrics import (METRIC_NAMES, accuracy, bleu_corpus,
-                               corpus_score, em_contains,
-                               em_final_answer, normalize, rouge_l, token_f1)
+from lorabound.metrics import (METRIC_NAMES, bleu_corpus, corpus_score, em_contains,
+                               em_final_answer, normalize, rouge_l)
 
-from oracles import bleu_oracle, contains_oracle, f1_oracle, rouge_oracle
+from oracles import bleu_oracle, contains_oracle, rouge_oracle
 
 ALPHABET = ["a", "b", "c", "d", "e"]
 
@@ -67,26 +66,6 @@ class TestEmFinalAnswer:
             em_final_answer("anything", "7 8")
 
 
-class TestTokenF1:
-    def test_hand_example(self):
-        assert token_f1("a b c", "b c d") == pytest.approx(2 / 3)
-
-    def test_multiset_counting(self):
-        # one shared "a" only; the second pred "a" is unmatched
-        assert token_f1("a a", "a b") == pytest.approx(0.5)
-
-    def test_empty_cases(self):
-        assert token_f1("", "") == 1.0
-        assert token_f1("a", "") == 0.0
-        assert token_f1("", "a") == 0.0
-
-    def test_matches_oracle_randomized(self):
-        rng = np.random.default_rng(202)
-        for _ in range(200):
-            pred, gold = random_text(rng), random_text(rng)
-            assert token_f1(pred, gold) == pytest.approx(f1_oracle(pred, gold), abs=1e-12)
-
-
 class TestRougeL:
     def test_hand_example(self):
         # LCS of (a b c d) and (a c b d) is 3
@@ -145,17 +124,6 @@ class TestBleu:
                 bleu_oracle(preds, golds), abs=1e-9)
 
 
-class TestAccuracy:
-    def test_first_word_only(self):
-        assert accuracy("yes because reasons", "yes") == 1.0
-        assert accuracy("no", "yes") == 0.0
-        assert accuracy("", "yes") == 0.0
-
-    def test_empty_gold_rejected(self):
-        with pytest.raises(InputError):
-            accuracy("yes", " . ")
-
-
 class TestCorpusScore:
     def test_mean_metrics_average_per_sample(self):
         report = corpus_score("em", ["v07 .", "wrong"], ["v07", "v01"])
@@ -181,4 +149,4 @@ class TestCorpusScore:
             corpus_score("chrf", ["a"], ["a"])
 
     def test_registry_names(self):
-        assert set(METRIC_NAMES) == {"accuracy", "bleu", "em", "em-final", "f1", "rouge-l"}
+        assert set(METRIC_NAMES) == {"bleu", "em", "em-final", "rouge-l"}

@@ -7,11 +7,11 @@ import pytest
 
 from lorabound import vocab
 from lorabound.errors import CompatibilityError, InputError, ParseError
+from lorabound.metrics import METRIC_NAMES
 from lorabound.tasks import (Dataset, GENERATORS, KEY_POOLS, KVQA_BRIDGE_RATIO,
                              KVQA_HOPS, Sample, SPLITS,
                              TASK_METRICS, TASK_NAMES, cipher_transform,
-                             gen_arith, gen_kvqa,
-                             gen_pretrain_corpus, gen_resp_select,
+                             gen_arith, gen_kvqa, gen_pretrain_corpus,
                              gen_salient_summary, load_dataset, reorder_pairs,
                              sample_ids, save_dataset)
 from lorabound.vocab import EOS_ID, decode
@@ -31,6 +31,7 @@ class TestRegistries:
         assert set(GENERATORS) == set(TASK_NAMES)
         assert set(SOLVERS) == set(TASK_NAMES)
         assert set(TASK_METRICS) == set(TASK_NAMES)
+        assert set(METRIC_NAMES) == set(TASK_METRICS.values())
 
 
 class TestDeterminism:
@@ -193,18 +194,6 @@ class TestSummary:
             assert pos == sorted(pos)
 
 
-class TestRespSelect:
-    def test_labels_exactly_balanced_per_split(self):
-        ds = gen_resp_select(seed=31, sizes=SMALL)
-        for split in SPLITS:
-            refs = [s.reference_text for s in ds.splits[split]]
-            assert refs.count("yes") == refs.count("no") == SMALL[split] // 2
-
-    def test_odd_sizes_rejected(self):
-        with pytest.raises(InputError):
-            gen_resp_select(seed=0, sizes={"train": 5, "validation": 2, "test": 2})
-
-
 class TestSizes:
     def test_unknown_split_name(self):
         with pytest.raises(InputError):
@@ -287,6 +276,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("field, value", [
         ("seed", "x"), ("seed", 1.5), ("task", 3), ("task", "bogus"),
+        ("task", "resp-select"),
         pytest.param("task", MISSING, id="task-missing"),
         pytest.param("seed", MISSING, id="seed-missing")])
     def test_dataset_metadata_types_checked(self, tmp_path, field, value):
