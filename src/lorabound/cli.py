@@ -131,7 +131,7 @@ def cmd_pretrain(args) -> int:
                                  n_tokens=cfg.pretrain.corpus_tokens,
                                  max_seq=cfg.model.max_seq)
     weights, history = pretrain(cfg.model, cfg.pretrain, corpus, log_path=args.log)
-    save_weights(args.out, weights)
+    save_weights(args.out, weights.freeze())
     outputs = [args.out] + ([args.log] if args.log else [])
     fingerprint = weights.fingerprint()
     write_manifest(args.out + ".manifest.json", "pretrain",
@@ -323,7 +323,7 @@ def cmd_report(args) -> int:
 
 def cmd_init_model(args) -> int:
     cfg = _load_config(args.config)
-    weights = init_base(cfg.model, seed=check_seed(args.seed, "--seed"))
+    weights = init_base(cfg.model, seed=check_seed(args.seed, "--seed")).freeze()
     save_weights(args.out, weights)
     fingerprint = weights.fingerprint()
     write_manifest(args.out + ".manifest.json", "init-model",

@@ -207,6 +207,8 @@ def save_weights(path, weights: BaseWeights) -> None:
 
 
 def load_weights(path) -> BaseWeights:
+    """The weights stored at path, read-only, with the fingerprint its
+    header records verified and kept for every later fingerprint()."""
     header, tensors = _decode_container(path, MAGIC_WEIGHTS)
     if "config" not in header:
         raise ParseError(f"{path}: header field 'config' is missing")
@@ -215,7 +217,7 @@ def load_weights(path) -> BaseWeights:
     except (ConfigError, ShapeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     stored = header.get("fingerprint")
-    actual = weights.fingerprint()
+    actual = weights.freeze().fingerprint()
     if stored != actual:
         raise ParseError(
             f"{path}: header field 'fingerprint' is {stored}, tensors hash to {actual}")

@@ -35,7 +35,6 @@ Layers are numbered 1..L in every public surface.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -150,7 +149,13 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 class BaseWeights:
-    """All non-adapter parameters of one model, keyed by canonical names."""
+    """All non-adapter parameters of one model, keyed by canonical names.
+
+    fingerprint() hashes the tensors on every call while any of them is
+    writable. Once all are read-only (freeze; load_weights returns them
+    so), the first hash is kept and reused for as long as the same
+    arrays are in place.
+    """
 
     def __init__(self, cfg: ModelConfig, tensors: dict[str, np.ndarray]):
         cfg.validate()
@@ -164,6 +169,7 @@ class BaseWeights:
                 raise ShapeError(f"{name} has shape {tensors[name].shape}, expected {shape}")
         self.cfg = cfg
         self.tensors = tensors
+        self._hashed = None   # (arrays, weights_hash) of read-only tensors
 
     def head_matrix(self) -> np.ndarray:
         if self.cfg.tied_embeddings:
@@ -181,7 +187,19 @@ class BaseWeights:
         return h.hexdigest()[:16]
 
     def fingerprint(self) -> str:
-        return f"{self.config_fingerprint()}.{self.weights_hash()}"
+        arrays = [self.tensors[name] for name in param_shapes(self.cfg)]
+        if any(a.flags.writeable for a in arrays):
+            return f"{self.config_fingerprint()}.{self.weights_hash()}"
+        if self._hashed is None or any(a is not b for a, b in zip(arrays, self._hashed[0])):
+            self._hashed = (arrays, self.weights_hash())
+        return f"{self.config_fingerprint()}.{self._hashed[1]}"
+
+    def freeze(self) -> "BaseWeights":
+        """Make every tensor read-only, so a write into one raises and the
+        fingerprint is computed once; returns self."""
+        for arr in self.tensors.values():
+            arr.setflags(write=False)
+        return self
 
     def astype(self, dtype) -> "BaseWeights":
         return BaseWeights(self.cfg, {k: v.astype(dtype) for k, v in self.tensors.items()})
@@ -253,13 +271,12 @@ def _gelu_bwd(d_y, x, th):
     return grad
 
 
-@functools.lru_cache(maxsize=None)
-def _causal_mask(t: int, n_keys: int, dtype_name: str) -> np.ndarray:
-    """Mask for t queries that are the last t of n_keys positions."""
-    m = np.triu(np.full((t, n_keys), -np.inf, dtype=np.dtype(dtype_name)),
-                k=n_keys - t + 1)
-    m.setflags(write=False)
-    return m
+def _causal_mask(t: int, n_keys: int, dtype) -> np.ndarray:
+    """Mask for t queries that are the last t of n_keys positions: 0 where
+    a query may attend, -inf above. _forward builds one per call and its
+    layers share it; it is C-contiguous, since adding a strided view to
+    the scores takes about twice as long."""
+    return np.triu(np.full((t, n_keys), -np.inf, dtype=dtype), k=n_keys - t + 1)
 
 
 def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -274,14 +291,16 @@ def _unheads(xh: np.ndarray) -> np.ndarray:
     return xh.swapaxes(-3, -2).reshape(*lead, t, h * hd)
 
 
-def _attention_fwd(q, k, v, n_heads, kv=None, start: int = 0, at=None):
+def _attention_fwd(q, k, v, n_heads, mask, kv=None, start: int = 0, at=None):
     """Causal attention of the t new positions in q, k, v.
 
-    With a cache kv = (keys, values), each [..., heads, T, d / heads],
-    the new keys and values are written at positions start..start+t and
-    the queries attend over every position up to start+t. With at, q
-    holds only the queries of the positions at lists (k and v hold every
-    position), and each attends over the keys up to its own position.
+    mask is the _causal_mask of the t positions over the keys they see,
+    or None for a lone position. With a cache kv = (keys, values), each
+    [..., heads, T, d / heads], the new keys and values are written at
+    positions start..start+t and the queries attend over every position
+    up to start+t. With at, q holds only the queries of the positions at
+    lists (k and v hold every position), and each attends over the keys
+    up to its own position: the rows at of mask.
     """
     qh, kh, vh = _heads(q, n_heads), _heads(k, n_heads), _heads(v, n_heads)
     if kv is not None:
@@ -289,14 +308,11 @@ def _attention_fwd(q, k, v, n_heads, kv=None, start: int = 0, at=None):
         kv[0][..., start:end, :] = kh
         kv[1][..., start:end, :] = vh
         kh, vh = kv[0][..., :end, :], kv[1][..., :end, :]
-    t, n_keys = qh.shape[-2], kh.shape[-2]
     scale = 1.0 / math.sqrt(qh.shape[-1])
     scores = qh @ kh.swapaxes(-1, -2)
     scores *= scale
-    if at is not None:
-        scores += _causal_mask(n_keys, n_keys, scores.dtype.name)[at]
-    elif t > 1:
-        scores += _causal_mask(t, n_keys, scores.dtype.name)
+    if mask is not None:
+        scores += mask if at is None else mask[at]
     w = softmax_rows(scores, out=scores)
     out = _unheads(w @ vh)
     return out, (qh, kh, vh, w)
@@ -413,8 +429,9 @@ def _check_targets(ids: np.ndarray, targets, mask):
 # -- forward ------------------------------------------------------------------
 
 def _attention_half(weights: BaseWeights, p: str, h, ad, scale, rows, kv, start: int,
-                    cache, at=None):
-    """h + o(attend(q, k, v)) of one block; fills cache for the backward if given.
+                    cache, mask, at=None):
+    """h + o(attend(q, k, v)) of one block under the causal mask; fills
+    cache for the backward if given.
 
     With at, only the positions it lists get a query, and the result
     holds those positions only. The sum is built in the buffer of o, so
@@ -426,7 +443,7 @@ def _attention_half(weights: BaseWeights, p: str, h, ad, scale, rows, kv, start:
                             ad["q"], scale, rows)
     k, mid_k = _project_fwd(xn1, ts[p + "wk"], ad["k"], scale, rows)
     v, mid_v = _project_fwd(xn1, ts[p + "wv"], ad["v"], scale, rows)
-    attn, att_cache = _attention_fwd(q, k, v, cfg.n_heads, kv, start, at)
+    attn, att_cache = _attention_fwd(q, k, v, cfg.n_heads, mask, kv, start, at)
     o, mid_o = _project_fwd(attn, ts[p + "wo"], ad["o"], scale, rows)
     if cache is not None:
         cache.update(pre_attn=h, inv1=inv1, xn1=xn1, att_cache=att_cache, attn=attn)
@@ -483,6 +500,8 @@ def _forward(weights: BaseWeights, adapters, ids: np.ndarray,
     else:
         first, h = resume
     scale = None if adapters is None else adapters.scale
+    # every layer shares one mask; a lone position sees every key and needs none
+    mask = None if t == 1 else _causal_mask(t, t if kv is None else start + t, h.dtype)
     hidden = None
     if collect is not None:
         hidden = np.empty((cfg.n_layers - first,) + h[..., collect, :].shape, dtype=h.dtype)
@@ -499,7 +518,7 @@ def _forward(weights: BaseWeights, adapters, ids: np.ndarray,
         # a block's temporaries live only inside these two calls unless cached
         cache = {"ad": ad, "mids": {}} if keep_cache else None
         h = _attention_half(weights, p, h, ad, scale, rows,
-                            None if kv is None else kv[l - 1], start, cache, at)
+                            None if kv is None else kv[l - 1], start, cache, mask, at)
         h = _ffn_half(weights, p, h, ad, scale, rows, cache)
         if at is not None:
             h = h[..., :np.size(collect), :]
@@ -723,6 +742,7 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask):
         """[B, t, n] -> [B * t, n]: weight gradients are one 2-D product."""
         return x.reshape(-1, x.shape[-1])
 
+    del logits
     d_fin_n = _matmul(d_logits, head.T)
     if train_base:
         d_head = flat(fin_n).T @ flat(d_logits)
@@ -730,6 +750,7 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask):
             add("tok_emb", d_head.T)
         else:
             add("head", d_head)
+    del d_logits, fin_n   # gone before any layer allocates its gradients
     d_h, d_gain = rmsnorm_bwd(d_fin_n, h_final, inv_f, ts["final_norm"])
     if train_base:
         add("final_norm", d_gain)
@@ -750,7 +771,9 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask):
 
     for l in range(cfg.n_layers, 0, -1):
         p = f"layer{l:02d}."
-        c = caches[l - 1]
+        # the layer's activations leave the list here and are freed when c
+        # is rebound, before the layer below allocates its gradients
+        c = caches.pop()
         ad = c["ad"]
 
         # ffn half: h = pre_ffn + down(gelu(up(norm(pre_ffn))))

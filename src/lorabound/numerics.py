@@ -130,7 +130,7 @@ def cross_entropy_grad(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray
     at = (np.arange(n_rows)[:, None], np.arange(t), targets)
     # log p = shifted[target] - log sum exp(shifted); reduce in float64
     logp = shifted[at].astype(np.float64) - np.log(
-        np.exp(shifted.astype(np.float64)).sum(axis=-1))
+        np.exp(shifted, dtype=np.float64).sum(axis=-1))
     row_loss = -(logp * mask).sum(axis=-1) / counts
     loss = sum(row_loss.tolist()) / n_rows
 

@@ -5,7 +5,11 @@ a global norm of GRAD_CLIP and then takes one Adam step. The batch goes
 through the model in consecutive chunks of right-padded rows with a
 loss mask, one forward and backward per chunk; a chunk holds
 TRAIN_CHUNK_POSITIONS // (the step's longest input) rows, at least one,
-which bounds the activations one backward keeps. A step whose loss or
+which bounds the activations one backward keeps. At its peak a step
+holds the weights, the Adam moments, the step's gradient total and one
+chunk's activations, which the backward frees layer by layer: each
+chunk's gradients are added into the total and dropped before the next
+chunk runs. A step whose loss or
 gradient norm is not finite raises DegenerateInputError before its
 update, so a diverged run leaves no artifact. Runs are deterministic
 for a given seed. Fine-tuning trains the adapter set it is given: the
@@ -97,6 +101,8 @@ def _batched_step(examples, grad_fn, params, state):
                     total[name] += g
                 else:
                     total[name] = g
+            # the next chunk's backward runs without this chunk's gradients
+            del grads, g
         inv = 1.0 / len(examples)
         for g in total.values():
             g *= g.dtype.type(inv)

@@ -16,6 +16,7 @@ from lorabound.cli import build_parser, main
 from lorabound.fileio import (MAGIC_ADAPTERS, MAGIC_WEIGHTS, _decode_container,
                               load_adapters, load_weights, save_adapters, save_weights)
 from lorabound.lora import LoraAdapter, drop_above
+from lorabound.model import BaseWeights
 from lorabound.probe import ProbeReport, select_samples
 from lorabound.reports import parse_tsv, read_probe_tsv, write_probe_tsv
 from lorabound.tasks import load_dataset
@@ -267,6 +268,43 @@ class TestDeterminism:
             manifest = name.name + ".manifest.json"
             assert ((tmp_path / manifest).read_bytes()
                     == (pipeline["root"] / manifest).read_bytes())
+
+
+class TestBaseHashedOnce:
+    """Every command hashes its base weights once, however many checks,
+    reports and manifests record the fingerprint."""
+
+    @pytest.mark.parametrize("command", ["finetune", "probe", "diff-probe", "sweep",
+                                         "export", "eval", "report", "pretrain",
+                                         "init-model"])
+    def test_one_weights_hash_per_command(self, pipeline, tmp_path, monkeypatch, command):
+        out = tmp_path / "out"
+        c = ("--config", pipeline["cfg"])
+        inputs = ("--model", pipeline["base"], "--data", pipeline["data"],
+                  "--adapters", pipeline["full"])
+        argv = {
+            "finetune": (*c, "--model", pipeline["base"], "--data", pipeline["data"]),
+            "probe": (*c, *inputs),
+            "diff-probe": (*c, *inputs),
+            "sweep": (*c, *inputs),
+            "export": ("--model", pipeline["base"], "--adapters", pipeline["full"],
+                       "--keep-bottom", 1, "--format", "adapters"),
+            "eval": (*c, *inputs, "--budget", 4, "--decode-budget", 6),
+            "report": (*c, *inputs),
+            "pretrain": c,
+            "init-model": (*c, "--seed", 3),
+        }[command]
+        calls = []
+        real = BaseWeights.weights_hash
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(BaseWeights, "weights_hash", counted)
+        dest = ("--out-dir",) if command == "report" else ("--out",)
+        assert run(command, *argv, *dest, out) == 0
+        assert len(calls) == 1
 
 
 class TestDropFlag:
@@ -698,7 +736,7 @@ class TestInputsCheckedBeforeCompute:
         assert os.listdir(tmp_path) == ["rank.lbad"]
 
     def test_nan_base_weight(self, pipeline, tmp_path, capsys):
-        weights = load_weights(pipeline["base"])
+        weights = load_weights(pipeline["base"]).clone()   # loaded tensors are read-only
         weights.tensors["layer02.wup"][0, 0] = np.nan
         bad = tmp_path / "nan.lbwt"
         save_weights(bad, weights)

@@ -17,7 +17,7 @@ from lorabound.fileio import (MAGIC_ADAPTERS, MAGIC_WEIGHTS, _decode_container,
                               write_manifest)
 from lorabound.lora import LoraAdapter, init_adapters
 from lorabound.metrics import corpus_score
-from lorabound.model import ModelConfig, init_base
+from lorabound.model import BaseWeights, ModelConfig, init_base
 from lorabound.probe import ProbeReport, probe_ground_truth
 from lorabound.reports import (emit_drop_probe, emit_eval, emit_probe,
                                emit_sweep, emit_tsv, parse_tsv, read_probe_tsv,
@@ -157,6 +157,62 @@ class TestWeightsContainer:
         save_weights(p, w)
         with pytest.raises(ParseError, match="tensor 'layer02.wv' holds non-finite"):
             load_weights(p)
+
+
+def count_hashes(monkeypatch):
+    """A counter of BaseWeights.weights_hash calls, the one place tensors are hashed."""
+    calls = []
+    real = BaseWeights.weights_hash
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(BaseWeights, "weights_hash", counted)
+    return calls
+
+
+class TestFingerprintCache:
+    """Loaded weights are read-only and hashed once; other weights every time."""
+
+    def test_loaded_tensors_are_read_only(self, tmp_path):
+        save_weights(tmp_path / "m.lbwt", micro_weights())
+        back = load_weights(tmp_path / "m.lbwt")
+        for name, arr in back.tensors.items():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+        copy = back.clone()
+        copy.tensors["head"][0, 0] += 1.0
+        assert copy.fingerprint() != back.fingerprint()
+
+    def test_loading_hashes_once_and_keeps_the_verified_value(self, tmp_path, monkeypatch):
+        w = micro_weights()
+        save_weights(tmp_path / "m.lbwt", w)
+        calls = count_hashes(monkeypatch)
+        back = load_weights(tmp_path / "m.lbwt")
+        assert [back.fingerprint() for _ in range(3)] == [w.fingerprint()] * 3
+        assert calls.count(back) == 1
+
+    def test_writable_weights_are_hashed_on_every_call(self, monkeypatch):
+        calls = count_hashes(monkeypatch)
+        for w in (micro_weights(), micro_weights().clone(),
+                  micro_weights().astype(np.float64)):
+            before = w.fingerprint()
+            w.tensors["layer01.wq"][0, 0] += 1.0
+            assert w.fingerprint() != before
+            assert calls.count(w) == 2
+
+    def test_a_replaced_tensor_is_hashed_again(self, tmp_path, monkeypatch):
+        save_weights(tmp_path / "m.lbwt", micro_weights())
+        back = load_weights(tmp_path / "m.lbwt")
+        before = back.fingerprint()
+        calls = count_hashes(monkeypatch)
+        head = back.tensors["head"] + 1.0
+        back.tensors["head"] = head
+        assert back.fingerprint() != before        # a writable tensor: no cache
+        head.setflags(write=False)
+        assert back.fingerprint() == back.fingerprint() != before
+        assert len(calls) == 2
 
 
 class TestAdaptersContainer:

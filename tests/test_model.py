@@ -1,5 +1,8 @@
 """Transformer forward, residual record, generation and gradient correctness."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -148,11 +151,12 @@ class TestForward:
         full = model.forward_collect(w, lset, rows)
         _, h_final, caches = model._forward(w, lset, rows, keep_cache=True)
         h = w.tensors["tok_emb"][rows] + w.tensors["pos_emb"][:7]
+        mask = model._causal_mask(7, 7, h.dtype)
         for l, cache in enumerate(caches, start=1):
             p = f"layer{l:02d}."
             np.testing.assert_array_equal(cache["pre_attn"], h)
             mid = model._attention_half(w, p, h.copy(), cache["ad"], lset.scale, None, None,
-                                        0, None)
+                                        0, None, mask)
             np.testing.assert_array_equal(cache["pre_ffn"], mid)
             h = full[l - 1]
         np.testing.assert_array_equal(h_final, full[-1])
@@ -413,3 +417,69 @@ class TestBatchedGradients:
             model.loss_and_grads(w, None, inputs, targets[:2], mask)
         with pytest.raises(InputError, match="mask has shape"):
             model.loss_and_grads(w, None, inputs[0], targets[0], mask[0, :-1])
+
+
+class TestTrainingMemory:
+    """What a training forward and backward keep alive, and for how long."""
+
+    DEEP = model.ModelConfig(n_layers=4, d_model=8, n_heads=2, d_ff=16,
+                             vocab_size=16, max_seq=8)
+
+    @pytest.mark.parametrize("with_set", [False, True], ids=["base", "lora"])
+    def test_a_layers_activations_are_freed_before_the_layer_below(self, monkeypatch,
+                                                                    with_set):
+        n = self.DEEP.n_layers
+        w = randomize_weights(model.init_base(self.DEEP, seed=60), np.random.default_rng(61))
+        lset = all_target_adapters(self.DEEP, seed=62, dtype=np.float32) if with_set else None
+        refs, seen = [], []    # weakrefs to each layer's attention weights, layer 1 first
+        real_attention, real_matmul = model._attention_fwd, model._matmul
+
+        def attention_fwd(*args, **kwargs):
+            out, att_cache = real_attention(*args, **kwargs)
+            refs.append(weakref.ref(att_cache[3]))
+            return out, att_cache
+
+        downs = {id(w.tensors[f"layer{l:02d}.wdown"]): l for l in range(1, n + 1)}
+
+        def matmul(x, m):
+            # a layer's backward opens with d_h @ wdown.T, a view of the weight
+            if id(m.base) in downs:
+                seen.append((downs[id(m.base)], [r() is not None for r in refs]))
+            return real_matmul(x, m)
+
+        monkeypatch.setattr(model, "_attention_fwd", attention_fwd)
+        monkeypatch.setattr(model, "_matmul", matmul)
+        model.loss_and_grads(w, lset, *padded(ragged_rows(63, [7, 5, 6])))
+        assert len(refs) == n
+        assert seen == [(l, [True] * l + [False] * (n - l)) for l in range(n, 0, -1)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_causal_mask_is_the_triangle_of_every_shape(self, dtype):
+        n_max = model.ModelConfig().max_seq
+        for n in range(1, n_max + 1):
+            for t in range(1, n + 1):
+                mask = model._causal_mask(t, n, dtype)
+                want = np.triu(np.full((t, n), -np.inf, dtype=dtype), k=n - t + 1)
+                assert mask.dtype == dtype and mask.flags.c_contiguous, (t, n)
+                assert mask.tobytes() == want.tobytes(), (t, n)
+
+    def test_a_forward_leaves_no_state_behind(self):
+        w = micro_weights(seed=64)
+        lset = all_target_adapters(MICRO, seed=65, dtype=np.float32)
+        ids, targets = np.random.default_rng(66).integers(0, MICRO.vocab_size, size=(2, 2, 8))
+        mask = np.ones(ids.shape, dtype=bool)
+        model.loss_and_grads(w, lset, ids, targets, mask)    # warm up numpy's own caches
+        tracemalloc.start(50)
+        try:
+            for t in range(2, 8):
+                model.forward_collect(w, lset, ids[:, :t])
+                model.loss_and_grads(w, lset, ids[:, :t], targets[:, :t], mask[:, :t])
+                model.decode_batch(w, lset, [(ids[0, :t], 2), (ids[1, :t], 1)], 1, None)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        # array buffers the model allocated that are still alive
+        left = snapshot.filter_traces([
+            tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain),
+        ]).filter_traces([tracemalloc.Filter(True, model.__file__, all_frames=True)])
+        assert left.statistics("traceback") == []

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import weakref
 
 import numpy as np
 import pytest
@@ -296,6 +297,35 @@ class TestChunkedStep:
         for key, ad in got.adapters.items():
             assert rel_error(ad.a, want.adapters[key].a) < 1e-6, key
             assert rel_error(ad.b, want.adapters[key].b) < 1e-6, key
+
+
+class TestStepMemory:
+    def test_a_chunks_gradients_are_gone_before_the_next_chunk_runs(self):
+        # four one-row chunks; each chunk's arrays either become the step
+        # total (the first of their name) or are folded in and dropped
+        cfg = TestChunkedStep.LONG
+        weights = init_base(cfg, seed=1)
+        rng = np.random.default_rng(2)
+        examples = []
+        for _ in range(4):
+            ids = rng.integers(4, 16, size=int(rng.integers(100, 129)))
+            examples.append((ids[:-1], ids[1:], np.ones(ids.size - 1, dtype=bool)))
+        adopted, folded, checked = set(), [], []
+
+        def grad_fn(inputs, targets, mask):
+            checked.append([r() is None for r in folded])
+            loss, grads = train.loss_and_grads(weights, None, inputs, targets, mask)
+            for name, g in grads.items():
+                if name in adopted:
+                    folded.append(weakref.ref(g))
+                adopted.add(name)
+            return loss, grads
+
+        state = train.AdamState(lr=1e-3)
+        train._batched_step(examples, grad_fn, weights.tensors, state)
+        assert [len(c) for c in checked] == [0, 0, len(weights.tensors),
+                                             2 * len(weights.tensors)]
+        assert all(all(c) for c in checked)
 
 
 class TestTrainLog:
