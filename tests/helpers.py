@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from lorabound.fileio import _encode_container, atomic_write_bytes
+from lorabound.model import BaseWeights
 from lorabound.probe import ProbeReport
 from lorabound.reports import emit_probe, emit_tsv, parse_tsv
 
@@ -77,3 +78,17 @@ def write_container(path, magic, header, tensors):
     -> array dict), past every check save_weights and save_adapters run: the
     way to store a file that a loader must reject."""
     atomic_write_bytes(path, _encode_container(magic, header, sorted(tensors.items())))
+
+
+def count_hashes(monkeypatch):
+    """The weights each BaseWeights.weights_hash call hashed, in call order;
+    it is the one place base tensors are hashed."""
+    calls = []
+    real = BaseWeights.weights_hash
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(BaseWeights, "weights_hash", counted)
+    return calls

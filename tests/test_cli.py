@@ -16,12 +16,11 @@ from lorabound.cli import build_parser, main
 from lorabound.fileio import (MAGIC_ADAPTERS, MAGIC_WEIGHTS, _decode_container,
                               load_adapters, load_weights, save_adapters, save_weights)
 from lorabound.lora import LoraAdapter, drop_above
-from lorabound.model import BaseWeights
 from lorabound.probe import ProbeReport, select_samples
 from lorabound.reports import parse_tsv, read_probe_tsv, write_probe_tsv
 from lorabound.tasks import load_dataset
 
-from helpers import write_container, write_probe_report
+from helpers import count_hashes, write_container, write_probe_report
 
 MICRO_CFG = {
     "model": {"n_layers": 2, "d_model": 8, "n_heads": 2, "d_ff": 16,
@@ -294,14 +293,7 @@ class TestBaseHashedOnce:
             "pretrain": c,
             "init-model": (*c, "--seed", 3),
         }[command]
-        calls = []
-        real = BaseWeights.weights_hash
-
-        def counted(self):
-            calls.append(self)
-            return real(self)
-
-        monkeypatch.setattr(BaseWeights, "weights_hash", counted)
+        calls = count_hashes(monkeypatch)
         dest = ("--out-dir",) if command == "report" else ("--out",)
         assert run(command, *argv, *dest, out) == 0
         assert len(calls) == 1

@@ -17,14 +17,14 @@ from lorabound.fileio import (MAGIC_ADAPTERS, MAGIC_WEIGHTS, _decode_container,
                               write_manifest)
 from lorabound.lora import LoraAdapter, init_adapters
 from lorabound.metrics import corpus_score
-from lorabound.model import BaseWeights, ModelConfig, init_base
+from lorabound.model import ModelConfig, init_base
 from lorabound.probe import ProbeReport, probe_ground_truth
 from lorabound.reports import (emit_drop_probe, emit_eval, emit_probe,
                                emit_sweep, emit_tsv, parse_tsv, read_probe_tsv,
                                reemit, write_probe_tsv, write_sweep_tsv)
 from lorabound.runconfig import RunConfig
 
-from helpers import randomize_adapters, randomize_weights, write_probe_report
+from helpers import count_hashes, randomize_adapters, randomize_weights, write_probe_report
 
 MICRO = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=16,
                     vocab_size=16, max_seq=8)
@@ -157,19 +157,6 @@ class TestWeightsContainer:
         save_weights(p, w)
         with pytest.raises(ParseError, match="tensor 'layer02.wv' holds non-finite"):
             load_weights(p)
-
-
-def count_hashes(monkeypatch):
-    """A counter of BaseWeights.weights_hash calls, the one place tensors are hashed."""
-    calls = []
-    real = BaseWeights.weights_hash
-
-    def counted(self):
-        calls.append(self)
-        return real(self)
-
-    monkeypatch.setattr(BaseWeights, "weights_hash", counted)
-    return calls
 
 
 class TestFingerprintCache:
