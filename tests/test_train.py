@@ -2,7 +2,13 @@
 
 import dataclasses
 import functools
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,6 +332,31 @@ class TestStepMemory:
         assert [len(c) for c in checked] == [0, 0, len(weights.tensors),
                                              2 * len(weights.tensors)]
         assert all(all(c) for c in checked)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc")
+    def test_a_repeated_run_faults_no_pages_in(self):
+        # a fresh process, so no earlier test has set its allocator; after
+        # the first run the heap holds training's peak, and a run at the
+        # defaults faults ~10k freed pages in again (a desk model, ~118-token rows)
+        script = textwrap.dedent("""
+            import resource
+            from lorabound.model import ModelConfig
+            from lorabound.tasks import gen_pretrain_corpus
+            from lorabound.train import TrainConfig, pretrain
+            corpus = gen_pretrain_corpus(0, n_tokens=1500, max_seq=128)
+            def faults():
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                pretrain(ModelConfig(), TrainConfig(lr=1e-3, epochs=2, batch=8), corpus)
+                return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            faults()
+            print(faults())
+        """)
+        src = str(Path(train.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src,
+                                                "OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 256
 
 
 class TestTrainLog:
