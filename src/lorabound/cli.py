@@ -451,7 +451,7 @@ def main(argv=None) -> int:
     except LoraBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:   # a missing, unreadable or directory path, named in exc
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -59,7 +59,7 @@ def read_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:   # also bad UTF-8, or an integer too long to convert
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path} must hold a JSON object, found {type(data).__name__}")
@@ -148,7 +148,7 @@ def _decode_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(r.take(header_len, "header"))
         # a "\ud800" escape loads as a lone surrogate, which nothing can encode
         json.dumps(header, ensure_ascii=False).encode()
-    except (json.JSONDecodeError, UnicodeError) as exc:
+    except ValueError as exc:   # also bad UTF-8, or an integer too long to convert
         raise ParseError(f"{path}: header at offset {header_at} is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise ParseError(f"{path}: header at offset {header_at} must be a JSON object")

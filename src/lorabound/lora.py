@@ -131,7 +131,6 @@ def init_adapters(cfg: ModelConfig, targets=DEFAULT_TARGETS, rank: int = DEFAULT
     behavior untouched until trained. The fingerprint is bound to the
     model config here and to full base weights once training sees them.
     """
-    cfg.validate()
     targets = normalize_targets(targets)
     if not targets:
         raise ConfigError("at least one projection target is required")
@@ -168,7 +167,7 @@ def check_compat(base: BaseWeights, lset: LoraSet) -> None:
     """Adapters must carry the base's fingerprint (or its config hash, if
     untrained), span its layers, and fit the projection each is keyed to."""
     full = base.fingerprint()
-    cfg_only = base.config_fingerprint()
+    cfg_only = base.cfg.config_hash()
     if lset.fingerprint not in (full, cfg_only):
         raise CompatibilityError(
             f"adapter set was built for {lset.fingerprint}, model is {full}")

@@ -49,11 +49,12 @@ PROJECTIONS = ("q", "k", "v", "o", "up", "down")
 
 INIT_STD = 0.02   # init_base's weight std, before the output projections' scale-down
 
+NORM_EPS = 1e-5   # the epsilon of every RMS norm
+
 
 # accepted JSON values of a config field, by its annotation (up to any "[")
 _JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
-               "bool": ((bool,), "true or false"), "str": ((str,), "a string"),
-               "tuple": ((list, tuple), "a list")}
+               "str": ((str,), "a string"), "tuple": ((list, tuple), "a list")}
 
 
 def config_fields(cls, data, section: str) -> dict:
@@ -73,7 +74,7 @@ def config_fields(cls, data, section: str) -> dict:
         if value is None and kind.endswith("| None"):
             continue
         accepted, name = _JSON_TYPES[kind.split("[")[0]]
-        if not isinstance(value, accepted) or isinstance(value, bool) != (kind == "bool"):
+        if not isinstance(value, accepted) or isinstance(value, bool):
             raise ConfigError(f"{section}.{key} must be {name}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{section}.{key} must be a finite number, got {value!r}")
@@ -95,28 +96,23 @@ class ModelConfig:
     d_ff: int = 256
     vocab_size: int = 512
     max_seq: int = 128
-    tied_embeddings: bool = False
-    norm_eps: float = 1e-5
 
-    def validate(self) -> "ModelConfig":
-        for name in ("n_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_seq"):
-            if int(getattr(self, name)) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+    def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ConfigError(f"{f.name} must be positive, got {getattr(self, f.name)}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} must divide evenly into {self.n_heads} heads")
         if self.vocab_size < 4:
             raise ConfigError("vocab_size must be at least 4 to hold reserved tokens")
-        if self.norm_eps <= 0:
-            raise ConfigError("norm_eps must be positive")
-        return self
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        return cls(**config_fields(cls, data, "model")).validate()
+        return cls(**config_fields(cls, data, "model"))
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -143,9 +139,13 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[p + "wup"] = (d, cfg.d_ff)
         shapes[p + "wdown"] = (cfg.d_ff, d)
     shapes["final_norm"] = (d,)
-    if not cfg.tied_embeddings:
-        shapes["head"] = (d, v)
+    shapes["head"] = (d, v)
     return shapes
+
+
+def _first(names: list[str], n: int = 4) -> str:
+    """names, the first n listed and the rest counted."""
+    return f"{names[:n]}" + (f" and {len(names) - n} more" if len(names) > n else "")
 
 
 class BaseWeights:
@@ -158,26 +158,22 @@ class BaseWeights:
     """
 
     def __init__(self, cfg: ModelConfig, tensors: dict[str, np.ndarray]):
-        cfg.validate()
+        # the count first: a stored config's n_layers may imply billions of names
+        count = 4 + 8 * cfg.n_layers
+        if len(tensors) != count:
+            raise ShapeError(f"{len(tensors)} weight tensors, config implies {count}")
         expected = param_shapes(cfg)
         if set(tensors) != set(expected):
             missing = sorted(set(expected) - set(tensors))
             extra = sorted(set(tensors) - set(expected))
-            raise ShapeError(f"weight names do not match config: missing {missing}, extra {extra}")
+            raise ShapeError(f"weight names do not match config: missing "
+                             f"{_first(missing)}, extra {_first(extra)}")
         for name, shape in expected.items():
             if tuple(tensors[name].shape) != shape:
                 raise ShapeError(f"{name} has shape {tensors[name].shape}, expected {shape}")
         self.cfg = cfg
         self.tensors = tensors
         self._hashed = None   # (arrays, weights_hash) of read-only tensors
-
-    def head_matrix(self) -> np.ndarray:
-        if self.cfg.tied_embeddings:
-            return self.tensors["tok_emb"].T
-        return self.tensors["head"]
-
-    def config_fingerprint(self) -> str:
-        return self.cfg.config_hash()
 
     def weights_hash(self) -> str:
         h = hashlib.sha256()
@@ -189,10 +185,10 @@ class BaseWeights:
     def fingerprint(self) -> str:
         arrays = [self.tensors[name] for name in param_shapes(self.cfg)]
         if any(a.flags.writeable for a in arrays):
-            return f"{self.config_fingerprint()}.{self.weights_hash()}"
+            return f"{self.cfg.config_hash()}.{self.weights_hash()}"
         if self._hashed is None or any(a is not b for a, b in zip(arrays, self._hashed[0])):
             self._hashed = (arrays, self.weights_hash())
-        return f"{self.config_fingerprint()}.{self._hashed[1]}"
+        return f"{self.cfg.config_hash()}.{self._hashed[1]}"
 
     def freeze(self) -> "BaseWeights":
         """Make every tensor read-only, so a write into one raises and the
@@ -211,7 +207,6 @@ class BaseWeights:
 def init_base(cfg: ModelConfig, seed: int) -> BaseWeights:
     """Seeded random initialization, N(0, INIT_STD^2); residual output
     projections are scaled down by sqrt(2 * n_layers)."""
-    cfg.validate()
     rng = np.random.default_rng(seed)
     out_std = INIT_STD / math.sqrt(2 * cfg.n_layers)
     tensors: dict[str, np.ndarray] = {}
@@ -438,7 +433,7 @@ def _attention_half(weights: BaseWeights, p: str, h, ad, scale, rows, kv, start:
     h (a caller's residual, or the one the cache keeps) is never written.
     """
     ts, cfg = weights.tensors, weights.cfg
-    xn1, inv1 = rmsnorm_fwd(h, ts[p + "attn_norm"], cfg.norm_eps)
+    xn1, inv1 = rmsnorm_fwd(h, ts[p + "attn_norm"], NORM_EPS)
     q, mid_q = _project_fwd(xn1 if at is None else xn1[..., at, :], ts[p + "wq"],
                             ad["q"], scale, rows)
     k, mid_k = _project_fwd(xn1, ts[p + "wk"], ad["k"], scale, rows)
@@ -458,8 +453,8 @@ def _ffn_half(weights: BaseWeights, p: str, h, ad, scale, rows, cache):
     Like _attention_half it never writes h; without a cache, gelu also
     reuses its input's buffer.
     """
-    ts, cfg = weights.tensors, weights.cfg
-    xn2, inv2 = rmsnorm_fwd(h, ts[p + "ffn_norm"], cfg.norm_eps)
+    ts = weights.tensors
+    xn2, inv2 = rmsnorm_fwd(h, ts[p + "ffn_norm"], NORM_EPS)
     u_pre, mid_up = _project_fwd(xn2, ts[p + "wup"], ad["up"], scale, rows)
     u, th = _gelu_fwd(u_pre, keep_th=cache is not None)
     dn, mid_down = _project_fwd(u, ts[p + "wdown"], ad["down"], scale, rows)
@@ -536,8 +531,8 @@ def lens_logits(weights: BaseWeights, h: np.ndarray) -> np.ndarray:
     This is the one code path that turns hidden states into logits, for
     the top layer and for mid-stack readouts alike.
     """
-    normed, _ = rmsnorm_fwd(h, weights.tensors["final_norm"], weights.cfg.norm_eps)
-    return normed @ weights.head_matrix()
+    normed, _ = rmsnorm_fwd(h, weights.tensors["final_norm"], NORM_EPS)
+    return normed @ weights.tensors["head"]
 
 
 def forward_collect(weights: BaseWeights, adapters=None, tokens=None) -> np.ndarray:
@@ -724,8 +719,8 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask):
     targets, mask = _check_targets(ids, targets, mask)
     t = ids.shape[-1]
     _, h_final, caches = _forward(weights, adapters, ids, keep_cache=True)
-    fin_n, inv_f = rmsnorm_fwd(h_final, ts["final_norm"], cfg.norm_eps)
-    head = weights.head_matrix()
+    fin_n, inv_f = rmsnorm_fwd(h_final, ts["final_norm"], NORM_EPS)
+    head = ts["head"]
     logits = _matmul(fin_n, head)
     loss, d_logits = cross_entropy_grad(logits, targets, mask)
 
@@ -745,11 +740,7 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask):
     del logits
     d_fin_n = _matmul(d_logits, head.T)
     if train_base:
-        d_head = flat(fin_n).T @ flat(d_logits)
-        if cfg.tied_embeddings:
-            add("tok_emb", d_head.T)
-        else:
-            add("head", d_head)
+        add("head", flat(fin_n).T @ flat(d_logits))
     del d_logits, fin_n   # gone before any layer allocates its gradients
     d_h, d_gain = rmsnorm_bwd(d_fin_n, h_final, inv_f, ts["final_norm"])
     if train_base:

@@ -63,7 +63,7 @@ def parse_tsv(text: str, path: str = "<string>") -> tuple[str, dict, list[str], 
         raise ParseError(f"{path}: first line must be '# ' metadata JSON")
     try:
         head = json.loads(lines[0][2:])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also an integer too long to convert
         raise ParseError(f"{path}: metadata line is not valid JSON: {exc}") from exc
     if not isinstance(head, dict) or "kind" not in head or "meta" not in head:
         raise ParseError(f"{path}: metadata must carry 'kind' and 'meta'")
@@ -119,8 +119,11 @@ def read_probe_tsv(path) -> ProbeReport:
     config seed and a string or null config adapters (when given), the
     columns exactly layer, gt_1..n, max_1..n, and one numeric row per
     layer 1..L."""
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not valid UTF-8: {exc}") from None
     kind, meta, columns, rows = parse_tsv(text, str(path))
     if kind != "probe":
         raise ParseError(f"{path}: expected a probe report, found {kind!r}")

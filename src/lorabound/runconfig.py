@@ -25,10 +25,12 @@ class PretrainSection(TrainConfig):
     lr: float = 3e-3
     corpus_tokens: int = 250_000
 
-    def validate(self, section: str = "pretrain") -> "PretrainSection":
+    section = "pretrain"
+
+    def __post_init__(self):
         if self.corpus_tokens < 1000:
             raise ConfigError(f"corpus_tokens too small: {self.corpus_tokens}")
-        return super().validate(section)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -36,14 +38,11 @@ class LoraSection:
     targets: tuple[str, ...] = DEFAULT_TARGETS
     rank: int = DEFAULT_RANK
 
-    def validate(self) -> "LoraSection":
+    def __post_init__(self):
         if self.rank < 1:
             raise ConfigError(f"rank must be at least 1, got {self.rank}")
         # canonical order keeps config hashes independent of spelling order
-        canon = normalize_targets(self.targets)
-        if canon != self.targets:
-            return LoraSection(targets=canon, rank=self.rank)
-        return self
+        object.__setattr__(self, "targets", normalize_targets(self.targets))
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ class TaskSection:
     validation_size: int = DEFAULT_SIZES["validation"]
     test_size: int = DEFAULT_SIZES["test"]
 
-    def validate(self) -> "TaskSection":
+    def __post_init__(self):
         if self.name not in TASK_NAMES:
             raise ConfigError(
                 f"unknown task {self.name!r}; expected one of {TASK_NAMES}")
@@ -62,7 +61,6 @@ class TaskSection:
             if getattr(self, f) < 0:
                 raise ConfigError(f"{f} must be non-negative")
         check_seed(self.seed, "task.seed")
-        return self
 
     def sizes(self) -> dict[str, int]:
         return {"train": self.train_size, "validation": self.validation_size,
@@ -76,13 +74,16 @@ class ProbeSection:
     seed: int = 0
     keep_levels: tuple[int, ...] | None = None   # None: every level 0..n_layers
 
-    def validate(self) -> "ProbeSection":
+    def __post_init__(self):
         if self.n_tokens < 1:
             raise ConfigError(f"n_tokens must be at least 1, got {self.n_tokens}")
         if self.sample_budget < 1:
-            raise ConfigError(f"sample_budget must be at least 1")
+            raise ConfigError("sample_budget must be at least 1")
         check_seed(self.seed, "probe.seed")
-        return self
+        # the upper bound is the base's n_layers, which report checks
+        for k in self.keep_levels or ():
+            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+                raise ConfigError(f"probe.keep_levels must hold integers >= 0, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,16 @@ class SweepSection:
     decode_budget: int = DEFAULT_DECODE_BUDGET
     seed: int = 0
 
-    def validate(self) -> "SweepSection":
+    def __post_init__(self):
         if self.budget < 1 or self.decode_budget < 1:
             raise ConfigError("sweep budget and decode_budget must be at least 1")
         check_seed(self.seed, "sweep.seed")
-        return self
+
+
+# each section of a run config, by name, and the dataclass it loads into
+_SECTIONS = {"model": ModelConfig, "pretrain": PretrainSection, "train": TrainConfig,
+             "lora": LoraSection, "task": TaskSection, "probe": ProbeSection,
+             "sweep": SweepSection}
 
 
 @dataclass(frozen=True)
@@ -110,22 +116,17 @@ class RunConfig:
 
     @classmethod
     def default(cls) -> "RunConfig":
-        return cls(model=ModelConfig(), pretrain=PretrainSection(),
-                   train=TrainConfig(), lora=LoraSection(), task=TaskSection(),
-                   probe=ProbeSection(), sweep=SweepSection())
+        return cls(**{name: sec() for name, sec in _SECTIONS.items()})
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("run config must be a JSON object")
-        sections = {"model": ModelConfig, "pretrain": PretrainSection,
-                    "train": TrainConfig, "lora": LoraSection, "task": TaskSection,
-                    "probe": ProbeSection, "sweep": SweepSection}
-        unknown = set(data) - set(sections)
+        unknown = set(data) - set(_SECTIONS)
         if unknown:
             raise ConfigError(f"unknown run config sections: {sorted(unknown)}")
-        return cls(**{name: sec(**config_fields(sec, data.get(name, {}), name)).validate()
-                      for name, sec in sections.items()})
+        return cls(**{name: sec(**config_fields(sec, data.get(name, {}), name))
+                      for name, sec in _SECTIONS.items()})
 
     @classmethod
     def load(cls, path) -> "RunConfig":

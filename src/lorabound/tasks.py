@@ -657,14 +657,17 @@ def load_dataset(in_dir) -> Dataset:
         path = os.path.join(in_dir, f"{split}.jsonl")
         samples: list[Sample] = []
         if os.path.exists(path):
-            with open(path, encoding="utf-8") as f:
-                for line_no, line in enumerate(f, start=1):
-                    line = line.strip()
+            with open(path, "rb") as f:
+                for line_no, raw in enumerate(f, start=1):
+                    try:
+                        line = raw.decode("utf-8").strip()
+                    except UnicodeDecodeError as exc:
+                        raise InputError(f"{path}:{line_no} is not valid UTF-8: {exc}") from None
                     if not line:
                         continue
                     try:
                         record = json.loads(line)
-                    except json.JSONDecodeError as exc:
+                    except ValueError as exc:   # also an integer too long to convert
                         raise InputError(
                             f"{path}:{line_no} is not valid JSON: {exc}") from exc
                     if not isinstance(record, dict):

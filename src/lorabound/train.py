@@ -54,14 +54,15 @@ class TrainConfig:
     batch: int = 16
     seed: int = 0
 
-    def validate(self, section: str = "train") -> "TrainConfig":
+    section = "train"   # not a field: the run config section errors name
+
+    def __post_init__(self):
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1 or self.batch < 1:
             raise ConfigError(
                 f"epochs and batch must be at least 1, got {self.epochs}/{self.batch}")
-        check_seed(self.seed, f"{section}.seed")
-        return self
+        check_seed(self.seed, f"{self.section}.seed")
 
 
 def write_train_log(path, history) -> None:
@@ -170,8 +171,6 @@ def pretrain(cfg: ModelConfig, tcfg: TrainConfig, corpus,
     corpus is a list of token-id sequences, each with at least two tokens.
     Returns the weights and the (epoch, step, loss) history.
     """
-    cfg.validate()
-    tcfg.validate()
     seqs = [list(s) for s in corpus]
     if not seqs:
         raise InputError("pretraining corpus is empty")
@@ -203,7 +202,6 @@ def finetune_lora(base: BaseWeights, dataset, tcfg: TrainConfig, adapters: LoraS
     reference positions only. Returns (LoraSet, history). A set that
     holds no adapters has nothing to train and raises InputError.
     """
-    tcfg.validate()
     if not adapters.adapters:
         raise InputError("the adapter set holds no adapters; there is nothing to train")
     pairs = sample_ids(dataset)

@@ -59,9 +59,10 @@ def randomize_adapters(lset, rng, std: float = 0.5, dtype=None):
     return lset
 
 
-def write_probe_report(path, drop=(), **meta):
+def write_probe_report(path, drop=(), tail=b"", **meta):
     """A stored two-layer, four-token probe report. Keys in `meta` replace
-    the file's meta values; keys in `drop` are removed."""
+    the file's meta values; keys in `drop` are removed; the bytes `tail`
+    follow the last row."""
     rep = ProbeReport(n_layers=2, n_tokens=4, sample_count=3,
                       gt_curve=np.full((2, 4), 0.25),
                       max_curve=np.full((2, 4), 0.5), config={"seed": 0})
@@ -69,7 +70,7 @@ def write_probe_report(path, drop=(), **meta):
     head.update(meta)
     for key in drop:
         del head[key]
-    path.write_text(emit_tsv(kind, head, columns, rows))
+    path.write_bytes(emit_tsv(kind, head, columns, rows).encode() + tail)
     return path
 
 

@@ -532,7 +532,29 @@ class TestDomainErrors:
                  "--data", pipeline["data"], "--adapters", pipeline["full"],
                  "--out-dir", tmp_path / "report")
         assert rc == 2
-        assert "keep level 'a' out of range 0..2" in capsys.readouterr().err
+        assert "probe.keep_levels must hold integers >= 0, got 'a'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen-data", "init-model", "probe"])
+    def test_bad_keep_levels_exit_two_in_every_command(self, pipeline, tmp_path, capsys,
+                                                       command):
+        path = config_with(pipeline, tmp_path, "probe", "keep_levels", [1, True, -4])
+        argv = [command, "--config", path, "--out", tmp_path / "out"]
+        if command == "probe":
+            argv += ["--model", pipeline["base"], "--data", pipeline["data"]]
+        assert run(*argv) == 2
+        assert "probe.keep_levels must hold integers >= 0, got True" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("flag", ["--config", "--model", "--probe"])
+    def test_directory_given_for_a_file_exits_two(self, pipeline, tmp_path, capsys, flag):
+        if flag == "--probe":
+            argv = ["knee", "--probe", tmp_path]
+        else:
+            argv = ["probe", "--config", pipeline["cfg"], "--model", pipeline["base"],
+                    "--data", pipeline["data"], flag, tmp_path]
+        assert run(*argv, "--out", tmp_path / "out") == 2
+        assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("key, a_shape, b_shape, cause", [
         ((7, "q"), (2, 8), (8, 2), "adapter at layer 7 'q': layer out of range 1..2"),
@@ -659,8 +681,9 @@ class TestInputsCheckedBeforeCompute:
         ({"config": {"seed": "x"}}, [], "config seed must be an integer"),
         ({"config": {"seed": 2.7}}, [], "config seed must be an integer"),
         ({"config": {"seed": 0, "adapters": [1]}}, [], "adapters a string or null"),
+        ({"tail": b"\xff"}, [], "probe.tsv is not valid UTF-8"),
     ], ids=["n_tokens_5", "n_tokens_3", "no_sample_count", "seed_string", "seed_fraction",
-            "adapters_list"])
+            "adapters_list", "not_utf8"])
     def test_malformed_probe_report_for_knee(self, tmp_path, capsys, meta, drop, cause):
         path = write_probe_report(tmp_path / "probe.tsv", drop=drop, **meta)
         rc = run("knee", "--probe", path, "--fallback", "--out", tmp_path / "k.json")
@@ -673,7 +696,10 @@ class TestInputsCheckedBeforeCompute:
         ("validation.jsonl", "[1]", "validation.jsonl:1 is not a JSON object"),
         ("validation.jsonl", '{"prompt": 5, "reference": "answer = a", "task": "kvqa"}',
          "validation.jsonl:1: sample field 'prompt' must be a string, got 5"),
-    ], ids=["dataset_json", "jsonl_line", "non_string_field"])
+        ("validation.jsonl", b"\xff", "validation.jsonl:1 is not valid UTF-8"),
+        ("validation.jsonl", '{"seed": ' + "1" * 5000 + "}",
+         "validation.jsonl:1 is not valid JSON: Exceeds the limit"),
+    ], ids=["dataset_json", "jsonl_line", "non_string_field", "not_utf8", "long_integer"])
     def test_malformed_dataset(self, pipeline, tmp_path, capsys, name, line, cause):
         data = tmp_path / "data"
         data.mkdir()
@@ -682,8 +708,9 @@ class TestInputsCheckedBeforeCompute:
         if line is None:
             (data / name).write_text("{not json")
         else:
-            rest = (data / name).read_text().splitlines()[1:]
-            (data / name).write_text("\n".join([line] + rest) + "\n")
+            line = line if isinstance(line, bytes) else line.encode()
+            rest = (data / name).read_bytes().splitlines()[1:]
+            (data / name).write_bytes(b"\n".join([line] + rest) + b"\n")
         rc = self.probe(pipeline, tmp_path / "p.tsv", data=data)
         assert rc == 2
         assert cause in capsys.readouterr().err
@@ -739,14 +766,26 @@ class TestInputsCheckedBeforeCompute:
 
     def test_non_finite_model_header_value(self, pipeline, tmp_path, capsys):
         header, tensors = _decode_container(pipeline["base"], MAGIC_WEIGHTS)
-        header["config"]["norm_eps"] = float("nan")
-        bad = tmp_path / "eps.lbwt"
+        header["config"]["n_layers"] = float("nan")
+        bad = tmp_path / "nan.lbwt"
         write_container(bad, MAGIC_WEIGHTS, header, tensors)
         rc = self.probe(pipeline, tmp_path / "p.tsv", model=bad)
         assert rc == 2
-        assert (f"error: {bad}: model.norm_eps must be a finite number, got nan"
+        assert (f"error: {bad}: model.n_layers must be an integer, got nan"
                 in capsys.readouterr().err)
-        assert os.listdir(tmp_path) == ["eps.lbwt"]
+        assert os.listdir(tmp_path) == ["nan.lbwt"]
+
+    @pytest.mark.parametrize("key", ["tied_embeddings", "norm_eps"])
+    def test_removed_model_key_in_header(self, pipeline, tmp_path, capsys, key):
+        header, tensors = _decode_container(pipeline["base"], MAGIC_WEIGHTS)
+        header["config"][key] = 1e-5
+        bad = tmp_path / "old.lbwt"
+        write_container(bad, MAGIC_WEIGHTS, header, tensors)
+        rc = self.probe(pipeline, tmp_path / "p.tsv", model=bad)
+        assert rc == 2
+        assert (f"error: {bad}: unknown keys in section 'model': ['{key}']"
+                in capsys.readouterr().err)
+        assert os.listdir(tmp_path) == ["old.lbwt"]
 
     def test_model_file_without_a_tensor(self, pipeline, tmp_path, capsys):
         header, tensors = _decode_container(pipeline["base"], MAGIC_WEIGHTS)
@@ -755,8 +794,14 @@ class TestInputsCheckedBeforeCompute:
         write_container(bad, MAGIC_WEIGHTS, header, tensors)
         rc = self.probe(pipeline, tmp_path / "p.tsv", model=bad)
         assert rc == 2
-        assert (f"error: {bad}: weight names do not match config: missing ['head'], extra []"
+        assert (f"error: {bad}: 19 weight tensors, config implies 20"
                 in capsys.readouterr().err)
+        tensors["heads"] = np.zeros((8, 512), np.float32)
+        write_container(bad, MAGIC_WEIGHTS, header, tensors)
+        rc = self.probe(pipeline, tmp_path / "p.tsv", model=bad)
+        assert rc == 2
+        assert (f"error: {bad}: weight names do not match config: missing ['head'], "
+                "extra ['heads']" in capsys.readouterr().err)
         assert os.listdir(tmp_path) == ["headless.lbwt"]
 
     def test_partial_finetune_of_no_layers(self, pipeline, tmp_path, capsys):

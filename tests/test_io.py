@@ -148,6 +148,29 @@ class TestWeightsContainer:
         with pytest.raises(ParseError, match="fingerprint"):
             load_weights(p)
 
+    def test_huge_header_layer_count_fails_at_once(self, tmp_path):
+        # building a name per layer for 2**31 layers would never finish
+        p = tmp_path / "deep.lbwt"
+        save_weights(p, micro_weights())
+        header, tensors = _decode_container(p, MAGIC_WEIGHTS)
+        header["config"]["n_layers"] = 2 ** 31
+        p.write_bytes(_encode_container(MAGIC_WEIGHTS, header, sorted(tensors.items())))
+        with pytest.raises(ParseError) as err:
+            load_weights(p)
+        assert str(err.value) == f"{p}: 20 weight tensors, config implies {4 + 8 * 2 ** 31}"
+
+    def test_mismatched_names_are_listed_up_to_four(self, tmp_path):
+        p = tmp_path / "renamed.lbwt"
+        save_weights(p, micro_weights())
+        header, tensors = _decode_container(p, MAGIC_WEIGHTS)
+        renamed = sorted(("x" + name, t) for name, t in tensors.items())
+        p.write_bytes(_encode_container(MAGIC_WEIGHTS, header, renamed))
+        with pytest.raises(ParseError, match=re.escape(
+                "missing ['final_norm', 'head', 'layer01.attn_norm', 'layer01.ffn_norm'] "
+                "and 16 more, extra ['xfinal_norm', 'xhead', 'xlayer01.attn_norm', "
+                "'xlayer01.ffn_norm'] and 16 more")):
+            load_weights(p)
+
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_rejected(self, tmp_path, bad):
@@ -320,6 +343,8 @@ class TestReadJson:
         ("{nope", "is not valid JSON"),
         ("[1, 2]", "must hold a JSON object, found list"),
         (b"\xff\xfe", "is not valid JSON"),
+        pytest.param('{"a": ' + "1" * 5000 + "}", "is not valid JSON: Exceeds the limit",
+                     id="integer_of_5000_digits"),
     ])
     def test_anything_else_names_the_path(self, tmp_path, text, cause):
         p = tmp_path / "doc.json"
@@ -352,10 +377,23 @@ class TestManifest:
         assert a.read_text() == b.read_text()
 
 
-# every float field of every run config section, as (section, key)
-FLOAT_FIELDS = [(section.name, f.name) for section in dataclasses.fields(RunConfig)
-                for f in dataclasses.fields(getattr(RunConfig.default(), section.name))
-                if f.type == "float"]
+# every field of every run config section, as (section, field)
+SECTION_FIELDS = [(section.name, f) for section in dataclasses.fields(RunConfig)
+                  for f in dataclasses.fields(getattr(RunConfig.default(), section.name))]
+
+# every float field, as (section, key)
+FLOAT_FIELDS = [(section, f.name) for section, f in SECTION_FIELDS if f.type == "float"]
+
+# a value of the wrong JSON type for each kind of annotation (up to any
+# "["), and what the error says the value must be
+WRONG_JSON = {"int": (2.5, "an integer"), "float": ("0.1", "a number"),
+              "str": (3, "a string"), "tuple": (5, "a list")}
+
+# one wrong-typed value for every field, so a new field is covered unasked
+WRONG_TYPE_CASES = [
+    pytest.param(section, f.name, value, f"{section}.{f.name} must be {kind}",
+                 id=f"{section}.{f.name}")
+    for section, f in SECTION_FIELDS for value, kind in [WRONG_JSON[f.type.split("[")[0]]]]
 
 
 class TestRunConfig:
@@ -399,22 +437,35 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.load(p)
 
+    # the edge values first (a bool is no number, an integral float no
+    # integer), then one case per field
     @pytest.mark.parametrize("section, key, value, cause", [
         ("train", "epochs", "3", "train.epochs must be an integer, got '3'"),
         ("train", "epochs", 2.5, "train.epochs must be an integer, got 2.5"),
         ("train", "batch", True, "train.batch must be an integer, got True"),
         ("train", "lr", "0.1", "train.lr must be a number"),
         ("pretrain", "lr", False, "pretrain.lr must be a number"),
-        ("model", "tied_embeddings", 1, "model.tied_embeddings must be true or false"),
         ("task", "name", 3, "task.name must be a string"),
         ("model", "n_layers", 2.0, "model.n_layers must be an integer"),
-        ("model", "norm_eps", None, "model.norm_eps must be a number"),
         ("probe", "keep_levels", 5, "probe.keep_levels must be a list"),
         ("lora", "targets", None, "lora.targets must be a list"),
-    ])
+    ] + WRONG_TYPE_CASES)
     def test_scalar_of_wrong_json_type_rejected(self, section, key, value, cause):
         with pytest.raises(ConfigError, match=cause):
             RunConfig.from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize("key", ["tied_embeddings", "norm_eps"])
+    def test_removed_model_key_is_unknown(self, key):
+        with pytest.raises(ConfigError, match=f"unknown keys in section 'model': \\['{key}'\\]"):
+            RunConfig.from_dict({"model": {key: 1e-5}})
+
+    @pytest.mark.parametrize("levels, bad", [(["x"], "'x'"), ([0, True], "True"),
+                                             ([-4], "-4"), ([1.5], "1.5")],
+                             ids=["string", "bool", "negative", "fraction"])
+    def test_keep_levels_checked_at_load(self, levels, bad):
+        with pytest.raises(ConfigError,
+                           match=f"probe.keep_levels must hold integers >= 0, got {bad}"):
+            RunConfig.from_dict({"probe": {"keep_levels": levels}})
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("section, key", FLOAT_FIELDS)
@@ -462,6 +513,8 @@ class TestTsvCore:
             parse_tsv("x\ty\n1\t2\n")
         with pytest.raises(ParseError, match="not valid JSON"):
             parse_tsv("# {nope\nx\n")
+        with pytest.raises(ParseError, match="not valid JSON: Exceeds the limit"):
+            parse_tsv('# {"kind":"d","meta":' + "1" * 5000 + "}\nx\n")
         with pytest.raises(ParseError, match="cells"):
             parse_tsv('# {"kind":"d","meta":{}}\nx\ty\n1\n')
 

@@ -16,25 +16,22 @@ MICRO = model.ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=16,
                           vocab_size=16, max_seq=8)
 
 
-def micro_weights(seed=0, dtype=np.float32, tied=False):
-    cfg = MICRO if not tied else model.ModelConfig(
-        n_layers=2, d_model=8, n_heads=2, d_ff=16, vocab_size=16, max_seq=8,
-        tied_embeddings=True)
-    w = model.init_base(cfg, seed=seed).astype(dtype)
+def micro_weights(seed=0, dtype=np.float32):
+    w = model.init_base(MICRO, seed=seed).astype(dtype)
     return randomize_weights(w, np.random.default_rng(seed + 100))
 
 
 class TestConfig:
     def test_defaults_validate(self):
-        model.ModelConfig().validate()
+        model.ModelConfig()
 
     def test_head_divisibility(self):
-        with pytest.raises(ConfigError):
-            model.ModelConfig(d_model=10, n_heads=3).validate()
+        with pytest.raises(ConfigError, match="must divide evenly into 3 heads"):
+            model.ModelConfig(d_model=10, n_heads=3)
 
     def test_reserved_token_floor(self):
         with pytest.raises(ConfigError):
-            model.ModelConfig(vocab_size=3).validate()
+            model.ModelConfig(vocab_size=3)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -58,7 +55,8 @@ class TestInit:
         w1 = model.init_base(MICRO, seed=5)
         w2 = model.init_base(MICRO, seed=6)
         assert w1.fingerprint() != w2.fingerprint()
-        assert w1.config_fingerprint() == w2.config_fingerprint()
+        assert w1.fingerprint().split(".")[0] == w2.fingerprint().split(".")[0] \
+            == MICRO.config_hash()
 
 
 class TestForward:
@@ -315,12 +313,6 @@ class TestGradients:
                       "layer01.down.lora_a", "layer01.up.lora_b"):
             assert probe in checked
 
-    def test_tied_embeddings_float64(self):
-        w = micro_weights(seed=22, dtype=np.float64, tied=True)
-        toks = [3, 1, 4, 1, 5, 9]
-        check_grads(w, None, toks, prompt_len=2, eps=1e-5, tol=1e-6,
-                    dtype=np.float64)
-
     def test_adapter_only_grads_leave_base_out(self):
         w = micro_weights(seed=23)
         lset = lora.init_adapters(MICRO, targets=("q", "v"), rank=2, seed=5)
@@ -351,10 +343,9 @@ class TestBatchedGradients:
     """[B, t] padded rows against one call per row."""
 
     @pytest.mark.parametrize("with_set", [False, True], ids=["base", "lora"])
-    @pytest.mark.parametrize("tied", [False, True])
-    def test_batch_is_the_mean_of_row_calls_float64(self, tied, with_set):
-        w = micro_weights(seed=30, dtype=np.float64, tied=tied)
-        lset = all_target_adapters(w.cfg, seed=31) if with_set else None
+    def test_batch_is_the_mean_of_row_calls_float64(self, with_set):
+        w = micro_weights(seed=30, dtype=np.float64)
+        lset = all_target_adapters(MICRO, seed=31) if with_set else None
         rows = ragged_rows(32, [7, 3, 5, 1, 6])
         loss, grads = model.loss_and_grads(w, lset, *padded(rows))
         per_row = [model.loss_and_grads(w, lset, *row) for row in rows]
@@ -384,10 +375,9 @@ class TestBatchedGradients:
                                   eps=1e-5, tol=1e-6)
         assert {"tok_emb", "pos_emb", "head", "layer01.wq", "layer02.down.lora_b"} <= set(worst)
 
-    @pytest.mark.parametrize("tied", [False, True])
-    def test_pad_tokens_change_nothing(self, tied):
-        w = micro_weights(seed=37, tied=tied)
-        lset = all_target_adapters(w.cfg, seed=38, dtype=np.float32)
+    def test_pad_tokens_change_nothing(self):
+        w = micro_weights(seed=37)
+        lset = all_target_adapters(MICRO, seed=38, dtype=np.float32)
         rows = ragged_rows(39, [2, 7, 4])
         for adapters in (None, lset):
             loss, grads = model.loss_and_grads(w, adapters, *padded(rows))

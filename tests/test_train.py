@@ -64,14 +64,14 @@ def assert_identical(tensors, snap):
 
 class TestTrainConfig:
     def test_defaults_validate(self):
-        TrainConfig().validate()
+        TrainConfig()
 
     @pytest.mark.parametrize("bad", [
         {"lr": 0.0}, {"lr": -1e-3}, {"epochs": 0}, {"batch": 0}, {"seed": -1},
     ])
     def test_invalid_fields(self, bad):
         with pytest.raises(ConfigError):
-            TrainConfig(**bad).validate()
+            TrainConfig(**bad)
 
 
 class TestPretrain:
