@@ -17,15 +17,15 @@ import logging
 import os
 import sys
 
-from .boundary import (DEFAULT_DECODE_BUDGET, DEFAULT_MIN_JUMP_RATIO, BoundaryDecision,
-                       knee_from_report, sweep_boundary)
+from .boundary import (DEFAULT_MIN_JUMP_RATIO, BoundaryDecision, knee_from_report,
+                       sweep_boundary)
 from .errors import InputError, LoraBoundError
 from .fileio import (file_sha256, load_adapters, load_weights, read_json,
                      save_adapters, save_weights, write_json, write_manifest)
 from .lora import check_compat, drop_above, init_adapters, merge
 from .metrics import corpus_score
 from .model import check_keep_level, check_seed, decode_batch, init_base
-from .probe import probe_difference, probe_ground_truth, probe_under_drop, select_samples
+from .probe import probe_ground_truth, probe_under_drop, select_samples
 from .reports import (read_probe_tsv, write_diff_tsv, write_drop_probe_tsv,
                       write_eval_tsv, write_probe_tsv, write_sweep_tsv)
 from .runconfig import RunConfig
@@ -97,12 +97,10 @@ def _base_diff(probed, n_layers: int, split: str):
     """The full set's ground-truth curve minus the base's, from one
     probe_under_drop result that covers levels 0 and n_layers, with the
     diff's meta."""
-    by_level = dict(probed)
-    full, none = by_level[n_layers], by_level[0]
+    full, none = (dict(probed)[k] for k in (n_layers, 0))
     meta = {"model": full.config["base"], "ours": full.config["adapters"],
-            "baseline": None, "split": split, "sample_count": full.sample_count,
-            "n_tokens": full.n_tokens}
-    return probe_difference(full, none), meta
+            "split": split, "sample_count": full.sample_count, "n_tokens": full.n_tokens}
+    return full.gt_curve - none.gt_curve, meta
 
 
 def _predictions(weights, adapters, samples, decode_budget: int) -> list[str]:
@@ -264,13 +262,15 @@ def cmd_eval(args) -> int:
     metric = TASK_METRICS[ds.task]
     budget = len(samples) if args.budget is None else args.budget
     chosen = select_samples(samples, budget, cfg.sweep.seed)
-    preds = _predictions(base, adapters, chosen, args.decode_budget)
+    decode_budget = (cfg.sweep.decode_budget if args.decode_budget is None
+                     else args.decode_budget)
+    preds = _predictions(base, adapters, chosen, decode_budget)
     golds = [s.gold_text() for s in chosen]
     report = corpus_score(metric, preds, golds)
     meta = {"model": base.fingerprint(),
             "adapters": adapters.content_hash() if adapters else None,
             "task": ds.task, "split": args.split,
-            "decode_budget": args.decode_budget}
+            "decode_budget": decode_budget}
     write_eval_tsv(args.out, report, preds, golds, meta)
     write_manifest(args.out + ".manifest.json", "eval", meta, [args.out])
     print(f"eval: {metric} = {report.display_score:.4f} on "
@@ -426,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--budget", type=int, default=None,
                    help="evaluate at most this many samples")
-    p.add_argument("--decode-budget", type=int, default=DEFAULT_DECODE_BUDGET)
+    p.add_argument("--decode-budget", type=int, help="default: sweep.decode_budget")
     p.add_argument("--out", required=True)
 
     p = add("report", cmd_report, "emit the probe, drop and diff report bundle")

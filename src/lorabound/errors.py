@@ -36,9 +36,5 @@ class NoKneeError(LoraBoundError):
     """No qualifying jump in a probability curve; caller must fall back."""
 
 
-class ComparisonError(LoraBoundError):
-    """Two reports cannot be compared (different shapes or sample sets)."""
-
-
 class ParseError(LoraBoundError):
     """A serialized artifact is malformed; message names the failing offset or field."""

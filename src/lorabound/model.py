@@ -2,11 +2,12 @@
 
 One forward implementation serves training, probing and generation. The
 per-layer residual stream it records is the one record a forward
-returns: forward_collect gives it as a plain array [L, t, d_model] (or
-[L, B, t, d_model] for a batch). The probe engine in probe.py is the
-one path that reads it back through the model's own final norm and
-output head (lens_logits); it runs the forward over batches of
-equal-length rows and resumes it at any layer from a recorded residual.
+returns: forward_collect gives it as a plain array [L, B, t, d_model]
+for rows of token ids [B, t], the one input shape of the forward. The
+probe engine in probe.py is the one path that reads it back through the
+model's own final norm and output head (lens_logits); it runs the
+forward over batches of equal-length rows and resumes it at any layer
+from a recorded residual.
 Decoding and probing cut rows into batches by one rule,
 _length_batches. For generation the same forward runs over a batch of
 rows with a per-layer key/value cache: `decode_batch` prefills each
@@ -29,8 +30,9 @@ cache is kept, gelu write into buffers the forward already owns, never
 into a residual a caller or the cache holds; every result keeps the
 bits of the allocating form.
 
-Weight layout is [d_in, d_out] everywhere, so a projection is ``x @ w``.
-Layers are numbered 1..L in every public surface.
+Base weights are laid out [d_in, d_out], so a projection is ``x @ w``;
+an adapter's factors are A [r, d_in] and B [d_out, r], so its path is
+``(x @ A.T) @ B.T``. Layers are numbered 1..L in every public surface.
 """
 
 from __future__ import annotations
@@ -328,15 +330,13 @@ def _attention_bwd(d_out, att_cache, n_heads):
 
 
 def _matmul(x, w):
-    """x [..., d_in] @ w [d_in, d_out] as one 2-D product.
+    """x [..., t, d_in] @ w [d_in, d_out] as one 2-D product.
 
     numpy would loop over the leading axes instead; a 2-D product is
     faster. For the base weights (d_out of 64 and up) OpenBLAS 0.3.31
     gives each row of it the same bits at any row count from 2 up, which
     is why the decoder never steps a batch of one row.
     """
-    if x.ndim == 2:
-        return x @ w
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[1])
 
 
@@ -374,15 +374,14 @@ def _layer_rows(keep, layer: int):
     return None if rows.size == keep.size else rows
 
 
-def _check_tokens(cfg: ModelConfig, tokens, batch: bool = False) -> np.ndarray:
-    """Token ids [t], or with batch also [B, t] rows of equal length."""
+def _check_tokens(cfg: ModelConfig, tokens) -> np.ndarray:
+    """Token ids as [B, t] rows of equal length; one sequence is passed as [sequence]."""
     try:
         ids = np.asarray(tokens, dtype=np.int64)
     except (TypeError, ValueError) as exc:
         raise InputError(f"token ids must be integer rows of equal length: {exc}") from None
-    if ids.ndim not in ((1, 2) if batch else (1,)) or ids.size == 0:
-        shape = "[t] or [B, t]" if batch else "flat"
-        raise InputError(f"token ids must be non-empty and {shape}, got shape {ids.shape}")
+    if ids.ndim != 2 or ids.size == 0:
+        raise InputError(f"token ids must be non-empty [B, t] rows, got shape {ids.shape}")
     if ids.shape[-1] > cfg.max_seq:
         raise InputError(f"sequence length {ids.shape[-1]} exceeds max_seq {cfg.max_seq}")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
@@ -405,17 +404,14 @@ def check_keep_level(keep, n_layers: int) -> int:
 
 
 def _check_targets(ids: np.ndarray, targets, mask):
-    """targets and mask as id and bool arrays shaped like ids, one row at a time."""
-    batch = ids.ndim == 2
+    """targets and mask as id and bool arrays shaped like ids [B, t], one row at a time."""
     out = []
     for name, value, dtype in (("targets", targets, np.int64), ("mask", mask, bool)):
-        rows = value if batch else [value]
-        if batch and len(rows) != len(ids):
-            raise InputError(f"{name} has {len(rows)} rows, inputs have {len(ids)}")
-        for i, (row, want) in enumerate(zip(rows, ids if batch else [ids])):
+        if len(value) != len(ids):
+            raise InputError(f"{name} has {len(value)} rows, inputs have {len(ids)}")
+        for i, (row, want) in enumerate(zip(value, ids)):
             if np.shape(row) != want.shape:
-                where = f"row {i}: " if batch else ""
-                raise InputError(f"{where}{name} has shape {np.shape(row)}, "
+                raise InputError(f"row {i}: {name} has shape {np.shape(row)}, "
                                  f"inputs have {want.shape}")
         out.append(np.asarray(value, dtype=dtype))
     return out
@@ -468,7 +464,7 @@ def _ffn_half(weights: BaseWeights, p: str, h, ad, scale, rows, cache):
 def _forward(weights: BaseWeights, adapters, ids: np.ndarray,
              *, collect=None, keep_cache: bool = False, keep=None, kv=None,
              start: int = 0, resume=None):
-    """Shared forward. Returns (hidden [L,t,d] or None, h_final, caches or None).
+    """Shared forward. Returns (hidden [L, B, t, d] or None, h_final, caches or None).
 
     collect indexes the positions whose residual is recorded after every
     layer (slice(None) for all of them); None records nothing. When it
@@ -479,10 +475,10 @@ def _forward(weights: BaseWeights, adapters, ids: np.ndarray,
     lone position runs as two equal rows, since BLAS computes a 1-row
     product with another kernel. A top layer with an adapter runs whole:
     the rank-wide adapter products switch kernels with the row count.
-    ids is one sequence [t] or a batch of rows [B, t]. For decoding, keep
-    gives each row's keep level (its adapters apply on layers 1..keep),
-    and kv holds one (keys, values) cache per layer; ids are then the
-    positions start..start+t of each row. resume = (k, h) starts from the
+    ids is a batch of rows [B, t]. For decoding, keep gives each row's
+    keep level (its adapters apply on layers 1..keep), and kv holds one
+    (keys, values) cache per layer; ids are then the positions
+    start..start+t of each row. resume = (k, h) starts from the
     residual h after layer k instead of the embeddings of ids and runs
     layers k+1..L only; hidden then holds those L - k layers.
     """
@@ -536,20 +532,20 @@ def lens_logits(weights: BaseWeights, h: np.ndarray) -> np.ndarray:
 
 
 def forward_collect(weights: BaseWeights, adapters=None, tokens=None) -> np.ndarray:
-    """The residual stream after every block: [L, t, d_model] for one
-    sequence [t], or [L, B, t, d_model] for a batch of equal-length rows
-    [B, t]. Layer l is entry l - 1; lens_logits reads any of them out.
+    """The residual stream after every block, [L, B, t, d_model], for a
+    batch of equal-length rows of token ids [B, t]. Layer l is entry
+    l - 1; lens_logits reads any of them out.
     """
-    ids = _check_tokens(weights.cfg, tokens, batch=True)
+    ids = _check_tokens(weights.cfg, tokens)
     hidden, _, _ = _forward(weights, adapters, ids, collect=slice(None))
     return hidden
 
 
 def next_token_logits(weights: BaseWeights, adapters, tokens) -> np.ndarray:
-    """Logits for the continuation of `tokens`; last position only, shape [vocab]."""
-    ids = _check_tokens(weights.cfg, tokens)
+    """Logits [vocab] after the last position of one sequence `tokens` [t], run as one row."""
+    ids = _check_tokens(weights.cfg, [tokens])
     _, h_final, _ = _forward(weights, adapters, ids)
-    return lens_logits(weights, h_final[-1:])[0]
+    return lens_logits(weights, h_final[0, -1:])[0]
 
 
 def generate_greedy(weights: BaseWeights, adapters, prompt, max_new: int,
@@ -630,7 +626,7 @@ def _check_rows(cfg: ModelConfig, rows, max_new: int, stop_token):
         except (TypeError, ValueError):
             raise InputError(f"decode row {i} is not a (prompt, keep) pair") from None
         try:
-            prompts.append(_check_tokens(cfg, prompt))
+            prompts.append(_check_tokens(cfg, [prompt])[0])
             keeps.append(check_keep_level(keep, cfg.n_layers))
         except InputError as exc:
             raise InputError(f"decode row {i}: {exc}") from None
@@ -687,7 +683,7 @@ def _two_up(rows: np.ndarray) -> np.ndarray:
 def lens_probs(weights: BaseWeights, hidden: np.ndarray, positions) -> np.ndarray:
     """Per-layer next-token distributions at the given positions: [L, n, vocab].
 
-    hidden is the [L, t, d_model] residual array of forward_collect.
+    hidden is the [L, t, d_model] residual array of one row of forward_collect.
     """
     pos = np.asarray(positions, dtype=np.int64)
     t = hidden.shape[1]
@@ -701,13 +697,13 @@ def lens_probs(weights: BaseWeights, hidden: np.ndarray, positions) -> np.ndarra
 def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask):
     """Masked next-token cross-entropy and its gradients in one backward pass.
 
-    inputs/targets are aligned id arrays, one sequence [t] or a batch of
-    right-padded rows [B, t]; mask has their shape and selects which
-    target positions count, at least one per row. Each row's loss is the
-    mean over its own counted positions and a batch's loss is the mean of
-    its rows' losses, so a batch gives what the mean of one call per row
-    gives, whatever its pad tokens are: causal attention keeps pads out
-    of the earlier positions and uncounted positions send no gradient.
+    inputs/targets are aligned id arrays, a batch of right-padded rows
+    [B, t]; mask has their shape and selects which target positions
+    count, at least one per row. Each row's loss is the mean over its own
+    counted positions and a batch's loss is the mean of its rows' losses,
+    so a batch gives what the mean of one call per row gives, whatever
+    its pad tokens are: causal attention keeps pads out of the earlier
+    positions and uncounted positions send no gradient.
     Returns (loss, grads). With adapters=None, grads maps every canonical
     base tensor name to its gradient (pretraining); with a set, it maps
     "layerNN.<proj>.lora_a"/"lora_b" of each adapter in the set to its
@@ -715,9 +711,8 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask):
     """
     cfg = weights.cfg
     ts = weights.tensors
-    ids = _check_tokens(cfg, inputs, batch=True)
+    ids = _check_tokens(cfg, inputs)
     targets, mask = _check_targets(ids, targets, mask)
-    t = ids.shape[-1]
     _, h_final, caches = _forward(weights, adapters, ids, keep_cache=True)
     fin_n, inv_f = rmsnorm_fwd(h_final, ts["final_norm"], NORM_EPS)
     head = ts["head"]
@@ -727,12 +722,6 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask):
     train_base = adapters is None
     grads: dict[str, np.ndarray] = {}
 
-    def add(name, g):
-        if name in grads:
-            grads[name] += g
-        else:
-            grads[name] = g
-
     def flat(x):
         """[B, t, n] -> [B * t, n]: weight gradients are one 2-D product."""
         return x.reshape(-1, x.shape[-1])
@@ -740,11 +729,11 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask):
     del logits
     d_fin_n = _matmul(d_logits, head.T)
     if train_base:
-        add("head", flat(fin_n).T @ flat(d_logits))
+        grads["head"] = flat(fin_n).T @ flat(d_logits)
     del d_logits, fin_n   # gone before any layer allocates its gradients
     d_h, d_gain = rmsnorm_bwd(d_fin_n, h_final, inv_f, ts["final_norm"])
     if train_base:
-        add("final_norm", d_gain)
+        grads["final_norm"] = d_gain
 
     scale = None if adapters is None else adapters.scale
 
@@ -752,12 +741,12 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask):
         """Backward through y = x @ w (+ adapter path). Returns d_x."""
         d_x = _matmul(d_y, w.T)
         if train_base:
-            add(base_name, flat(x).T @ flat(d_y))
+            grads[base_name] = flat(x).T @ flat(d_y)
         if adapter is not None:
             d_mid = scale * _matmul(d_y, adapter.b)
             d_x += _matmul(d_mid, adapter.a)
-            add(f"layer{layer:02d}.{proj}.lora_b", scale * (flat(d_y).T @ flat(mid)))
-            add(f"layer{layer:02d}.{proj}.lora_a", flat(d_mid).T @ flat(x))
+            grads[f"layer{layer:02d}.{proj}.lora_b"] = scale * (flat(d_y).T @ flat(mid))
+            grads[f"layer{layer:02d}.{proj}.lora_a"] = flat(d_mid).T @ flat(x)
         return d_x
 
     for l in range(cfg.n_layers, 0, -1):
@@ -776,7 +765,7 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask):
         d_pre_ffn, d_gain2 = rmsnorm_bwd(d_xn2, c["pre_ffn"], c["inv2"],
                                          ts[p + "ffn_norm"])
         if train_base:
-            add(p + "ffn_norm", d_gain2)
+            grads[p + "ffn_norm"] = d_gain2
         d_h = d_h + d_pre_ffn
 
         # attention half: h = pre_attn + o(attend(q, k, v))
@@ -792,15 +781,15 @@ def loss_and_grads(weights: BaseWeights, adapters, inputs, targets, mask):
         d_pre_attn, d_gain1 = rmsnorm_bwd(d_xn1, c["pre_attn"], c["inv1"],
                                           ts[p + "attn_norm"])
         if train_base:
-            add(p + "attn_norm", d_gain1)
+            grads[p + "attn_norm"] = d_gain1
         d_h = d_h + d_pre_attn
 
     if train_base:
         d_tok = np.zeros_like(ts["tok_emb"])
         np.add.at(d_tok, ids, d_h)
-        add("tok_emb", d_tok)
+        grads["tok_emb"] = d_tok
         d_pos = np.zeros_like(ts["pos_emb"])
-        d_pos[:t] = d_h.reshape(-1, t, cfg.d_model).sum(axis=0)
-        add("pos_emb", d_pos)
+        d_pos[:ids.shape[1]] = d_h.sum(axis=0)
+        grads["pos_emb"] = d_pos
 
     return loss, grads

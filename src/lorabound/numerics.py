@@ -94,18 +94,17 @@ def rmsnorm_bwd(d_y: np.ndarray, x: np.ndarray, inv: np.ndarray, gain: np.ndarra
 def cross_entropy_grad(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray):
     """Mean NLL over unmasked positions plus its gradient w.r.t. logits.
 
-    logits: [t, V] for one sequence or [B, t, V] for a batch of rows;
-    targets: [t] or [B, t] int token ids; mask: the same shape, bool,
-    True = counted. Each row's loss is the mean over its own counted
-    positions, and a batch's loss is the mean of its row losses, added
-    in row order. Losses are accumulated in float64 regardless of input
-    dtype; the returned gradient matches the logits dtype and is
-    (softmax - one_hot) / (count * B) on a row's counted positions, zero
-    elsewhere.
+    logits: [B, t, V] for a batch of rows; targets: [B, t] int token
+    ids; mask: the same shape, bool, True = counted. Each row's loss is
+    the mean over its own counted positions, and a batch's loss is the
+    mean of its row losses, added in row order. Losses are accumulated
+    in float64 regardless of input dtype; the returned gradient matches
+    the logits dtype and is (softmax - one_hot) / (count * B) on a row's
+    counted positions, zero elsewhere.
     """
     _check_float("logits", logits)
-    if logits.ndim not in (2, 3):
-        raise ShapeError(f"logits must be [t, V] or [B, t, V], got {logits.shape}")
+    if logits.ndim != 3:
+        raise ShapeError(f"logits must be [B, t, V], got {logits.shape}")
     v = logits.shape[-1]
     targets = np.asarray(targets)
     mask = np.asarray(mask, dtype=bool)
@@ -115,15 +114,11 @@ def cross_entropy_grad(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray
     if targets.min(initial=0) < 0 or targets.max(initial=0) >= v:
         raise InputError(f"target ids must lie in [0, {v}), got range "
                          f"[{int(targets.min())}, {int(targets.max())}]")
-    batch = logits.ndim == 3
-    if not batch:
-        logits, targets, mask = logits[None], targets[None], mask[None]
     n_rows, t, _ = logits.shape
     counts = mask.sum(axis=-1)
     if not counts.all():
         row = int(np.flatnonzero(counts == 0)[0])
-        where = f"row {row}: " if batch else ""
-        raise DegenerateInputError(f"{where}all positions are masked; loss is undefined")
+        raise DegenerateInputError(f"row {row}: all positions are masked; loss is undefined")
 
     shifted = logits - logits.max(axis=-1, keepdims=True)
     grad = softmax_rows(logits)
@@ -137,7 +132,7 @@ def cross_entropy_grad(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray
     grad[at] -= 1.0
     grad[~mask] = 0.0
     grad /= (counts * n_rows).astype(grad.dtype)[:, None, None]
-    return loss, grad if batch else grad[0]
+    return loss, grad
 
 
 # Adam's moment decay rates and the denominator's guard, the same for every run

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComparisonError, InputError
+from .errors import InputError
 from .lora import LoraSet, drop_above
 from .model import (BaseWeights, _forward, _length_batches, check_keep_level,
                     forward_collect, lens_logits)
@@ -106,12 +106,15 @@ def _check_request(base: BaseWeights, n_tokens: int, levels) -> list[int]:
 
 
 def _long_enough(samples, n_tokens: int) -> list[tuple[list, list]]:
-    """(prompt, reference) pairs of the samples with at least n_tokens of reference."""
+    """(prompt, reference) pairs of the samples with at least n_tokens of
+    reference. An empty prompt leaves no position to read a first token at."""
     pairs = sample_ids(samples)
     if not pairs:
         raise InputError("no samples to probe")
     kept = []
     for i, (prompt, ref) in enumerate(pairs):
+        if not prompt:
+            raise InputError(f"probe: sample {i} has an empty prompt")
         if len(ref) < n_tokens:
             log.warning("probe: sample %d has a %d-token reference, need %d; skipped",
                         i, len(ref), n_tokens)
@@ -254,18 +257,3 @@ def probe_under_drop(base: BaseWeights, full_set: LoraSet, samples, keeps, *,
                                n_tokens=n_tokens, descriptor=extra)))
     return out
 
-
-def probe_difference(ours: ProbeReport, baseline: ProbeReport) -> np.ndarray:
-    """gt_curve difference (ours - baseline); reports must cover the same samples."""
-    if ours.gt_curve.shape != baseline.gt_curve.shape:
-        raise ComparisonError(
-            f"curve shapes differ: {ours.gt_curve.shape} vs {baseline.gt_curve.shape}")
-    if ours.n_tokens != baseline.n_tokens:
-        raise ComparisonError(
-            f"n_tokens differ: {ours.n_tokens} vs {baseline.n_tokens}")
-    ours_hash = ours.config.get("samples_hash")
-    base_hash = baseline.config.get("samples_hash")
-    if ours_hash != base_hash:
-        raise ComparisonError(
-            f"reports probe different sample sets: {ours_hash} vs {base_hash}")
-    return ours.gt_curve - baseline.gt_curve

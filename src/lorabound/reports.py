@@ -44,14 +44,15 @@ def emit_tsv(kind: str, meta: dict, columns: list[str], rows: list[list]) -> str
 
 
 def _typed(cell: str):
-    try:
-        return int(cell)
-    except ValueError:
-        pass
-    try:
-        return float(cell)
-    except ValueError:
-        return cell
+    """cell as the int or float that _cell writes back as this text, else the text."""
+    for kind in (int, float):
+        try:
+            value = kind(cell)
+        except ValueError:
+            continue
+        if _cell(value) == cell:
+            return value
+    return cell
 
 
 def parse_tsv(text: str, path: str = "<string>") -> tuple[str, dict, list[str], list[list]]:
@@ -114,13 +115,13 @@ def write_probe_tsv(path, report: ProbeReport) -> None:
 
 
 def read_probe_tsv(path) -> ProbeReport:
-    """The one reader of a stored probe report. The file must be one that
-    emit_probe could have written: every meta key present, an integer
-    config seed and a string or null config adapters (when given), the
-    columns exactly layer, gt_1..n, max_1..n, and one numeric row per
-    layer 1..L."""
+    """The one reader of a stored probe report. The file must be, byte for
+    byte, the one emit_probe writes for the report it loads: every meta key
+    present, an integer config seed and a string or null config adapters
+    (when given), the columns exactly layer, gt_1..n, max_1..n, and one
+    row per layer 1..L whose curve cells are probabilities in [0, 1]."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8", newline="") as f:   # line ends kept as stored
             text = f.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not valid UTF-8: {exc}") from None
@@ -148,10 +149,15 @@ def read_probe_tsv(path) -> ProbeReport:
     cells = [r[1:] for r in rows]
     if any(isinstance(c, str) for row in cells for c in row):
         raise ParseError(f"{path}: probe curves hold a non-numeric cell")
-    return ProbeReport(n_layers=l, n_tokens=n, sample_count=count,
-                       gt_curve=np.array([c[:n] for c in cells], dtype=np.float64),
-                       max_curve=np.array([c[n:] for c in cells], dtype=np.float64),
-                       config=dict(config))
+    curves = np.array(cells, dtype=np.float64)
+    if not np.all((curves >= 0.0) & (curves <= 1.0)):   # also false for nan
+        raise ParseError(f"{path}: probe curves hold a cell outside [0, 1]")
+    report = ProbeReport(n_layers=l, n_tokens=n, sample_count=count,
+                         gt_curve=curves[:, :n], max_curve=curves[:, n:],
+                         config=dict(config))
+    if emit_probe(report) != text:      # e.g. a cut last line, or non-canonical meta
+        raise ParseError(f"{path}: does not re-emit byte for byte")
+    return report
 
 
 # -- drop curves (probe under several keep levels) --------------------------------

@@ -112,6 +112,8 @@ class Sample:
         for name, value in fields.items():
             if not isinstance(value, str):
                 raise InputError(f"sample field {name!r} must be a string, got {value!r}")
+            if name in ("prompt", "reference") and not value.split():
+                raise InputError(f"sample field {name!r} holds no words")
         return cls(prompt_text=fields["prompt"], reference_text=fields["reference"],
                    task=fields["task"], question_type=fields["question_type"])
 
@@ -239,7 +241,7 @@ def _kvqa_sample(rng, pool: list[str], qtype: str,
     # spread the question-relevant edges over both documents
     docs: list[list[tuple[str, str]]] = [[], []]
     for i, e in enumerate(edges):
-        docs[min(i, 1) if len(edges) <= 2 else (0 if i < (len(edges) + 1) // 2 else 1)].append(e)
+        docs[0 if i < (len(edges) + 1) // 2 else 1].append(e)
     for f in facts:
         docs[0 if len(docs[0]) < KVQA_FACTS_PER_DOC else 1].append(f)
     for doc in docs:

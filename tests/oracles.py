@@ -66,7 +66,8 @@ def probe_oracle(weights, adapters, samples, n_tokens):
     for prompt, ref in samples:
         if len(ref) < n_tokens:
             continue
-        hidden = forward_collect(weights, adapters, list(prompt) + list(ref[:n_tokens]))
+        row = list(prompt) + list(ref[:n_tokens])
+        hidden = forward_collect(weights, adapters, [row])[:, 0]    # [L, t, d]
         positions = [len(prompt) - 1 + i for i in range(n_tokens)]
         dists = lens_probs(weights, hidden, positions)     # [L, n, V]
         gt_sum += dists[:, np.arange(n_tokens), np.asarray(ref[:n_tokens])]
@@ -76,7 +77,8 @@ def probe_oracle(weights, adapters, samples, n_tokens):
 
 
 def train_step_oracle(examples, grad_fn, params, state, grad_clip):
-    """One optimizer step, one grad_fn call per (inputs, targets, mask) row.
+    """One optimizer step, one grad_fn call per (inputs, targets, mask) row,
+    each passed as a batch of one row [1, t].
 
     Sums the rows' gradients, scales by 1 / len(examples), clips, applies
     one Adam step and returns the mean loss; a drop-in for
@@ -85,7 +87,7 @@ def train_step_oracle(examples, grad_fn, params, state, grad_clip):
     total = {}
     loss_sum = 0.0
     for example in examples:
-        loss, grads = grad_fn(*example)
+        loss, grads = grad_fn(*(a[None] for a in example))
         loss_sum += loss
         for name, g in grads.items():
             if name in total:

@@ -143,7 +143,7 @@ class TestArtifacts:
         assert kind == "diff-probe"
         assert columns == ["layer", "delta_1", "delta_2"]
         assert [r[0] for r in rows] == [1, 2]
-        assert meta["baseline"] is None
+        assert set(meta) == {"model", "ours", "split", "sample_count", "n_tokens"}
 
     def test_knee_decision_round_trips(self, pipeline):
         decision = BoundaryDecision.from_dict(
@@ -189,15 +189,17 @@ class TestArtifacts:
         assert meta["task"] == "kvqa"
 
     def test_eval_of_the_kept_set_scores_as_the_sweep(self, pipeline, tmp_path):
-        # sweep -> export from:sweep.json -> eval of the kept set on the swept split
+        # sweep -> export from:sweep.json -> eval of the kept set on the swept
+        # split; eval decodes the config's sweep.decode_budget, as the sweep did
         decision = BoundaryDecision.from_dict(json.loads(pipeline["sweep"].read_text()))
         budget = MICRO_CFG["sweep"]["budget"]
         out = tmp_path / "eval_kept.tsv"
         assert run("eval", "--config", pipeline["cfg"], "--model", pipeline["base"],
                    "--data", pipeline["data"], "--adapters", pipeline["kept"],
-                   "--split", "validation", "--budget", budget,
-                   "--decode-budget", decision.extra["decode_budget"], "--out", out) == 0
+                   "--split", "validation", "--budget", budget, "--out", out) == 0
         _, meta, _, rows = parse_tsv(out.read_text())
+        assert meta["decode_budget"] == decision.extra["decode_budget"] \
+            == MICRO_CFG["sweep"]["decode_budget"]
         assert meta["score"] == decision.per_k_scores[decision.k_star]
         assert meta["sample_count"] == decision.sample_count == budget
         validation = load_dataset(pipeline["data"]).splits["validation"]
@@ -691,15 +693,41 @@ class TestInputsCheckedBeforeCompute:
         assert cause in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["probe.tsv"]
 
+    @pytest.mark.parametrize("change, cause", [
+        (lambda blob: blob.replace(b"0.25", b"-3.0", 1), "outside [0, 1]"),
+        (lambda blob: blob.replace(b"0.25", b"1.5", 1), "outside [0, 1]"),
+        (lambda blob: blob.replace(b"0.25", b"nan", 1), "outside [0, 1]"),
+        (lambda blob: blob.replace(b"0.25", b"0_25", 1), "non-numeric cell"),
+        (lambda blob: blob.replace(b"0.25", b"Infinity", 1), "non-numeric cell"),
+        (lambda blob: blob[:-1], "does not re-emit byte for byte"),
+        (lambda blob: blob.replace(b":", b": ", 1), "does not re-emit byte for byte"),
+        (lambda blob: blob.replace(b"\n", b"\r\n"), "columns"),
+    ], ids=["negative", "above_one", "nan", "digit_underscore", "infinity",
+            "no_final_newline", "spaced_meta", "crlf"])
+    def test_probe_report_not_as_written(self, tmp_path, capsys, change, cause):
+        # a report loads only as the exact bytes the writer gives a probe
+        # report; the first 0.25 is the gt_1 cell of layer 1
+        path = write_probe_report(tmp_path / "probe.tsv")
+        path.write_bytes(change(path.read_bytes()))
+        rc = run("knee", "--probe", path, "--fallback", "--out", tmp_path / "k.json")
+        assert rc == 2
+        assert cause in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["probe.tsv"]
+
     @pytest.mark.parametrize("name, line, cause", [
         ("dataset.json", None, "dataset.json is not valid JSON"),
         ("validation.jsonl", "[1]", "validation.jsonl:1 is not a JSON object"),
         ("validation.jsonl", '{"prompt": 5, "reference": "answer = a", "task": "kvqa"}',
          "validation.jsonl:1: sample field 'prompt' must be a string, got 5"),
         ("validation.jsonl", b"\xff", "validation.jsonl:1 is not valid UTF-8"),
+        ("validation.jsonl", '{"prompt": " ", "reference": "answer = a", "task": "kvqa"}',
+         "validation.jsonl:1: sample field 'prompt' holds no words"),
+        ("validation.jsonl", '{"prompt": "question : a ?", "reference": "", "task": "kvqa"}',
+         "validation.jsonl:1: sample field 'reference' holds no words"),
         ("validation.jsonl", '{"seed": ' + "1" * 5000 + "}",
          "validation.jsonl:1 is not valid JSON: Exceeds the limit"),
-    ], ids=["dataset_json", "jsonl_line", "non_string_field", "not_utf8", "long_integer"])
+    ], ids=["dataset_json", "jsonl_line", "non_string_field", "not_utf8", "empty_prompt",
+            "empty_reference", "long_integer"])
     def test_malformed_dataset(self, pipeline, tmp_path, capsys, name, line, cause):
         data = tmp_path / "data"
         data.mkdir()

@@ -128,13 +128,17 @@ def test_any_model_config_value_loads_or_raises_parse_error(valid_weights, field
 @FUZZ
 @given(data=st.data())
 def test_flipped_or_truncated_probe_report_loads_or_raises_parse_error(valid_probe, data):
+    # a report that loads re-emits byte for byte and holds probabilities
     path, blob = valid_probe
     out = path.with_name("damaged.tsv")
     out.write_bytes(damage(blob, data))
     try:
-        read_probe_tsv(out)
+        report = read_probe_tsv(out)
     except ParseError:
-        pass
+        return
+    assert emit_probe(report).encode() == out.read_bytes()
+    for curve in (report.gt_curve, report.max_curve):
+        assert np.all((curve >= 0.0) & (curve <= 1.0))
 
 
 @FUZZ

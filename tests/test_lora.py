@@ -93,7 +93,7 @@ class TestScale:
                                   np.random.default_rng(4))
         lset.fingerprint = base.fingerprint()
         other = dataclasses.replace(lset, alpha=1.0)
-        tokens = [1, 5, 9, 3]
+        tokens = [[1, 5, 9, 3]]
 
         def logits(s):
             return lens_logits(base, forward_collect(base, s, tokens)[-1])
@@ -257,7 +257,7 @@ class TestMerge:
                               rank=2), np.random.default_rng(trial))
             lset.fingerprint = base.fingerprint()
             merged = merge(base, lset)
-            tokens = rng.integers(0, MICRO.vocab_size, size=6).tolist()
+            tokens = rng.integers(0, MICRO.vocab_size, size=(1, 6))
             factored = lens_logits(base, forward_collect(base, lset, tokens)[-1])
             dense = lens_logits(merged, forward_collect(merged, None, tokens)[-1])
             assert np.abs(factored - dense).max() <= 1e-3

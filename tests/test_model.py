@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lorabound import lora, model, numerics
-from lorabound.errors import ConfigError, DegenerateInputError, InputError
+from lorabound.errors import ConfigError, DegenerateInputError, InputError, ShapeError
 
 from helpers import fd_grad, randomize_adapters, randomize_weights, rel_error
 from oracles import gelu_bwd_oracle
@@ -62,17 +62,17 @@ class TestInit:
 class TestForward:
     def test_trace_shapes(self):
         w = micro_weights()
-        hidden = model.forward_collect(w, None, [1, 2, 3, 4, 5])
+        hidden = model.forward_collect(w, None, [[1, 2, 3, 4, 5]])
         logits = model.lens_logits(w, hidden[-1])
-        assert hidden.shape == (2, 5, 8)
-        assert logits.shape == (5, 16)
+        assert hidden.shape == (2, 1, 5, 8)
+        assert logits.shape == (1, 5, 16)
         assert np.all(np.isfinite(hidden))
         assert np.all(np.isfinite(logits))
 
     def test_top_layer_reproduces_the_output_logits(self):
         # the recorded top-of-stack state must give back the output logits exactly
         w = micro_weights()
-        ids = np.array([3, 1, 4, 1, 5])
+        ids = np.array([[3, 1, 4, 1, 5]])
         hidden = model.forward_collect(w, None, ids)
         _, h_final, _ = model._forward(w, None, ids)
         again = model.lens_logits(w, hidden[2 - 1])
@@ -81,23 +81,23 @@ class TestForward:
     def test_causality(self):
         w = micro_weights(seed=2)
         toks = [1, 2, 3, 4, 5, 6]
-        base = model.lens_logits(w, model.forward_collect(w, None, toks)[-1])
+        base = model.lens_logits(w, model.forward_collect(w, None, [toks])[-1, 0])
         for j in range(len(toks)):
             changed = list(toks)
             changed[j] = (changed[j] + 7) % 16
-            out = model.lens_logits(w, model.forward_collect(w, None, changed)[-1])
+            out = model.lens_logits(w, model.forward_collect(w, None, [changed])[-1, 0])
             np.testing.assert_array_equal(out[:j], base[:j])
 
     def test_bad_tokens(self):
         w = micro_weights()
         with pytest.raises(InputError):
-            model.forward_collect(w, None, [])
+            model.forward_collect(w, None, [[]])
         with pytest.raises(InputError):
-            model.forward_collect(w, None, [16])
+            model.forward_collect(w, None, [[16]])
         with pytest.raises(InputError):
-            model.forward_collect(w, None, [-1])
+            model.forward_collect(w, None, [[-1]])
         with pytest.raises(InputError):
-            model.forward_collect(w, None, [1] * 9)
+            model.forward_collect(w, None, [[1] * 9])
         with pytest.raises(InputError):
             model.forward_collect(w, None, [[1, 2], [3]])
         with pytest.raises(InputError):
@@ -113,7 +113,7 @@ class TestForward:
         assert batch.shape == (2, 5, 6, 8)
         batch_logits = model.lens_logits(w, batch[-1])
         for i, row in enumerate(rows):
-            alone = model.forward_collect(w, lset, row)
+            alone = model.forward_collect(w, lset, [row])[:, 0]
             np.testing.assert_array_equal(batch[:, i], alone)
             np.testing.assert_array_equal(batch_logits[i], model.lens_logits(w, alone[-1]))
 
@@ -163,7 +163,7 @@ class TestForward:
         w = micro_weights(seed=3)
         lset = lora.init_adapters(MICRO, targets=("q", "v"), rank=2, seed=0)
         randomize_adapters(lset, np.random.default_rng(1))
-        toks = [1, 2, 3]
+        toks = [[1, 2, 3]]
         plain = model.lens_logits(w, model.forward_collect(w, None, toks)[-1])
         adapted = model.lens_logits(w, model.forward_collect(w, lset, toks)[-1])
         assert not np.array_equal(plain, adapted)
@@ -176,10 +176,23 @@ class TestForward:
         w = micro_weights(seed=4)
         lset = lora.init_adapters(MICRO, targets=("q", "k", "v", "o", "up", "down"),
                                   rank=2, seed=9)
-        toks = [5, 6, 7, 8]
+        toks = [[5, 6, 7, 8]]
         plain = model.lens_logits(w, model.forward_collect(w, None, toks)[-1])
         adapted = model.lens_logits(w, model.forward_collect(w, lset, toks)[-1])
         np.testing.assert_array_equal(plain, adapted)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda w: model.forward_collect(w, None, [1, 2, 3]), InputError),
+    (lambda w: model.loss_and_grads(w, None, [1, 2, 3], [2, 3, 4], [True] * 3), InputError),
+    (lambda w: numerics.cross_entropy_grad(np.zeros((3, 16), dtype=np.float32),
+                                           np.array([2, 3, 4]), np.ones(3, dtype=bool)),
+     ShapeError),
+], ids=["forward_collect", "loss_and_grads", "cross_entropy_grad"])
+def test_a_single_sequence_is_rejected(call, error):
+    # token rows [B, t] are the one input shape; one sequence is passed as [sequence]
+    with pytest.raises(error, match=r"\[B, t"):
+        call(micro_weights())
 
 
 class TestGenerate:
@@ -255,13 +268,19 @@ def padded(rows, pad_seed=None):
     return out
 
 
+def one_row(row):
+    """(inputs, targets, mask) of one sequence as a batch of one row [1, t]."""
+    return tuple(a[None] for a in row)
+
+
 def check_grads(weights, lset, toks, prompt_len, *, eps, tol, dtype):
-    return check_batch_grads(weights, lset, *sequence(toks, prompt_len), eps=eps, tol=tol)
+    return check_batch_grads(weights, lset, *one_row(sequence(toks, prompt_len)),
+                             eps=eps, tol=tol)
 
 
 def check_batch_grads(weights, lset, inputs, targets, mask, *, eps, tol):
     """Every gradient of loss_and_grads against central finite differences of
-    the forward-only loss; inputs is one sequence or a padded batch. The base
+    the forward-only loss; inputs is a padded batch [B, t]. The base
     tensors are checked in a call without adapters and, given lset, the
     adapter factors in a call with it."""
     params = flatten_params(weights, lset)
@@ -317,8 +336,8 @@ class TestGradients:
         w = micro_weights(seed=23)
         lset = lora.init_adapters(MICRO, targets=("q", "v"), rank=2, seed=5)
         randomize_adapters(lset, np.random.default_rng(24))
-        inputs, targets = np.array([1, 2, 3]), np.array([2, 3, 4])
-        mask = np.ones(3, dtype=bool)
+        inputs, targets = np.array([[1, 2, 3]]), np.array([[2, 3, 4]])
+        mask = np.ones((1, 3), dtype=bool)
         _, grads = model.loss_and_grads(w, lset, inputs, targets, mask)
         assert all(k.endswith((".lora_a", ".lora_b")) for k in grads)
         assert len(grads) == 2 * 2 * 2
@@ -327,8 +346,8 @@ class TestGradients:
         w = micro_weights(seed=25)
         lset = lora.init_adapters(MICRO, targets=("q", "v"), rank=2, seed=6)
         randomize_adapters(lset, np.random.default_rng(26))
-        inputs, targets = np.array([1, 2, 3]), np.array([2, 3, 4])
-        mask = np.ones(3, dtype=bool)
+        inputs, targets = np.array([[1, 2, 3]]), np.array([[2, 3, 4]])
+        mask = np.ones((1, 3), dtype=bool)
         _, grads = model.loss_and_grads(w, lora.drop_above(lset, 1), inputs, targets, mask)
         assert set(grads) == {"layer01.q.lora_a", "layer01.q.lora_b",
                               "layer01.v.lora_a", "layer01.v.lora_b"}
@@ -348,25 +367,13 @@ class TestBatchedGradients:
         lset = all_target_adapters(MICRO, seed=31) if with_set else None
         rows = ragged_rows(32, [7, 3, 5, 1, 6])
         loss, grads = model.loss_and_grads(w, lset, *padded(rows))
-        per_row = [model.loss_and_grads(w, lset, *row) for row in rows]
+        per_row = [model.loss_and_grads(w, lset, *one_row(row)) for row in rows]
         assert rel_error(loss, np.mean([l for l, _ in per_row])) < 1e-6
         assert set(grads) == set(per_row[0][1])
         assert set(grads) == set(lora.lora_param_dict(lset) if with_set else w.tensors)
         for name, g in grads.items():
             mean = sum(row_grads[name] for _, row_grads in per_row) / len(rows)
             assert rel_error(g, mean) < 1e-6, name
-
-    def test_one_row_batch_is_the_sequence_bit_for_bit(self):
-        w = micro_weights(seed=46)
-        lset = all_target_adapters(MICRO, seed=47, dtype=np.float32)
-        for adapters in (None, lset):
-            for row in ragged_rows(48, [7, 4]):
-                loss, grads = model.loss_and_grads(w, adapters, *row)
-                one, one_grads = model.loss_and_grads(w, adapters, *(a[None] for a in row))
-                assert one == loss
-                assert set(one_grads) == set(grads)
-                for name, g in grads.items():
-                    np.testing.assert_array_equal(one_grads[name], g, err_msg=name)
 
     def test_ragged_batch_against_finite_differences(self):
         w = micro_weights(seed=33, dtype=np.float64)
@@ -406,7 +413,7 @@ class TestBatchedGradients:
         with pytest.raises(InputError, match="2 rows"):
             model.loss_and_grads(w, None, inputs, targets[:2], mask)
         with pytest.raises(InputError, match="mask has shape"):
-            model.loss_and_grads(w, None, inputs[0], targets[0], mask[0, :-1])
+            model.loss_and_grads(w, None, inputs[:1], targets[:1], mask[:1, :-1])
 
 
 class TestTrainingMemory:

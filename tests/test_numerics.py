@@ -162,48 +162,49 @@ class TestInPlaceKernelsAgainstOracles:
 class TestCrossEntropy:
     def test_hand_example(self):
         # two classes with logits [0, ln 3] put 3/4 on class 1
-        logits = np.array([[0.0, math.log(3.0)]], dtype=np.float32)
-        loss, grad = numerics.cross_entropy_grad(logits, np.array([1]), np.array([True]))
+        logits = np.array([[[0.0, math.log(3.0)]]], dtype=np.float32)
+        loss, grad = numerics.cross_entropy_grad(logits, np.array([[1]]), np.array([[True]]))
         assert abs(loss - (-math.log(0.75))) < 1e-6
-        np.testing.assert_allclose(grad, [[0.25, -0.25]], atol=1e-6)
+        np.testing.assert_allclose(grad, [[[0.25, -0.25]]], atol=1e-6)
 
     def test_mean_over_unmasked_only(self):
         rng = np.random.default_rng(5)
-        logits = rng.normal(size=(6, 5)).astype(np.float32)
-        targets = rng.integers(0, 5, size=6)
-        mask = np.array([True, False, True, True, False, False])
+        logits = rng.normal(size=(1, 6, 5)).astype(np.float32)
+        targets = rng.integers(0, 5, size=(1, 6))
+        mask = np.array([[True, False, True, True, False, False]])
         loss, grad = numerics.cross_entropy_grad(logits, targets, mask)
         # masked rows contribute nothing
         assert np.all(grad[~mask] == 0.0)
         per_row = []
         for i in np.flatnonzero(mask):
             l_i, _ = numerics.cross_entropy_grad(
-                logits[i:i + 1], targets[i:i + 1], np.array([True]))
+                logits[:, i:i + 1], targets[:, i:i + 1], np.array([[True]]))
             per_row.append(l_i)
         assert abs(loss - np.mean(per_row)) < 1e-9
 
     def test_all_masked_is_degenerate(self):
-        logits = np.zeros((3, 4), dtype=np.float32)
+        logits = np.zeros((1, 3, 4), dtype=np.float32)
         with pytest.raises(DegenerateInputError):
-            numerics.cross_entropy_grad(logits, np.zeros(3, dtype=int),
-                                        np.zeros(3, dtype=bool))
+            numerics.cross_entropy_grad(logits, np.zeros((1, 3), dtype=int),
+                                        np.zeros((1, 3), dtype=bool))
 
     def test_bad_target_ids(self):
-        logits = np.zeros((2, 4), dtype=np.float32)
+        logits = np.zeros((1, 2, 4), dtype=np.float32)
+        mask = np.ones((1, 2), dtype=bool)
         with pytest.raises(InputError):
-            numerics.cross_entropy_grad(logits, np.array([0, 4]), np.ones(2, dtype=bool))
+            numerics.cross_entropy_grad(logits, np.array([[0, 4]]), mask)
         with pytest.raises(InputError):
-            numerics.cross_entropy_grad(logits, np.array([-1, 0]), np.ones(2, dtype=bool))
+            numerics.cross_entropy_grad(logits, np.array([[-1, 0]]), mask)
 
     def test_grad_fd_float32(self):
         rng = np.random.default_rng(13)
         for trial in range(10):
             t, v = int(rng.integers(1, 7)), int(rng.integers(2, 9))
-            logits = rng.normal(0, 1, size=(t, v)).astype(np.float32)
-            targets = rng.integers(0, v, size=t)
-            mask = rng.random(t) < 0.7
+            logits = rng.normal(0, 1, size=(1, t, v)).astype(np.float32)
+            targets = rng.integers(0, v, size=(1, t))
+            mask = rng.random((1, t)) < 0.7
             if not mask.any():
-                mask[0] = True
+                mask[0, 0] = True
 
             def loss():
                 l, _ = numerics.cross_entropy_grad(logits, targets, mask)
@@ -216,11 +217,11 @@ class TestCrossEntropy:
         rng = np.random.default_rng(14)
         for trial in range(10):
             t, v = int(rng.integers(1, 7)), int(rng.integers(2, 9))
-            logits = rng.normal(0, 1, size=(t, v))
-            targets = rng.integers(0, v, size=t)
-            mask = rng.random(t) < 0.7
+            logits = rng.normal(0, 1, size=(1, t, v))
+            targets = rng.integers(0, v, size=(1, t))
+            mask = rng.random((1, t)) < 0.7
             if not mask.any():
-                mask[0] = True
+                mask[0, 0] = True
 
             def loss():
                 l, _ = numerics.cross_entropy_grad(logits, targets, mask)

@@ -1,4 +1,4 @@
-"""Layer readout probing: invariants, sampling, drop levels, differences."""
+"""Layer readout probing: invariants, sampling, drop levels."""
 
 import os
 import sys
@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from lorabound import model, probe
-from lorabound.errors import ComparisonError, InputError
+from lorabound.errors import InputError
 from lorabound.lora import drop_above, init_adapters
 from lorabound.model import (DECODE_BATCH_ROWS, ModelConfig, decode_batch,
                              forward_collect, init_base, next_token_logits)
 from lorabound.numerics import softmax_rows
-from lorabound.probe import (ProbeReport, probe_difference,
-                             probe_ground_truth, probe_under_drop,
+from lorabound.probe import (ProbeReport, probe_ground_truth, probe_under_drop,
                              samples_hash, select_samples)
 
 from helpers import randomize_adapters, randomize_weights
@@ -140,6 +139,12 @@ class TestProbeGroundTruth:
         base, lset = micro_setup()
         with pytest.raises(InputError):
             probe_ground_truth(base, lset, [], n_tokens=2)
+
+    def test_empty_prompt_is_an_error(self):
+        # no position precedes the first reference token to read it at
+        base, lset = micro_setup()
+        with pytest.raises(InputError, match="sample 6 has an empty prompt"):
+            probe_ground_truth(base, lset, micro_samples(6) + [([], [6, 7, 8])], n_tokens=2)
 
     def test_bad_n_tokens(self):
         base, lset = micro_setup()
@@ -531,35 +536,6 @@ class TestWorkerPool:
         monkeypatch.setattr(probe, "_usable_cpus", lambda: 2)
         with pytest.raises(Boom, match="batch failed"):
             probe_under_drop(base, lset, samples, keeps=[0, 2, 4], n_tokens=3)
-
-
-class TestProbeDifference:
-    def test_self_difference_is_zero(self):
-        base, lset = micro_setup()
-        rep = probe_ground_truth(base, lset, micro_samples(), n_tokens=2)
-        assert np.array_equal(probe_difference(rep, rep), np.zeros((2, 2)))
-
-    def test_adapter_gain_shows_up(self):
-        base, lset = micro_setup()
-        ours = probe_ground_truth(base, lset, micro_samples(), n_tokens=2)
-        plain = probe_ground_truth(base, None, micro_samples(), n_tokens=2)
-        diff = probe_difference(ours, plain)
-        assert diff.shape == (2, 2)
-        assert not np.allclose(diff, 0)
-
-    def test_mismatched_samples_rejected(self):
-        base, lset = micro_setup()
-        a = probe_ground_truth(base, lset, micro_samples(seed=3), n_tokens=2)
-        b = probe_ground_truth(base, lset, micro_samples(seed=4), n_tokens=2)
-        with pytest.raises(ComparisonError):
-            probe_difference(a, b)
-
-    def test_mismatched_shape_rejected(self):
-        base, lset = micro_setup()
-        a = probe_ground_truth(base, lset, micro_samples(), n_tokens=2)
-        b = probe_ground_truth(base, lset, micro_samples(), n_tokens=3)
-        with pytest.raises(ComparisonError):
-            probe_difference(a, b)
 
 
 class TestProbeReportDict:
