@@ -451,7 +451,7 @@ def main(argv=None) -> int:
     except LoraBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:   # a missing, unreadable or directory path, named in exc
+    except OSError as exc:   # a bad path, or a training worker that died; exc names it
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -407,13 +408,21 @@ def _check_targets(ids: np.ndarray, targets, mask):
     """targets and mask as id and bool arrays shaped like ids [B, t], one row at a time."""
     out = []
     for name, value, dtype in (("targets", targets, np.int64), ("mask", mask, bool)):
-        if len(value) != len(ids):
-            raise InputError(f"{name} has {len(value)} rows, inputs have {len(ids)}")
+        try:
+            n_rows = len(value)
+        except TypeError:
+            raise InputError(f"{name} must be rows shaped like the inputs {ids.shape}, "
+                             f"got {type(value).__name__}") from None
+        if n_rows != len(ids):
+            raise InputError(f"{name} has {n_rows} rows, inputs have {len(ids)}")
         for i, (row, want) in enumerate(zip(value, ids)):
             if np.shape(row) != want.shape:
                 raise InputError(f"row {i}: {name} has shape {np.shape(row)}, "
                                  f"inputs have {want.shape}")
-        out.append(np.asarray(value, dtype=dtype))
+        try:
+            out.append(np.asarray(value, dtype=dtype))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{name} must hold {np.dtype(dtype).name} values: {exc}") from None
     return out
 
 
@@ -582,6 +591,16 @@ def _length_batches(lengths):
         group = by_length[length]
         for lo in range(0, len(group), DECODE_BATCH_ROWS):
             yield length, group[lo:lo + DECODE_BATCH_ROWS]
+
+
+def _usable_cpus() -> int:
+    """CPUs in this process's affinity mask (taskset narrows it); the
+    probe engine's thread pool and training's worker processes both
+    size themselves by it."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 def decode_batch(weights: BaseWeights, adapters, rows, max_new: int,

@@ -29,23 +29,23 @@ positions, and the per-sample values are summed in sample order, so
 the curves are bitwise those of one forward per sample and level.
 
 The length batches run on a thread pool with one worker per CPU in the
-process's affinity mask (at most one per batch); numpy releases the GIL
-inside a batch's products and elementwise loops. Each batch writes only
-its own samples' rows, and the sums start after every batch is done, so
-the curves are the same bytes at any worker count. `taskset -c 0` runs
-the engine on one CPU.
+process's affinity mask (model._usable_cpus, at most one per batch);
+numpy releases the GIL inside a batch's products and elementwise loops.
+Each batch writes only its own samples' rows, and the sums start after
+every batch is done, so the curves are the same bytes at any worker
+count. `taskset -c 0` runs the engine on one CPU.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import model
 from .errors import InputError
 from .lora import LoraSet, drop_above
 from .model import (BaseWeights, _forward, _length_batches, check_keep_level,
@@ -144,14 +144,6 @@ def _readout(base: BaseWeights, states: np.ndarray, ref: np.ndarray):
     return p_true, p_max
 
 
-def _usable_cpus() -> int:
-    """CPUs in this process's affinity mask (taskset narrows it)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
 def _probe_batch(base: BaseWeights, adapters, kept, levels, n_tokens: int,
                  length: int, batch: list[int], per_sample: dict) -> None:
     """Write one length batch's readouts at every level into its rows of per_sample."""
@@ -182,7 +174,7 @@ def _probe_levels(base: BaseWeights, adapters, kept, levels, n_tokens: int) -> d
     shape = (len(kept), n_layers, n_tokens)
     per_sample = {k: (np.empty(shape), np.empty(shape)) for k in levels}
     batches = list(_length_batches([len(prompt) for prompt, _ in kept]))
-    with ThreadPoolExecutor(max_workers=min(len(batches), _usable_cpus())) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(batches), model._usable_cpus())) as pool:
         for done in [pool.submit(_probe_batch, base, adapters, kept, levels, n_tokens,
                                  length, batch, per_sample) for length, batch in batches]:
             done.result()       # re-raises a worker's exception here

@@ -388,6 +388,41 @@ def test_module_entry_point_shows_help():
     assert "usage: lorabound" in proc.stdout
 
 
+
+class TestTrainingProcesses:
+    """`pretrain` on two processes, as its own process group."""
+
+    # the CLI with two usable CPUs, whatever this machine has
+    SCRIPT = ("import sys; from lorabound import cli, model; "
+              "model._usable_cpus = lambda: 2; sys.exit(cli.main(sys.argv[1:]))")
+
+    @pytest.mark.parametrize("lr, code", [(1e-3, 0), (1e20, 2)])
+    def test_pretrain_leaves_no_process_running(self, tmp_path, lr, code):
+        cfg = {**MICRO_CFG, "pretrain": {**MICRO_CFG["pretrain"], "lr": lr}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        src = str(Path(lorabound.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", self.SCRIPT, "pretrain", "--config", tmp_path / "cfg.json",
+             "--out", tmp_path / "base.lbwt"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True, env={**os.environ, "PYTHONPATH": src})
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == code, err
+        if code == 2:
+            # only the named error, whichever process ran the chunk that overflowed
+            [line] = err.splitlines()
+            assert line.startswith("error: pretrain epoch 1, step ")
+            assert "non-finite loss nan" in line
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)      # no process is left in the run's group
+
+    def test_only_training_loads_multiprocessing(self):
+        src = str(Path(lorabound.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, lorabound.cli; "
+             "print(sorted({'mmap', 'multiprocessing'} & set(sys.modules)))"],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout == "[]\n", proc.stderr
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         [],

@@ -415,6 +415,15 @@ class TestBatchedGradients:
         with pytest.raises(InputError, match="mask has shape"):
             model.loss_and_grads(w, None, inputs[:1], targets[:1], mask[:1, :-1])
 
+    @pytest.mark.parametrize("targets, mask, name", [
+        (5, [[True, True]], "targets must be rows shaped like the inputs"),
+        ([[1, 2]], None, "mask must be rows shaped like the inputs"),
+        ([[1, "a"]], [[True, True]], "targets must hold int64 values"),
+    ])
+    def test_targets_or_mask_that_are_not_id_rows(self, targets, mask, name):
+        with pytest.raises(InputError, match=name):
+            model.loss_and_grads(micro_weights(seed=46), None, [[1, 2]], targets, mask)
+
 
 class TestTrainingMemory:
     """What a training forward and backward keep alive, and for how long."""

@@ -275,7 +275,7 @@ class TestEngineAgainstOracle:
             return forward_collect(weights, adapters, tokens)
 
         monkeypatch.setattr(probe, "forward_collect", spy)
-        monkeypatch.setattr(probe, "_usable_cpus", lambda: 1)     # ordered calls
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 1)     # ordered calls
         self.assert_matches(base, lset, samples, [0, 2, 4], n_tokens=2)
         cap = DECODE_BATCH_ROWS
         assert batches == [(cap, 7), (cap, 7), (5, 7)]
@@ -390,7 +390,7 @@ class TestEngineAgainstOracle:
         decode_rows = model._decode_rows
         monkeypatch.setattr(probe, "forward_collect", probe_spy)
         monkeypatch.setattr(model, "_decode_rows", decode_spy)
-        monkeypatch.setattr(probe, "_usable_cpus", lambda: 1)     # ordered calls
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 1)     # ordered calls
         samples = [(p, rng.integers(4, 16, size=2).tolist()) for p in prompts]
         probe_ground_truth(base, lset, samples, n_tokens=2)
         decode_batch(base, lset, [(p, 4) for p in prompts], 1, None)
@@ -453,7 +453,7 @@ class TestWorkerPool:
         sizes = self.pool_sizes(monkeypatch)
         outputs = {}
         for workers in (1, 2, 3):
-            monkeypatch.setattr(probe, "_usable_cpus", lambda n=workers: n)
+            monkeypatch.setattr(model, "_usable_cpus", lambda n=workers: n)
             outputs[workers] = self.run(base, lset, samples)
         assert sizes == [1, 1, 2, 2, 3, 3]
         assert outputs[2] == outputs[1]
@@ -467,9 +467,9 @@ class TestWorkerPool:
     def test_more_workers_than_cores_with_fast_thread_switches(self, monkeypatch):
         base, lset = self.engine.model_and_adapters(seed=33, std=8.0)
         samples = self.engine.samples(60, seed=34, prompt_lengths=(1, 9))
-        monkeypatch.setattr(probe, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
         serial = self.run(base, lset, samples)
-        monkeypatch.setattr(probe, "_usable_cpus", lambda: 4 * (os.cpu_count() or 1))
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 4 * (os.cpu_count() or 1))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -481,18 +481,18 @@ class TestWorkerPool:
     def test_workers_are_capped_by_the_batch_count(self, monkeypatch):
         base, lset, samples, batches = self.inputs()
         sizes = self.pool_sizes(monkeypatch)
-        monkeypatch.setattr(probe, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 64)
         probe_ground_truth(base, lset, samples, n_tokens=3)
         assert sizes == [len(batches)]
 
     def test_usable_cpus_is_the_affinity_mask(self):
         if hasattr(os, "sched_getaffinity"):
-            assert probe._usable_cpus() == len(os.sched_getaffinity(0))
-        assert probe._usable_cpus() >= 1
+            assert model._usable_cpus() == len(os.sched_getaffinity(0))
+        assert model._usable_cpus() >= 1
 
     def test_batches_finishing_out_of_order(self, monkeypatch):
         base, lset, samples, batches = self.inputs()
-        monkeypatch.setattr(probe, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
         serial = self.run(base, lset, samples)
 
         first, last = batches[0][1], batches[-1][1]
@@ -517,7 +517,7 @@ class TestWorkerPool:
             return out
 
         monkeypatch.setattr(probe, "_probe_batch", spy)
-        monkeypatch.setattr(probe, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
         assert self.run(base, lset, samples, probe_once) == serial
 
     def test_a_worker_exception_reaches_the_caller(self, monkeypatch):
@@ -533,7 +533,7 @@ class TestWorkerPool:
             return forward_collect(weights, adapters, tokens)
 
         monkeypatch.setattr(probe, "forward_collect", spy)
-        monkeypatch.setattr(probe, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
         with pytest.raises(Boom, match="batch failed"):
             probe_under_drop(base, lset, samples, keeps=[0, 2, 4], n_tokens=3)
 

@@ -1,7 +1,6 @@
 """Training loops: determinism, base immutability, loss descent, logging."""
 
 import dataclasses
-import functools
 import os
 import platform
 import subprocess
@@ -13,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lorabound import train
+from lorabound import model, train
 from lorabound.errors import ConfigError, InputError
 from lorabound.lora import drop_above, init_adapters
 from lorabound.model import PROJECTIONS, ModelConfig, init_base, next_token_logits
@@ -27,8 +26,11 @@ MICRO = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=16,
 
 FAST = TrainConfig(lr=1e-2, epochs=2, batch=4, seed=0)
 
-# the oracle step in train._batched_step's place, at the loop's one ceiling
-ORACLE_STEP = functools.partial(train_step_oracle, grad_clip=GRAD_CLIP)
+
+def ORACLE_STEP(examples, grad_fn, params, state, workers=None):
+    """The oracle step in train._batched_step's place, at the loop's one
+    ceiling; it runs every row in this process, whatever the workers."""
+    return train_step_oracle(examples, grad_fn, params, state, GRAD_CLIP)
 
 
 def tiny_corpus(seed=0, n=24):
@@ -175,6 +177,7 @@ class TestFinetune:
             return real(weights, adapters, inputs, targets, mask, **kwargs)
 
         monkeypatch.setattr(train, "loss_and_grads", spy)
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 1)   # a worker's calls go unseen
         finetune_lora(base, [([4, 5, 6], [7, 8])] * 4, TrainConfig(epochs=1, batch=4), fresh())
         # inputs 4 5 6 7 predict 5 6 7 8: only the targets 7 and 8 count
         assert [m.tolist() for m in masks] == [[[False, False, True, True]] * 4]
@@ -233,7 +236,8 @@ class TestFinetunePartial:
 
 
 def shape_spy(monkeypatch):
-    """Record the input shape of every loss_and_grads call training makes."""
+    """Record the input shape of every loss_and_grads call training makes;
+    training runs in this process alone, since a worker's calls go unseen."""
     shapes, real = [], train.loss_and_grads
 
     def spy(weights, adapters, inputs, *args, **kwargs):
@@ -241,6 +245,7 @@ def shape_spy(monkeypatch):
         return real(weights, adapters, inputs, *args, **kwargs)
 
     monkeypatch.setattr(train, "loss_and_grads", spy)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
     return shapes
 
 
@@ -358,6 +363,142 @@ class TestStepMemory:
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 256
 
+
+@pytest.fixture
+def own_workers():
+    """Training workers forked inside the test, so they see its
+    monkeypatches, and stopped after it, so no later test does."""
+    train._close_workers()
+    yield
+    train._close_workers()
+
+
+def long_corpus(seed, n=10):
+    """Packed-length sequences: one row per chunk, so a step has as many
+    chunks as sequences."""
+    rng = np.random.default_rng(seed)
+    return [rng.integers(4, 16, size=int(rng.integers(100, 129))).tolist() for _ in range(n)]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="trains in one process")
+class TestWorkerProcesses:
+    """A step's chunks dealt to forked workers, summed here in chunk order."""
+
+    def test_float32_pretrain_is_the_oracle_at_1_2_and_3_processes(self, monkeypatch,
+                                                                   own_workers):
+        corpus = long_corpus(11)
+        tcfg = TrainConfig(lr=1e-2, epochs=2, batch=6, seed=12)
+        calls, real = [], train.loss_and_grads
+
+        def spy(*args):
+            calls.append(args[2].shape)    # in this process only: a worker has its own list
+            return real(*args)
+
+        monkeypatch.setattr(train, "loss_and_grads", spy)
+        runs = []
+        for n in (1, 2, 3):
+            monkeypatch.setattr(model, "_usable_cpus", lambda n=n: n)
+            calls.clear()
+            runs.append(pretrain(TestChunkedStep.LONG, tcfg, corpus))
+            # six chunks a step, then four: this process runs chunks 0, n, 2n, ...
+            assert len(calls) == tcfg.epochs * (-(-6 // n) + -(-4 // n))
+        monkeypatch.setattr(train, "_batched_step", ORACLE_STEP)
+        want_weights, want_history = pretrain(TestChunkedStep.LONG, tcfg, corpus)
+        for weights, history in runs:
+            assert weights.tensors["head"].dtype == np.float32
+            assert history == want_history
+            assert_identical(weights.tensors, snapshot(want_weights))
+
+    def test_finetune_is_the_same_bytes_at_1_2_and_3_processes(self, monkeypatch):
+        cfg = TestChunkedStep.LONG
+        base = randomize_weights(init_base(cfg, seed=13).astype(np.float64),
+                                 np.random.default_rng(14))
+        rng = np.random.default_rng(15)
+        pairs = [(rng.integers(4, 16, size=int(rng.integers(2, 50))).tolist(),
+                  rng.integers(4, 16, size=int(rng.integers(1, 14))).tolist())
+                 for _ in range(23)]
+        tcfg = TrainConfig(lr=1e-2, epochs=2, batch=12, seed=16)
+
+        def run():
+            lset = init_adapters(cfg, targets=PROJECTIONS, rank=2, seed=17)
+            randomize_adapters(lset, np.random.default_rng(18), dtype=np.float64)
+            return finetune_lora(base, pairs, tcfg, adapters=lset)
+
+        runs = []
+        for n in (1, 2, 3):
+            monkeypatch.setattr(model, "_usable_cpus", lambda n=n: n)
+            runs.append(run())
+        monkeypatch.setattr(train, "_batched_step", ORACLE_STEP)
+        want, want_history = run()
+        first, first_history = runs[0]
+        for got, history in runs:
+            assert history == first_history
+            for key, ad in got.adapters.items():
+                assert ad.a.tobytes() == first.adapters[key].a.tobytes(), key
+                assert ad.b.tobytes() == first.adapters[key].b.tobytes(), key
+                assert rel_error(ad.a, want.adapters[key].a) < 1e-6, key
+                assert rel_error(ad.b, want.adapters[key].b) < 1e-6, key
+            for (_, _, loss), (_, _, want_loss) in zip(history, want_history):
+                assert rel_error(loss, want_loss) < 1e-6
+
+    def test_workers_are_reused_and_exit_when_their_pipes_close(self, monkeypatch,
+                                                                 own_workers):
+        mask = os.sched_getaffinity(0)
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 3)
+        pretrain(MICRO, FAST, tiny_corpus())
+        procs = list(train._pool.procs)
+        assert len(procs) == 2 and all(proc.is_alive() for proc in procs)
+        finetune_lora(init_base(MICRO, seed=1), tiny_pairs(), FAST, fresh())
+        assert train._pool.procs == procs
+        assert os.sched_getaffinity(0) == mask      # a step's CPU pin is undone after it
+        train._close_workers()
+        assert [proc.exitcode for proc in procs] == [0, 0]
+
+    def test_a_workers_input_error_is_raised_here_by_name(self, monkeypatch):
+        weights = init_base(TestChunkedStep.LONG, seed=19)
+        rows = [np.array(seq) for seq in long_corpus(20, n=2)]
+        rows[1][50] = 99        # chunk 1, a worker's
+        examples = [(ids[:-1], ids[1:], np.ones(ids.size - 1, dtype=bool)) for ids in rows]
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        workers = train._workers_for(weights, None, weights.tensors)
+
+        def grad_fn(inputs, targets, mask):
+            return train.loss_and_grads(weights, None, inputs, targets, mask)
+
+        with pytest.raises(InputError, match=r"token ids must lie in \[0, 16\)") as info:
+            train._batched_step(examples, grad_fn, weights.tensors,
+                                train.AdamState(lr=1e-3), workers)
+        assert info.value.__notes__ == ["raised in training worker 1"]
+        assert train._pool is None      # stopped mid-step; the next run forks afresh
+
+    def test_a_workers_runtime_warning_is_raised_here_by_name(self, monkeypatch, own_workers):
+        parent, real = os.getpid(), train.loss_and_grads
+
+        def warns_in_a_worker(*args):
+            if os.getpid() != parent:
+                np.float64(1.0) / np.float64(0.0)   # the error::RuntimeWarning filter raises
+            return real(*args)
+
+        monkeypatch.setattr(train, "loss_and_grads", warns_in_a_worker)
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        with pytest.raises(RuntimeWarning, match="divide by zero") as info:
+            pretrain(TestChunkedStep.LONG, TrainConfig(epochs=1, batch=2), long_corpus(21))
+        assert info.value.__notes__ == ["raised in training worker 1"]
+
+    def test_a_worker_that_dies_is_named_with_its_exit_code(self, monkeypatch, own_workers):
+        parent, real = os.getpid(), train.loss_and_grads
+
+        def dies_in_a_worker(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(train, "loss_and_grads", dies_in_a_worker)
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        with pytest.raises(ChildProcessError,
+                           match=r"training worker 1 \(pid \d+\) exited with code 3"):
+            pretrain(TestChunkedStep.LONG, TrainConfig(epochs=1, batch=2), long_corpus(22))
+        assert train._pool is None
 
 class TestTrainLog:
     def test_tsv_round_trip(self, tmp_path):
