@@ -255,6 +255,9 @@ def cmd_export(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    for flag, value in (("--budget", args.budget), ("--decode-budget", args.decode_budget)):
+        if value is not None and value < 1:
+            raise InputError(f"{flag} must be at least 1, got {value}")
     cfg = _load_config(args.config)
     base = load_weights(args.model)
     ds, samples = _load_split(args.data, args.split)

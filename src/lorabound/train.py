@@ -19,10 +19,10 @@ against the arena's copy, writes its chunk's gradients into its slot and
 sends back the loss. This process adds every chunk's gradients into the
 step total in chunk order, exactly as one process would, so a run's
 bytes do not depend on n; then it clips and takes the Adam step itself.
-During a step each process keeps to its own CPU of the mask, and a
-process waiting for another polls its pipe before it sleeps. Later runs
-reuse the workers and the arena; the process forks again only when a run
-needs more workers or a larger arena. With one usable CPU, tensors of
+A process waiting for another polls its pipe for up to _POLL_S before
+it sleeps, which keeps its CPU busy between chunks (see _wait). Later
+runs reuse the workers and the arena; the process forks again only when
+a run needs more workers or a larger arena. With one usable CPU, tensors of
 mixed dtypes or no affinity API (os.sched_getaffinity, which Linux has),
 nothing is forked and every chunk runs here, so `taskset -c 0` trains in
 one process. Each process runs its own BLAS: pin it to one thread
@@ -53,7 +53,6 @@ adapter factors only; the base weights are read, never written.
 from __future__ import annotations
 
 import atexit
-import contextlib
 import ctypes
 import dataclasses
 import logging
@@ -197,26 +196,6 @@ def _bind(arena, cfg, layout, lora, keys, slot):
     return base, lora, _views(arena, slot)
 
 
-@contextlib.contextmanager
-def _on_cpu(cpu):
-    """Keep this thread on one CPU for the block; with cpu None, or one
-    outside the affinity mask, leave it where it may run.
-
-    A training process woken by another one's message may otherwise be
-    placed on the sender's CPU and preempt it there, while the other CPU
-    idles.
-    """
-    mask = os.sched_getaffinity(0) if cpu is not None else ()
-    if cpu not in mask:
-        yield
-        return
-    os.sched_setaffinity(0, {cpu})
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, mask)
-
-
 # a process waiting for another polls its pipe this long before it sleeps
 _POLL_S = 0.05
 
@@ -241,8 +220,8 @@ def _wait(conn) -> None:
             return
 
 
-def _serve(conn, arena, inherited, cpu) -> None:
-    """A worker's loop on its own CPU, until its pipe closes.
+def _serve(conn, arena, inherited) -> None:
+    """A worker's loop, until its pipe closes.
 
     ("run", ...) binds a run's model and gradient slot. Each chunk is
     answered with ("done", loss) once its gradients are in the slot, or
@@ -252,7 +231,6 @@ def _serve(conn, arena, inherited, cpu) -> None:
     for other in inherited:      # pipe ends of this process and earlier workers
         other.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)    # an interrupt is for the parent
-    os.sched_setaffinity(0, {cpu})
     while True:
         try:
             _wait(conn)
@@ -284,16 +262,13 @@ class _Workers:
         # package, and the package runs no thread of its own while training
         ctx = multiprocessing.get_context("fork")
         self.arena = mmap.mmap(-1, size)     # anonymous and shared across the fork
-        # process w runs on the w-th CPU of the affinity mask, this one on the first
-        cpus = sorted(os.sched_getaffinity(0))
-        self.cpus = [cpus[w % len(cpus)] for w in range(count + 1)]
         self.conns, self.procs = [], []
         self.tensors: dict[str, np.ndarray] = {}
         self.slots: list[dict[str, np.ndarray]] = []
         for w in range(1, count + 1):
             mine, theirs = ctx.Pipe()
             proc = ctx.Process(target=_serve, name=f"lorabound-train-{w}", daemon=True,
-                               args=(theirs, self.arena, [*self.conns, mine], self.cpus[w]))
+                               args=(theirs, self.arena, [*self.conns, mine]))
             proc.start()
             theirs.close()
             self.conns.append(mine)
@@ -332,20 +307,19 @@ class _Workers:
         """
         n = min(len(self.slots) + 1, len(chunks))
         try:
-            with _on_cpu(self.cpus[0] if n > 1 else None):
-                if n > 1:
-                    for name, p in params.items():
-                        np.copyto(self.tensors[name], p)
-                for w in range(1, n):
-                    self._send(w, ("chunk", *chunks[w]))
-                for i, chunk in enumerate(chunks):
-                    w = i % n
-                    if w == 0:
-                        add(len(chunk[0]), *grad_fn(*chunk))
-                        continue
-                    add(len(chunk[0]), self._recv(w), self.slots[w - 1])
-                    if i + n < len(chunks):
-                        self._send(w, ("chunk", *chunks[i + n]))
+            if n > 1:
+                for name, p in params.items():
+                    np.copyto(self.tensors[name], p)
+            for w in range(1, n):
+                self._send(w, ("chunk", *chunks[w]))
+            for i, chunk in enumerate(chunks):
+                w = i % n
+                if w == 0:
+                    add(len(chunk[0]), *grad_fn(*chunk))
+                    continue
+                add(len(chunk[0]), self._recv(w), self.slots[w - 1])
+                if i + n < len(chunks):
+                    self._send(w, ("chunk", *chunks[i + n]))
         except BaseException:
             _close_workers()    # a worker may still be inside a chunk; fork afresh next run
             raise
@@ -394,7 +368,8 @@ def _workers_for(base: BaseWeights, adapters, params) -> _Workers | None:
     tensors = dict(base.tensors)
     if adapters is not None:
         tensors.update(params)
-    # workers are pinned to CPUs of the affinity mask, so they need its API
+    # forked workers are Linux-only; without the affinity API (macOS,
+    # Windows) training stays in one process
     if (count < 1 or not hasattr(os, "sched_getaffinity")
             or len({a.dtype for a in tensors.values()}) > 1):
         return None

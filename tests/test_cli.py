@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import lorabound
+from lorabound import model
 from lorabound.boundary import BoundaryDecision
 from lorabound.cli import build_parser, main
 from lorabound.fileio import (MAGIC_ADAPTERS, MAGIC_WEIGHTS, _decode_container,
@@ -397,7 +398,7 @@ class TestTrainingProcesses:
               "model._usable_cpus = lambda: 2; sys.exit(cli.main(sys.argv[1:]))")
 
     @pytest.mark.parametrize("lr, code", [(1e-3, 0), (1e20, 2)])
-    def test_pretrain_leaves_no_process_running(self, tmp_path, lr, code):
+    def test_pretrain_leaves_no_process_running(self, tmp_path, monkeypatch, lr, code):
         cfg = {**MICRO_CFG, "pretrain": {**MICRO_CFG["pretrain"], "lr": lr}}
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         src = str(Path(lorabound.__file__).resolve().parents[1])
@@ -414,6 +415,15 @@ class TestTrainingProcesses:
             assert "non-finite loss nan" in line
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)      # no process is left in the run's group
+        if code == 0:
+            # the same bytes as a run in this process alone
+            monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
+            one = tmp_path / "one"
+            one.mkdir()
+            assert run("pretrain", "--config", tmp_path / "cfg.json",
+                       "--out", one / "base.lbwt") == 0
+            for name in ("base.lbwt", "base.lbwt.manifest.json"):
+                assert (one / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
     def test_only_training_loads_multiprocessing(self):
         src = str(Path(lorabound.__file__).resolve().parents[1])
@@ -507,12 +517,23 @@ class TestDomainErrors:
                  "--out", tmp_path / "e.tsv")
         assert rc == 2
 
-    def test_negative_decode_budget_exits_two(self, pipeline, tmp_path, capsys):
-        rc = run("eval", "--config", pipeline["cfg"], "--model",
-                 pipeline["base"], "--data", pipeline["data"],
-                 "--decode-budget", -1, "--out", tmp_path / "e.tsv")
+    @staticmethod
+    def eval_budget_error(pipeline, tmp_path, capsys, flag, value) -> str:
+        """eval's stderr for a budget flag, with a model file that does not
+        exist: only a check made before loading names the flag."""
+        rc = run("eval", "--config", pipeline["cfg"], "--model", tmp_path / "nope.lbwt",
+                 "--data", pipeline["data"], flag, value, "--out", tmp_path / "e.tsv")
         assert rc == 2
-        assert "max_new" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+        return capsys.readouterr().err
+
+    def test_negative_decode_budget_exits_two(self, pipeline, tmp_path, capsys):
+        err = self.eval_budget_error(pipeline, tmp_path, capsys, "--decode-budget", -1)
+        assert err == "error: --decode-budget must be at least 1, got -1\n"
+
+    def test_zero_decode_budget_exits_two(self, pipeline, tmp_path, capsys):
+        err = self.eval_budget_error(pipeline, tmp_path, capsys, "--decode-budget", 0)
+        assert err == "error: --decode-budget must be at least 1, got 0\n"
 
     def test_bad_config_json_exits_two(self, tmp_path):
         cfg = tmp_path / "broken.json"
@@ -627,11 +648,8 @@ class TestDomainErrors:
         assert sorted(os.listdir(tmp_path)) == ["bad.lbad"]
 
     def test_zero_eval_budget_exits_two(self, pipeline, tmp_path, capsys):
-        rc = run("eval", "--config", pipeline["cfg"], "--model", pipeline["base"],
-                 "--data", pipeline["data"], "--budget", 0, "--out", tmp_path / "e.tsv")
-        assert rc == 2
-        assert "sample budget must be positive" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == []
+        err = self.eval_budget_error(pipeline, tmp_path, capsys, "--budget", 0)
+        assert err == "error: --budget must be at least 1, got 0\n"
 
     def test_sweep_min_jump_ratio_is_an_unknown_key(self, pipeline, tmp_path, capsys):
         path = config_with(pipeline, tmp_path, "sweep", "min_jump_ratio", 0.25)

@@ -14,7 +14,7 @@ import pytest
 
 from lorabound import model, train
 from lorabound.errors import ConfigError, InputError
-from lorabound.lora import drop_above, init_adapters
+from lorabound.lora import drop_above, init_adapters, lora_param_dict
 from lorabound.model import PROJECTIONS, ModelConfig, init_base, next_token_logits
 from lorabound.train import GRAD_CLIP, TrainConfig, finetune_lora, pretrain, write_train_log
 
@@ -450,9 +450,37 @@ class TestWorkerProcesses:
         assert len(procs) == 2 and all(proc.is_alive() for proc in procs)
         finetune_lora(init_base(MICRO, seed=1), tiny_pairs(), FAST, fresh())
         assert train._pool.procs == procs
-        assert os.sched_getaffinity(0) == mask      # a step's CPU pin is undone after it
+        assert os.sched_getaffinity(0) == mask      # training never touches the mask
         train._close_workers()
         assert [proc.exitcode for proc in procs] == [0, 0]
+
+    @pytest.mark.parametrize("guard", ["mixed dtypes", "no affinity API"])
+    def test_a_guarded_run_trains_in_one_process(self, monkeypatch, own_workers, guard):
+        cfg = TestChunkedStep.LONG
+        base = init_base(cfg, seed=23)      # float32
+        rng = np.random.default_rng(24)
+        pairs = [(rng.integers(4, 16, size=40).tolist(), rng.integers(4, 16, size=8).tolist())
+                 for _ in range(12)]
+        tcfg = TrainConfig(lr=1e-2, epochs=2, batch=12, seed=25)    # three chunks a step
+        dtype = np.float64 if guard == "mixed dtypes" else np.float32
+        if guard == "no affinity API":
+            monkeypatch.delattr(os, "sched_getaffinity")
+
+        def run(n):
+            monkeypatch.setattr(model, "_usable_cpus", lambda: n)
+            lset = randomize_adapters(init_adapters(cfg, rank=2, seed=26),
+                                      np.random.default_rng(27), dtype=dtype)
+            assert train._workers_for(base, lset, lora_param_dict(lset)) is None
+            got = finetune_lora(base, pairs, tcfg, adapters=lset)
+            assert train._pool is None
+            return got
+
+        (want, want_history), (got, history) = run(1), run(2)
+        assert history == want_history
+        for key, ad in got.adapters.items():
+            assert ad.a.dtype == dtype
+            assert ad.a.tobytes() == want.adapters[key].a.tobytes(), key
+            assert ad.b.tobytes() == want.adapters[key].b.tobytes(), key
 
     def test_a_workers_input_error_is_raised_here_by_name(self, monkeypatch):
         weights = init_base(TestChunkedStep.LONG, seed=19)
