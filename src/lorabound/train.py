@@ -11,30 +11,31 @@ A step's chunks are dealt round-robin to n processes, n being the CPUs
 in the process's affinity mask (model._usable_cpus, the probe engine's
 rule): chunk i runs in process i % n, where process 0 is this one, so it
 always runs chunk 0, and 1..n-1 are worker processes. The workers are
-forked at the process's first training run and share one anonymous
-shared mmap arena with it, which holds the model's tensors and one
-gradient slot per worker. This process copies the trained tensors into
-the arena at the start of each step; a worker runs loss_and_grads
-against the arena's copy, writes its chunk's gradients into its slot and
-sends back the loss. This process adds every chunk's gradients into the
-step total in chunk order, exactly as one process would, so a run's
-bytes do not depend on n; then it clips and takes the Adam step itself.
-A process waiting for another polls its pipe for up to _POLL_S before
-it sleeps, which keeps its CPU busy between chunks (see _wait). Later
-runs reuse the workers and the arena; the process forks again only when
-a run needs more workers or a larger arena. With one usable CPU, tensors of
-mixed dtypes or no affinity API (os.sched_getaffinity, which Linux has),
-nothing is forked and every chunk runs here, so `taskset -c 0` trains in
-one process. Each process runs its own BLAS: pin it to one thread
-(OPENBLAS_NUM_THREADS=1, as the benchmark does), or the processes' BLAS
-threads oversubscribe the CPUs. A worker exits when its pipe closes,
-which this process does at interpreter exit. An exception raised in a
-worker is raised again here with its type and message, and a worker that
-dies raises ChildProcessError naming it and its exit code.
+forked at the start of each training run and stopped at its end, however
+it ends. A worker inherits the model through the fork. Only the run's
+trained tensors (every base tensor when pretraining, the adapter factors
+when fine-tuning) and one gradient slot per worker live in an anonymous
+shared mmap arena. This process copies the trained tensors into the
+arena at the start of each step; a worker runs loss_and_grads against
+the arena's copy, writes its chunk's gradients into its slot and sends
+back the loss. This process adds every chunk's gradients into the step
+total in chunk order, exactly as one process would, so a run's bytes do
+not depend on n; then it clips and takes the Adam step itself. A
+process waiting for another polls its pipe for up to _POLL_S before it
+sleeps, which keeps its CPU busy between chunks (see _wait). With one
+usable CPU, tensors of mixed dtypes or no affinity API
+(os.sched_getaffinity, which Linux has), nothing is forked and every
+chunk runs here, so `taskset -c 0` trains in one process. Each process
+runs its own BLAS: pin it to one thread (OPENBLAS_NUM_THREADS=1, as the
+benchmark does), or the processes' BLAS threads oversubscribe the CPUs.
+A worker exits when its pipe closes, one still inside a chunk once the
+chunk is done or after a second, when it is terminated. An exception raised in a worker is raised
+again here with its type and message, and a worker that dies raises
+ChildProcessError naming it and its exit code.
 
 At its peak a step holds, in this process, the weights, the Adam
 moments, the step's gradient total, one chunk's activations, which the
-backward frees layer by layer, and the arena: a copy of the model's
+backward frees layer by layer, and the arena: a copy of the trained
 tensors and one gradient set per worker. Each chunk's gradients are
 added into the total before this process runs its next chunk; its own
 are then dropped, and a worker's slot is handed back for its next
@@ -52,7 +53,6 @@ adapter factors only; the base weights are read, never written.
 
 from __future__ import annotations
 
-import atexit
 import ctypes
 import dataclasses
 import logging
@@ -66,9 +66,9 @@ import numpy as np
 from . import model
 from .errors import ConfigError, DegenerateInputError, InputError
 from .fileio import atomic_write_text
-from .lora import LoraAdapter, LoraSet, lora_param_dict
+from .lora import LoraAdapter, LoraSet, check_compat, lora_param_dict
 from .model import (TRAIN_CHUNK_POSITIONS, BaseWeights, ModelConfig, check_seed,
-                    init_base, loss_and_grads, param_shapes)
+                    init_base, loss_and_grads)
 from .numerics import AdamState, adam_step, clip_by_global_norm
 from .tasks import sample_ids
 
@@ -169,31 +169,18 @@ def _batched_step(examples, grad_fn, params, state, workers=None):
 _ALIGN = 64
 
 
-def _layout(tensors, offset: int):
-    """({name: (offset, shape, dtype)} of tensors packed from offset, end offset)."""
-    layout = {}
+def _span(a: np.ndarray) -> int:
+    """The arena bytes of a tensor: its own, up to the next cache line."""
+    return -(-a.nbytes // _ALIGN) * _ALIGN
+
+
+def _views(arena, tensors, offset: int) -> dict[str, np.ndarray]:
+    """Views of the arena from offset, one like each of tensors, packed in order."""
+    views = {}
     for name, a in tensors.items():
-        offset = -(-offset // _ALIGN) * _ALIGN
-        layout[name] = (offset, a.shape, a.dtype.str)
-        offset += a.nbytes
-    return layout, offset
-
-
-def _views(arena, layout) -> dict[str, np.ndarray]:
-    return {name: np.ndarray(shape, dtype, buffer=arena, offset=offset)
-            for name, (offset, shape, dtype) in layout.items()}
-
-
-def _bind(arena, cfg, layout, lora, keys, slot):
-    """A worker's (base, adapters, slot) of one run, all views of the arena."""
-    tensors = _views(arena, layout)
-    base = BaseWeights(cfg, {name: tensors[name] for name in param_shapes(cfg)})
-    if lora is not None:
-        lora = dataclasses.replace(lora, adapters={
-            (layer, proj): LoraAdapter(a=tensors[f"layer{layer:02d}.{proj}.lora_a"],
-                                       b=tensors[f"layer{layer:02d}.{proj}.lora_b"])
-            for layer, proj in keys})
-    return base, lora, _views(arena, slot)
+        views[name] = np.ndarray(a.shape, a.dtype, buffer=arena, offset=offset)
+        offset += _span(a)
+    return views
 
 
 # a process waiting for another polls its pipe this long before it sleeps
@@ -220,13 +207,11 @@ def _wait(conn) -> None:
             return
 
 
-def _serve(conn, arena, inherited) -> None:
-    """A worker's loop, until its pipe closes.
-
-    ("run", ...) binds a run's model and gradient slot. Each chunk is
-    answered with ("done", loss) once its gradients are in the slot, or
-    with ("error", exception).
-    """
+def _serve(conn, base, adapters, slot, inherited) -> None:
+    """A worker's loop, until its pipe closes: each chunk is answered with
+    ("done", loss) once its gradients are in the slot, or with
+    ("error", exception). A worker whose pipe closed mid-chunk exits
+    without a reply."""
     import signal
     for other in inherited:      # pipe ends of this process and earlier workers
         other.close()
@@ -234,51 +219,60 @@ def _serve(conn, arena, inherited) -> None:
     while True:
         try:
             _wait(conn)
-            kind, *body = conn.recv()
+            chunk = conn.recv()
         except EOFError:
             return
-        if kind == "run":
-            base, adapters, slot = _bind(arena, *body)
-            continue
         try:
             # errstate does not cross the fork; this is _batched_step's
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, grads = loss_and_grads(base, adapters, *body)
+                loss, grads = loss_and_grads(base, adapters, *chunk)
             for name, dest in slot.items():
                 np.copyto(dest, grads.pop(name), casting="no")
             reply = ("done", loss)
         except Exception as exc:
             reply = ("error", exc)
-        conn.send(reply)
+        try:
+            conn.send(reply)
+        except BrokenPipeError:     # the run stopped while this chunk ran
+            return
 
 
 class _Workers:
-    """Forked training workers over one shared arena; see the module docstring."""
+    """One run's forked training workers over a shared arena; see the
+    module docstring."""
 
-    def __init__(self, count: int, size: int):
+    def __init__(self, count: int, base: BaseWeights, adapters, params):
         import mmap             # with multiprocessing, loaded only when training forks
         import multiprocessing
-        # fork, not spawn: a worker inherits the arena and the imported
-        # package, and the package runs no thread of its own while training
+        # the trained tensors, then one gradient slot per worker, each laid out alike
+        size = sum(_span(a) for a in params.values())
+        arena = mmap.mmap(-1, size * (count + 1))     # anonymous and shared across the fork
+        self.tensors, *self.slots = [_views(arena, params, size * k) for k in range(count + 1)]
+        # a worker's model: the trained tensors are the arena's, the rest
+        # is this process's, inherited through the fork and never written
+        if adapters is None:
+            base = BaseWeights(base.cfg, self.tensors)
+        else:
+            adapters = dataclasses.replace(adapters, adapters={
+                (layer, proj): LoraAdapter(a=self.tensors[f"layer{layer:02d}.{proj}.lora_a"],
+                                           b=self.tensors[f"layer{layer:02d}.{proj}.lora_b"])
+                for layer, proj in adapters.adapters})
+        # fork, not spawn: a worker inherits the arena, the model and the
+        # imported package, and the package runs no thread of its own while training
         ctx = multiprocessing.get_context("fork")
-        self.arena = mmap.mmap(-1, size)     # anonymous and shared across the fork
         self.conns, self.procs = [], []
-        self.tensors: dict[str, np.ndarray] = {}
-        self.slots: list[dict[str, np.ndarray]] = []
-        for w in range(1, count + 1):
+        for w, slot in enumerate(self.slots, 1):
             mine, theirs = ctx.Pipe()
             proc = ctx.Process(target=_serve, name=f"lorabound-train-{w}", daemon=True,
-                               args=(theirs, self.arena, [*self.conns, mine]))
+                               args=(theirs, base, adapters, slot, [*self.conns, mine]))
             proc.start()
             theirs.close()
             self.conns.append(mine)
             self.procs.append(proc)
-        atexit.register(self.close)
 
     def close(self) -> None:
         """Stop the workers: an idle one exits when its pipe closes, one
-        still inside a chunk is terminated after a second."""
-        atexit.unregister(self.close)
+        still inside a chunk once it is done or, after a second, terminated."""
         for conn in self.conns:
             conn.close()
         for proc in self.procs:
@@ -286,15 +280,6 @@ class _Workers:
             if proc.exitcode is None:
                 proc.terminate()
                 proc.join()
-
-    def bind(self, cfg, tensors, layout, lora, keys, slots) -> None:
-        """Copy a run's model tensors into the arena and send each worker its run."""
-        self.tensors = _views(self.arena, layout)
-        for name, a in tensors.items():
-            np.copyto(self.tensors[name], a)
-        self.slots = [_views(self.arena, slot) for slot in slots]
-        for w, slot in enumerate(slots, 1):
-            self._send(w, ("run", cfg, layout, lora, keys, slot))
 
     def run(self, chunks, grad_fn, params, add) -> None:
         """add(rows, loss, grads) for every chunk, in chunk order.
@@ -306,27 +291,23 @@ class _Workers:
         process's, so the step total never adopts a slot's arrays.
         """
         n = min(len(self.slots) + 1, len(chunks))
-        try:
-            if n > 1:
-                for name, p in params.items():
-                    np.copyto(self.tensors[name], p)
-            for w in range(1, n):
-                self._send(w, ("chunk", *chunks[w]))
-            for i, chunk in enumerate(chunks):
-                w = i % n
-                if w == 0:
-                    add(len(chunk[0]), *grad_fn(*chunk))
-                    continue
-                add(len(chunk[0]), self._recv(w), self.slots[w - 1])
-                if i + n < len(chunks):
-                    self._send(w, ("chunk", *chunks[i + n]))
-        except BaseException:
-            _close_workers()    # a worker may still be inside a chunk; fork afresh next run
-            raise
+        if n > 1:
+            for name, p in params.items():
+                np.copyto(self.tensors[name], p)
+        for w in range(1, n):
+            self._send(w, chunks[w])
+        for i, chunk in enumerate(chunks):
+            w = i % n
+            if w == 0:
+                add(len(chunk[0]), *grad_fn(*chunk))
+                continue
+            add(len(chunk[0]), self._recv(w), self.slots[w - 1])
+            if i + n < len(chunks):
+                self._send(w, chunks[i + n])
 
-    def _send(self, w: int, message) -> None:
+    def _send(self, w: int, chunk) -> None:
         try:
-            self.conns[w - 1].send(message)
+            self.conns[w - 1].send(chunk)
         except OSError:
             self._died(w)
 
@@ -344,47 +325,21 @@ class _Workers:
     def _died(self, w: int):
         proc = self.procs[w - 1]
         proc.join()     # its pipe is closed, so its process is gone or going
-        _close_workers()
         raise ChildProcessError(
             f"training worker {w} (pid {proc.pid}) exited with code {proc.exitcode}") from None
 
 
-_pool: _Workers | None = None
-
-
-def _close_workers() -> None:
-    """Stop the process's workers, if any; the next run forks new ones."""
-    global _pool
-    if _pool is not None:
-        _pool.close()
-        _pool = None
-
-
 def _workers_for(base: BaseWeights, adapters, params) -> _Workers | None:
-    """The process's workers, bound to a run that trains params of base
-    (and adapters, if given); None if the run trains in this process alone."""
-    global _pool
+    """Workers forked for a run that trains params of base (and adapters,
+    if given), which the caller closes when the run ends; None if the run
+    trains in this process alone."""
     count = model._usable_cpus() - 1
-    tensors = dict(base.tensors)
-    if adapters is not None:
-        tensors.update(params)
     # forked workers are Linux-only; without the affinity API (macOS,
     # Windows) training stays in one process
     if (count < 1 or not hasattr(os, "sched_getaffinity")
-            or len({a.dtype for a in tensors.values()}) > 1):
+            or len({a.dtype for a in (*base.tensors.values(), *params.values())}) > 1):
         return None
-    layout, end = _layout(tensors, 0)
-    slots = []
-    for _ in range(count):
-        slot, end = _layout(params, end)
-        slots.append(slot)
-    if _pool is None or len(_pool.procs) < count or len(_pool.arena) < end:
-        _close_workers()
-        _pool = _Workers(count, end)
-    lora = None if adapters is None else dataclasses.replace(adapters, adapters={})
-    keys = None if adapters is None else adapters.keys_sorted()
-    _pool.bind(base.cfg, tensors, layout, lora, keys, slots)
-    return _pool
+    return _Workers(count, base, adapters, params)
 
 
 def _keep_freed_heap() -> None:
@@ -417,22 +372,26 @@ def _train_loop(examples, base: BaseWeights, adapters, tcfg: TrainConfig, log_pa
     def grad_fn(inputs, targets, mask):
         return loss_and_grads(base, adapters, inputs, targets, mask)
 
-    workers = _workers_for(base, adapters, params)
     state = AdamState(lr=tcfg.lr)
     order_rng = np.random.default_rng(tcfg.seed)
     history: list[tuple[int, int, float]] = []
-    for epoch in range(1, tcfg.epochs + 1):
-        order = order_rng.permutation(len(examples))
-        for start in range(0, len(examples), tcfg.batch):
-            batch = [examples[i] for i in order[start:start + tcfg.batch]]
-            step = len(history) + 1
-            try:
-                loss = _batched_step(batch, grad_fn, params, state, workers)
-            except DegenerateInputError as exc:
-                raise DegenerateInputError(
-                    f"{name} epoch {epoch}, step {step}: {exc}") from None
-            history.append((epoch, step, loss))
-        log.info("%s epoch %d done, loss %.4f", name, epoch, history[-1][2])
+    workers = _workers_for(base, adapters, params)
+    try:
+        for epoch in range(1, tcfg.epochs + 1):
+            order = order_rng.permutation(len(examples))
+            for start in range(0, len(examples), tcfg.batch):
+                batch = [examples[i] for i in order[start:start + tcfg.batch]]
+                step = len(history) + 1
+                try:
+                    loss = _batched_step(batch, grad_fn, params, state, workers)
+                except DegenerateInputError as exc:
+                    raise DegenerateInputError(
+                        f"{name} epoch {epoch}, step {step}: {exc}") from None
+                history.append((epoch, step, loss))
+            log.info("%s epoch %d done, loss %.4f", name, epoch, history[-1][2])
+    finally:
+        if workers is not None:
+            workers.close()
     if log_path is not None:
         write_train_log(log_path, history)
     return history
@@ -471,10 +430,12 @@ def finetune_lora(base: BaseWeights, dataset, tcfg: TrainConfig, adapters: LoraS
 
     Only A and B factors are updated, in place; the loss covers the
     reference positions only. Returns (LoraSet, history). A set that
-    holds no adapters has nothing to train and raises InputError.
+    holds no adapters has nothing to train and raises InputError; one
+    that does not fit base (lora.check_compat) raises CompatibilityError.
     """
     if not adapters.adapters:
         raise InputError("the adapter set holds no adapters; there is nothing to train")
+    check_compat(base, adapters)
     pairs = sample_ids(dataset)
     if not pairs:
         raise InputError("dataset is empty")

@@ -7,6 +7,7 @@ expensive (minutes, not seconds) and session-scoped, so the cost is
 paid once per pytest run and only when a test actually asks for them.
 """
 import json
+import multiprocessing
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,6 +39,18 @@ MULTI_TRAIN = {"lr": 1e-3, "epochs": 2, "batch": 16}
 MULTI_SWEEP = {"budget": 200, "decode_budget": 16}
 MULTI_TASKS = ("kvqa", "arith", "cipher-mt", "salient-summary")
 MULTI_SEEDS = (0, 1, 2)
+
+
+@pytest.fixture(autouse=True)
+def no_process_outlives_its_test():
+    """Fail a test that leaves a multiprocessing child running, such as a
+    training worker; active_children also reaps those that have exited."""
+    yield
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.terminate()
+        proc.join()
+    assert not left, f"processes still running after the test: {left}"
 
 
 def multi_sections(task: str, seed: int) -> dict:

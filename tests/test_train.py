@@ -1,6 +1,7 @@
 """Training loops: determinism, base immutability, loss descent, logging."""
 
 import dataclasses
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from lorabound import model, train
-from lorabound.errors import ConfigError, InputError
+from lorabound.errors import CompatibilityError, ConfigError, InputError
 from lorabound.lora import drop_above, init_adapters, lora_param_dict
 from lorabound.model import PROJECTIONS, ModelConfig, init_base, next_token_logits
 from lorabound.train import GRAD_CLIP, TrainConfig, finetune_lora, pretrain, write_train_log
@@ -197,6 +198,24 @@ class TestFinetune:
         with pytest.raises(InputError):
             finetune_lora(base, [([4, 5, 6, 7, 8], [9, 10, 11, 12])], FAST, fresh())
 
+    @pytest.mark.parametrize("other", [
+        ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=16, vocab_size=16, max_seq=8),
+        ModelConfig(n_layers=3, d_model=8, n_heads=2, d_ff=16, vocab_size=16, max_seq=8),
+    ], ids=["d_model 16", "3 layers"])
+    def test_a_set_for_another_model_is_rejected_before_any_compute(self, monkeypatch,
+                                                                    other):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("a set for another model reached training")
+
+        monkeypatch.setattr(train, "loss_and_grads", no_compute)
+        monkeypatch.setattr(train, "_workers_for", no_compute)
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        lset = init_adapters(other)
+        fingerprint = lset.fingerprint
+        with pytest.raises(CompatibilityError):
+            finetune_lora(init_base(MICRO, seed=0), tiny_pairs(), FAST, lset)
+        assert lset.fingerprint == fingerprint
+
 
 class TestFinetunePartial:
     def test_upper_layers_hold_no_adapters(self):
@@ -345,10 +364,13 @@ class TestStepMemory:
         # defaults faults ~10k freed pages in again (a desk model, ~118-token rows)
         script = textwrap.dedent("""
             import resource
+            from lorabound import model
             from lorabound.model import ModelConfig
             from lorabound.tasks import gen_pretrain_corpus
             from lorabound.train import TrainConfig, pretrain
             corpus = gen_pretrain_corpus(0, n_tokens=1500, max_seq=128)
+            # one process: a second run would fork its workers again
+            model._usable_cpus = lambda: 1
             def faults():
                 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 pretrain(ModelConfig(), TrainConfig(lr=1e-3, epochs=2, batch=8), corpus)
@@ -364,13 +386,17 @@ class TestStepMemory:
         assert int(proc.stdout) < 256
 
 
-@pytest.fixture
-def own_workers():
-    """Training workers forked inside the test, so they see its
-    monkeypatches, and stopped after it, so no later test does."""
-    train._close_workers()
-    yield
-    train._close_workers()
+def worker_spy(monkeypatch):
+    """The processes of every run's workers, in the order they are forked."""
+    procs, real = [], train._workers_for
+
+    def recorded(*args):
+        workers = real(*args)
+        procs.extend(workers.procs if workers else [])
+        return workers
+
+    monkeypatch.setattr(train, "_workers_for", recorded)
+    return procs
 
 
 def long_corpus(seed, n=10):
@@ -384,8 +410,7 @@ def long_corpus(seed, n=10):
 class TestWorkerProcesses:
     """A step's chunks dealt to forked workers, summed here in chunk order."""
 
-    def test_float32_pretrain_is_the_oracle_at_1_2_and_3_processes(self, monkeypatch,
-                                                                   own_workers):
+    def test_float32_pretrain_is_the_oracle_at_1_2_and_3_processes(self, monkeypatch):
         corpus = long_corpus(11)
         tcfg = TrainConfig(lr=1e-2, epochs=2, batch=6, seed=12)
         calls, real = [], train.loss_and_grads
@@ -441,21 +466,16 @@ class TestWorkerProcesses:
             for (_, _, loss), (_, _, want_loss) in zip(history, want_history):
                 assert rel_error(loss, want_loss) < 1e-6
 
-    def test_workers_are_reused_and_exit_when_their_pipes_close(self, monkeypatch,
-                                                                 own_workers):
+    def test_workers_exit_when_their_run_ends(self, monkeypatch):
         mask = os.sched_getaffinity(0)
         monkeypatch.setattr(model, "_usable_cpus", lambda: 3)
+        procs = worker_spy(monkeypatch)
         pretrain(MICRO, FAST, tiny_corpus())
-        procs = list(train._pool.procs)
-        assert len(procs) == 2 and all(proc.is_alive() for proc in procs)
-        finetune_lora(init_base(MICRO, seed=1), tiny_pairs(), FAST, fresh())
-        assert train._pool.procs == procs
-        assert os.sched_getaffinity(0) == mask      # training never touches the mask
-        train._close_workers()
         assert [proc.exitcode for proc in procs] == [0, 0]
+        assert os.sched_getaffinity(0) == mask      # training never touches the mask
 
     @pytest.mark.parametrize("guard", ["mixed dtypes", "no affinity API"])
-    def test_a_guarded_run_trains_in_one_process(self, monkeypatch, own_workers, guard):
+    def test_a_guarded_run_trains_in_one_process(self, monkeypatch, guard):
         cfg = TestChunkedStep.LONG
         base = init_base(cfg, seed=23)      # float32
         rng = np.random.default_rng(24)
@@ -471,9 +491,7 @@ class TestWorkerProcesses:
             lset = randomize_adapters(init_adapters(cfg, rank=2, seed=26),
                                       np.random.default_rng(27), dtype=dtype)
             assert train._workers_for(base, lset, lora_param_dict(lset)) is None
-            got = finetune_lora(base, pairs, tcfg, adapters=lset)
-            assert train._pool is None
-            return got
+            return finetune_lora(base, pairs, tcfg, adapters=lset)
 
         (want, want_history), (got, history) = run(1), run(2)
         assert history == want_history
@@ -493,13 +511,15 @@ class TestWorkerProcesses:
         def grad_fn(inputs, targets, mask):
             return train.loss_and_grads(weights, None, inputs, targets, mask)
 
-        with pytest.raises(InputError, match=r"token ids must lie in \[0, 16\)") as info:
-            train._batched_step(examples, grad_fn, weights.tensors,
-                                train.AdamState(lr=1e-3), workers)
+        try:
+            with pytest.raises(InputError, match=r"token ids must lie in \[0, 16\)") as info:
+                train._batched_step(examples, grad_fn, weights.tensors,
+                                    train.AdamState(lr=1e-3), workers)
+        finally:
+            workers.close()
         assert info.value.__notes__ == ["raised in training worker 1"]
-        assert train._pool is None      # stopped mid-step; the next run forks afresh
 
-    def test_a_workers_runtime_warning_is_raised_here_by_name(self, monkeypatch, own_workers):
+    def test_a_workers_runtime_warning_is_raised_here_by_name(self, monkeypatch):
         parent, real = os.getpid(), train.loss_and_grads
 
         def warns_in_a_worker(*args):
@@ -513,7 +533,7 @@ class TestWorkerProcesses:
             pretrain(TestChunkedStep.LONG, TrainConfig(epochs=1, batch=2), long_corpus(21))
         assert info.value.__notes__ == ["raised in training worker 1"]
 
-    def test_a_worker_that_dies_is_named_with_its_exit_code(self, monkeypatch, own_workers):
+    def test_a_worker_that_dies_is_named_with_its_exit_code(self, monkeypatch):
         parent, real = os.getpid(), train.loss_and_grads
 
         def dies_in_a_worker(*args):
@@ -526,7 +546,33 @@ class TestWorkerProcesses:
         with pytest.raises(ChildProcessError,
                            match=r"training worker 1 \(pid \d+\) exited with code 3"):
             pretrain(TestChunkedStep.LONG, TrainConfig(epochs=1, batch=2), long_corpus(22))
-        assert train._pool is None
+
+    def test_an_interrupt_in_this_processs_chunk_stops_its_workers(self, monkeypatch):
+        corpus = long_corpus(28)
+        tcfg = TrainConfig(lr=1e-2, epochs=1, batch=6, seed=29)
+        parent, real, calls = os.getpid(), train.loss_and_grads, []
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                calls.append(args[2].shape)
+                if len(calls) == 2:     # chunk 2, while the worker runs chunk 3
+                    raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(train, "loss_and_grads", interrupted)
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        procs = worker_spy(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            pretrain(TestChunkedStep.LONG, tcfg, corpus)
+        assert multiprocessing.active_children() == []
+        assert [proc.exitcode for proc in procs] == [0]     # a broken pipe is no error
+        monkeypatch.setattr(train, "loss_and_grads", real)
+        weights, history = pretrain(TestChunkedStep.LONG, tcfg, corpus)
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
+        want_weights, want_history = pretrain(TestChunkedStep.LONG, tcfg, corpus)
+        assert history == want_history
+        assert_identical(weights.tensors, snapshot(want_weights))
+
 
 class TestTrainLog:
     def test_tsv_round_trip(self, tmp_path):
