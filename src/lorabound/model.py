@@ -14,7 +14,8 @@ rows with a per-layer key/value cache: `decode_batch` prefills each
 batch of equal-length prompts once and then feeds one position per new
 token, and it is the only greedy decode loop in the package. For
 training, `loss_and_grads` runs it over right-padded rows with a loss
-mask and backpropagates all of them at once. Low-rank adapter deltas
+mask and backpropagates all of them at once. Training and probing
+spread their calls over CPUs with workers.py. Low-rank adapter deltas
 are applied in factored form at the projection sites, times the set's
 one scale, and are never materialized as dense matrices here. Every
 adapter in the set a caller passes applies; there is no layer mask, and
@@ -40,7 +41,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -591,16 +591,6 @@ def _length_batches(lengths):
         group = by_length[length]
         for lo in range(0, len(group), DECODE_BATCH_ROWS):
             yield length, group[lo:lo + DECODE_BATCH_ROWS]
-
-
-def _usable_cpus() -> int:
-    """CPUs in this process's affinity mask (taskset narrows it); the
-    probe engine's thread pool and training's worker processes both
-    size themselves by it."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity API on this platform
-        return os.cpu_count() or 1
 
 
 def decode_batch(weights: BaseWeights, adapters, rows, max_new: int,

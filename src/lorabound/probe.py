@@ -28,24 +28,21 @@ Each readout is reduced at once to the two probabilities at the probed
 positions, and the per-sample values are summed in sample order, so
 the curves are bitwise those of one forward per sample and level.
 
-The length batches run on a thread pool with one worker per CPU in the
-process's affinity mask (model._usable_cpus, at most one per batch);
-numpy releases the GIL inside a batch's products and elementwise loops.
-Each batch writes only its own samples' rows, and the sums start after
-every batch is done, so the curves are the same bytes at any worker
-count. `taskset -c 0` runs the engine on one CPU.
+The length batches run on the worker engine (workers.py), with no more
+processes than batches. Each writes its samples' readouts into the
+engine's shared arena, and the sums start once all are done, so the
+curves are the same bytes at any process count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import model
+from . import workers
 from .errors import InputError
 from .lora import LoraSet, drop_above
 from .model import (BaseWeights, _forward, _length_batches, check_keep_level,
@@ -168,25 +165,21 @@ def _probe_batch(base: BaseWeights, adapters, kept, levels, n_tokens: int,
 
 
 def _probe_levels(base: BaseWeights, adapters, kept, levels, n_tokens: int) -> dict:
-    """Summed (gt, max) readouts [L, n_tokens] per keep level of `adapters`."""
-    n_layers = base.cfg.n_layers
+    """Summed (gt, max) readouts [2, L, n_tokens] per keep level of `adapters`."""
     levels = sorted(set(levels))
-    shape = (len(kept), n_layers, n_tokens)
-    per_sample = {k: (np.empty(shape), np.empty(shape)) for k in levels}
     batches = list(_length_batches([len(prompt) for prompt, _ in kept]))
-    with ThreadPoolExecutor(max_workers=min(len(batches), model._usable_cpus())) as pool:
-        for done in [pool.submit(_probe_batch, base, adapters, kept, levels, n_tokens,
-                                 length, batch, per_sample) for length, batch in batches]:
-            done.result()       # re-raises a worker's exception here
-    sums = {}
-    for k, (gt, mx) in per_sample.items():
-        gt_sum = np.zeros((n_layers, n_tokens), dtype=np.float64)
-        max_sum = np.zeros((n_layers, n_tokens), dtype=np.float64)
-        for gt_row, max_row in zip(gt, mx):    # sample order fixes the rounding
-            gt_sum += gt_row
-            max_sum += max_row
-        sums[k] = (gt_sum, max_sum)
-    return sums
+    count = min(len(batches), workers.usable_cpus()) - 1
+    # per level, each sample's (gt, max) readouts, written by the process of its batch
+    shape = (2, len(kept), base.cfg.n_layers, n_tokens)
+    [per_sample] = workers.shared(count, {k: (shape, np.float64) for k in levels})
+
+    def probe_batch(w, batch):
+        _probe_batch(base, adapters, kept, levels, n_tokens, *batch, per_sample)
+
+    with workers.Workers(count, probe_batch, "probe") as pool:
+        pool.run(batches)
+    # one sample after another, which fixes the rounding
+    return {k: sum(readouts.swapaxes(0, 1)) for k, readouts in per_sample.items()}
 
 
 def _report(base: BaseWeights, adapters, kept, sums, provenance: dict, *,

@@ -7,43 +7,29 @@ loss mask, one forward and backward per chunk; a chunk holds
 TRAIN_CHUNK_POSITIONS // (the step's longest input) rows, at least one,
 which bounds the activations one backward keeps.
 
-A step's chunks are dealt round-robin to n processes, n being the CPUs
-in the process's affinity mask (model._usable_cpus, the probe engine's
-rule): chunk i runs in process i % n, where process 0 is this one, so it
-always runs chunk 0, and 1..n-1 are worker processes. The workers are
-forked at the start of each training run and stopped at its end, however
-it ends. A worker inherits the model through the fork. Only the run's
-trained tensors (every base tensor when pretraining, the adapter factors
-when fine-tuning) and one gradient slot per worker live in an anonymous
-shared mmap arena. This process copies the trained tensors into the
-arena at the start of each step; a worker runs loss_and_grads against
-the arena's copy, writes its chunk's gradients into its slot and sends
-back the loss. This process adds every chunk's gradients into the step
-total in chunk order, exactly as one process would, so a run's bytes do
-not depend on n; then it clips and takes the Adam step itself. A
-process waiting for another polls its pipe for up to _POLL_S before it
-sleeps, which keeps its CPU busy between chunks (see _wait). With one
-usable CPU, tensors of mixed dtypes or no affinity API
-(os.sched_getaffinity, which Linux has), nothing is forked and every
-chunk runs here, so `taskset -c 0` trains in one process. Each process
-runs its own BLAS: pin it to one thread (OPENBLAS_NUM_THREADS=1, as the
-benchmark does), or the processes' BLAS threads oversubscribe the CPUs.
-A worker exits when its pipe closes, one still inside a chunk once the
-chunk is done or after a second, when it is terminated. An exception raised in a worker is raised
-again here with its type and message, and a worker that dies raises
-ChildProcessError naming it and its exit code.
+A step's chunks run on the worker engine (workers.py): chunk i runs in
+process i % n, where process 0 is this one, so it always runs chunk 0.
+The workers are made at the start of each training run and closed at
+its end, however it ends, and a worker inherits the model through the
+fork. Only the run's trained tensors (every base tensor when
+pretraining, the adapter factors when fine-tuning) and one gradient
+slot per worker live in the engine's shared arena. This process copies
+the trained tensors into the arena at the start of each step; a worker
+runs loss_and_grads against the arena's copy, writes its chunk's
+gradients into its slot and returns the loss. This process adds every
+chunk's gradients into the step total in chunk order, exactly as one
+process would, so a run's bytes do not depend on n; then it clips and
+takes the Adam step itself. Tensors of mixed dtypes train in this
+process alone.
 
 At its peak a step holds, in this process, the weights, the Adam
 moments, the step's gradient total, one chunk's activations, which the
-backward frees layer by layer, and the arena: a copy of the trained
-tensors and one gradient set per worker. Each chunk's gradients are
-added into the total before this process runs its next chunk; its own
-are then dropped, and a worker's slot is handed back for its next
+backward frees layer by layer, and the arena. Each chunk's gradients
+are added into the total before this process runs its next chunk; its
+own are then dropped, and a worker's slot is handed back for its next
 chunk. A worker holds one chunk's activations and gradients beside the
-arena. Since every chunk frees and allocates the same working set
-again, training has glibc's malloc keep freed memory for reuse rather
-than hand it back to the kernel, which would fault its pages in again
-on the next chunk; forked workers inherit the setting. A step whose
+arena. Freed memory stays in the process for the next chunk
+(_keep_freed_heap). A step whose
 loss or gradient norm is not finite raises DegenerateInputError before
 its update, so a diverged run leaves no artifact. Runs are
 deterministic for a given seed. Fine-tuning trains the adapter set it
@@ -56,14 +42,12 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import logging
-import os
 import sys
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
+from . import workers
 from .errors import ConfigError, DegenerateInputError, InputError
 from .fileio import atomic_write_text
 from .lora import LoraAdapter, LoraSet, check_compat, lora_param_dict
@@ -116,18 +100,14 @@ def _padded(chunk):
     return out
 
 
-def _batched_step(examples, grad_fn, params, state, workers=None):
-    """Average grad_fn over the batch, clip to GRAD_CLIP, apply one Adam step;
-    returns mean loss.
-
-    examples are (inputs, targets, mask) rows. grad_fn gets them in
-    consecutive padded chunks of at most TRAIN_CHUNK_POSITIONS // (the
-    longest input) rows and returns a chunk's mean loss and gradients.
-    With workers, their processes run every chunk that _Workers.run
-    deals them and this one runs the rest; either way the chunks are
-    summed in order. A loss or pre-clip gradient norm that is not finite
-    raises DegenerateInputError before the update.
-    """
+def _batched_step(examples, grads, params, state):
+    """Average the batch's gradients, clip to GRAD_CLIP and take one Adam
+    step; returns the mean loss. examples are (inputs, targets, mask)
+    rows, cut into consecutive padded chunks of at most
+    TRAIN_CHUNK_POSITIONS // (the longest input) rows; grads(chunks, add)
+    calls add with each chunk's mean loss and gradients, in chunk order.
+    A loss or pre-clip gradient norm that is not finite raises
+    DegenerateInputError before the update."""
     rows = max(1, TRAIN_CHUNK_POSITIONS // max(inputs.size for inputs, _, _ in examples))
     chunks = [_padded(examples[lo:lo + rows]) for lo in range(0, len(examples), rows)]
     total: dict[str, np.ndarray] = {}
@@ -148,11 +128,7 @@ def _batched_step(examples, grad_fn, params, state, workers=None):
 
     # a diverging step overflows on its way; the finiteness check below names it
     with np.errstate(over="ignore", invalid="ignore"):
-        if workers is None:
-            for chunk in chunks:
-                add(len(chunk[0]), *grad_fn(*chunk))
-        else:
-            workers.run(chunks, grad_fn, params, add)
+        grads(chunks, add)
         inv = 1.0 / len(examples)
         for g in total.values():
             g *= g.dtype.type(inv)
@@ -165,181 +141,53 @@ def _batched_step(examples, grad_fn, params, state, workers=None):
     return loss
 
 
-# arena offsets are multiples of this, so every tensor starts on a cache line
-_ALIGN = 64
+class _Grads:
+    """The chunk gradients of a run that trains params of base (and of
+    adapters, if given), with a worker per usable CPU beside this one.
+    Chunk 0 is always this process's, so the step total never adopts a
+    slot's arrays."""
 
+    def __init__(self, base: BaseWeights, adapters, params):
+        count = workers.usable_cpus() - 1
+        if len({a.dtype for a in (*base.tensors.values(), *params.values())}) > 1:
+            count = 0
+        tensors, slots = {}, []
+        if count:
+            layout = {name: (p.shape, p.dtype) for name, p in params.items()}
+            tensors, *slots = workers.shared(count, layout, count + 1)
+        self.params, self.tensors, self.slots = params, tensors, slots
+        # a worker's model: the arena's trained tensors, the rest inherited
+        arena_base, arena_adapters = base, adapters
+        if count and adapters is None:
+            arena_base = BaseWeights(base.cfg, tensors)
+        elif count:
+            arena_adapters = dataclasses.replace(adapters, adapters={
+                (layer, proj): LoraAdapter(a=tensors[f"layer{layer:02d}.{proj}.lora_a"],
+                                           b=tensors[f"layer{layer:02d}.{proj}.lora_b"])
+                for layer, proj in adapters.adapters})
 
-def _span(a: np.ndarray) -> int:
-    """The arena bytes of a tensor: its own, up to the next cache line."""
-    return -(-a.nbytes // _ALIGN) * _ALIGN
-
-
-def _views(arena, tensors, offset: int) -> dict[str, np.ndarray]:
-    """Views of the arena from offset, one like each of tensors, packed in order."""
-    views = {}
-    for name, a in tensors.items():
-        views[name] = np.ndarray(a.shape, a.dtype, buffer=arena, offset=offset)
-        offset += _span(a)
-    return views
-
-
-# a process waiting for another polls its pipe this long before it sleeps
-_POLL_S = 0.05
-
-
-def _wait(conn) -> None:
-    """Return once conn has a message or has closed: poll it for up to
-    _POLL_S, then block.
-
-    A chunk takes milliseconds, so polling covers the waits inside a run.
-    A process that sleeps in a blocking recv instead leaves its CPU idle
-    at every chunk; on a virtual machine the idle CPU goes back to the
-    host and resumes with cold caches, and the next chunk runs slower by
-    an amount that depends on the host's other load. On a two-CPU
-    virtual machine, 8 interleaved pairs of 42 s benchmark runs gave
-    pretrain-finetune work_per_s an interquartile range of about 1,860
-    tokens/s when sleeping on every wait and about 300 when polling.
-    """
-    end = time.perf_counter() + _POLL_S
-    while not conn.poll(0):
-        if time.perf_counter() > end:
-            conn.poll(None)
-            return
-
-
-def _serve(conn, base, adapters, slot, inherited) -> None:
-    """A worker's loop, until its pipe closes: each chunk is answered with
-    ("done", loss) once its gradients are in the slot, or with
-    ("error", exception). A worker whose pipe closed mid-chunk exits
-    without a reply."""
-    import signal
-    for other in inherited:      # pipe ends of this process and earlier workers
-        other.close()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)    # an interrupt is for the parent
-    while True:
-        try:
-            _wait(conn)
-            chunk = conn.recv()
-        except EOFError:
-            return
-        try:
+        def chunk_grads(w, chunk):
+            if w == 0:
+                return loss_and_grads(base, adapters, *chunk)
             # errstate does not cross the fork; this is _batched_step's
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, grads = loss_and_grads(base, adapters, *chunk)
-            for name, dest in slot.items():
+                loss, grads = loss_and_grads(arena_base, arena_adapters, *chunk)
+            for name, dest in slots[w - 1].items():
                 np.copyto(dest, grads.pop(name), casting="no")
-            reply = ("done", loss)
-        except Exception as exc:
-            reply = ("error", exc)
-        try:
-            conn.send(reply)
-        except BrokenPipeError:     # the run stopped while this chunk ran
-            return
+            return loss
 
+        self.pool = workers.Workers(count, chunk_grads, "training")
 
-class _Workers:
-    """One run's forked training workers over a shared arena; see the
-    module docstring."""
-
-    def __init__(self, count: int, base: BaseWeights, adapters, params):
-        import mmap             # with multiprocessing, loaded only when training forks
-        import multiprocessing
-        # the trained tensors, then one gradient slot per worker, each laid out alike
-        size = sum(_span(a) for a in params.values())
-        arena = mmap.mmap(-1, size * (count + 1))     # anonymous and shared across the fork
-        self.tensors, *self.slots = [_views(arena, params, size * k) for k in range(count + 1)]
-        # a worker's model: the trained tensors are the arena's, the rest
-        # is this process's, inherited through the fork and never written
-        if adapters is None:
-            base = BaseWeights(base.cfg, self.tensors)
-        else:
-            adapters = dataclasses.replace(adapters, adapters={
-                (layer, proj): LoraAdapter(a=self.tensors[f"layer{layer:02d}.{proj}.lora_a"],
-                                           b=self.tensors[f"layer{layer:02d}.{proj}.lora_b"])
-                for layer, proj in adapters.adapters})
-        # fork, not spawn: a worker inherits the arena, the model and the
-        # imported package, and the package runs no thread of its own while training
-        ctx = multiprocessing.get_context("fork")
-        self.conns, self.procs = [], []
-        for w, slot in enumerate(self.slots, 1):
-            mine, theirs = ctx.Pipe()
-            proc = ctx.Process(target=_serve, name=f"lorabound-train-{w}", daemon=True,
-                               args=(theirs, base, adapters, slot, [*self.conns, mine]))
-            proc.start()
-            theirs.close()
-            self.conns.append(mine)
-            self.procs.append(proc)
-
-    def close(self) -> None:
-        """Stop the workers: an idle one exits when its pipe closes, one
-        still inside a chunk once it is done or, after a second, terminated."""
-        for conn in self.conns:
-            conn.close()
-        for proc in self.procs:
-            proc.join(1.0)
-            if proc.exitcode is None:
-                proc.terminate()
-                proc.join()
-
-    def run(self, chunks, grad_fn, params, add) -> None:
-        """add(rows, loss, grads) for every chunk, in chunk order.
-
-        Chunk i runs in process i % n, where n is the worker count plus
-        one, but no more than the chunks; process 0 is this one and runs
-        grad_fn. A worker's chunk is added from its slot, and the worker
-        gets its next chunk once that is done. Chunk 0 is always this
-        process's, so the step total never adopts a slot's arrays.
-        """
-        n = min(len(self.slots) + 1, len(chunks))
-        if n > 1:
-            for name, p in params.items():
+    def __call__(self, chunks, add) -> None:
+        if self.slots and len(chunks) > 1:
+            for name, p in self.params.items():
                 np.copyto(self.tensors[name], p)
-        for w in range(1, n):
-            self._send(w, chunks[w])
-        for i, chunk in enumerate(chunks):
-            w = i % n
-            if w == 0:
-                add(len(chunk[0]), *grad_fn(*chunk))
-                continue
-            add(len(chunk[0]), self._recv(w), self.slots[w - 1])
-            if i + n < len(chunks):
-                self._send(w, chunks[i + n])
 
-    def _send(self, w: int, chunk) -> None:
-        try:
-            self.conns[w - 1].send(chunk)
-        except OSError:
-            self._died(w)
+        def take(i, w, value):
+            loss, grads = value if w == 0 else (value, self.slots[w - 1])
+            add(len(chunks[i][0]), loss, grads)
 
-    def _recv(self, w: int) -> float:
-        try:
-            _wait(self.conns[w - 1])
-            kind, value = self.conns[w - 1].recv()
-        except (EOFError, OSError):
-            self._died(w)
-        if kind == "error":
-            value.add_note(f"raised in training worker {w}")
-            raise value
-        return value
-
-    def _died(self, w: int):
-        proc = self.procs[w - 1]
-        proc.join()     # its pipe is closed, so its process is gone or going
-        raise ChildProcessError(
-            f"training worker {w} (pid {proc.pid}) exited with code {proc.exitcode}") from None
-
-
-def _workers_for(base: BaseWeights, adapters, params) -> _Workers | None:
-    """Workers forked for a run that trains params of base (and adapters,
-    if given), which the caller closes when the run ends; None if the run
-    trains in this process alone."""
-    count = model._usable_cpus() - 1
-    # forked workers are Linux-only; without the affinity API (macOS,
-    # Windows) training stays in one process
-    if (count < 1 or not hasattr(os, "sched_getaffinity")
-            or len({a.dtype for a in (*base.tensors.values(), *params.values())}) > 1):
-        return None
-    return _Workers(count, base, adapters, params)
+        self.pool.run(chunks, take)
 
 
 def _keep_freed_heap() -> None:
@@ -368,30 +216,23 @@ def _train_loop(examples, base: BaseWeights, adapters, tcfg: TrainConfig, log_pa
     factors of a set, or every base tensor when adapters is None."""
     _keep_freed_heap()
     params = base.tensors if adapters is None else lora_param_dict(adapters)
-
-    def grad_fn(inputs, targets, mask):
-        return loss_and_grads(base, adapters, inputs, targets, mask)
-
     state = AdamState(lr=tcfg.lr)
     order_rng = np.random.default_rng(tcfg.seed)
     history: list[tuple[int, int, float]] = []
-    workers = _workers_for(base, adapters, params)
-    try:
+    grads = _Grads(base, adapters, params)
+    with grads.pool:
         for epoch in range(1, tcfg.epochs + 1):
             order = order_rng.permutation(len(examples))
             for start in range(0, len(examples), tcfg.batch):
                 batch = [examples[i] for i in order[start:start + tcfg.batch]]
                 step = len(history) + 1
                 try:
-                    loss = _batched_step(batch, grad_fn, params, state, workers)
+                    loss = _batched_step(batch, grads, params, state)
                 except DegenerateInputError as exc:
                     raise DegenerateInputError(
                         f"{name} epoch {epoch}, step {step}: {exc}") from None
                 history.append((epoch, step, loss))
             log.info("%s epoch %d done, loss %.4f", name, epoch, history[-1][2])
-    finally:
-        if workers is not None:
-            workers.close()
     if log_path is not None:
         write_train_log(log_path, history)
     return history

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from lorabound import workers
 from lorabound.fileio import _encode_container, atomic_write_bytes
 from lorabound.model import BaseWeights
 from lorabound.probe import ProbeReport
@@ -93,3 +94,16 @@ def count_hashes(monkeypatch):
 
     monkeypatch.setattr(BaseWeights, "weights_hash", counted)
     return calls
+
+
+def worker_spy(monkeypatch) -> list:
+    """Every worker engine (workers.Workers) made from now on, in order."""
+    made = []
+
+    class Recorded(workers.Workers):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(workers, "Workers", Recorded)
+    return made

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import lorabound
-from lorabound import model
+from lorabound import workers
 from lorabound.boundary import BoundaryDecision
 from lorabound.cli import build_parser, main
 from lorabound.fileio import (MAGIC_ADAPTERS, MAGIC_WEIGHTS, _decode_container,
@@ -391,33 +391,40 @@ def test_module_entry_point_shows_help():
 
 
 class TestTrainingProcesses:
-    """`pretrain` on two processes, as its own process group."""
+    """`pretrain` and `report` on two processes, each as its own process group."""
 
     # the CLI with two usable CPUs, whatever this machine has
-    SCRIPT = ("import sys; from lorabound import cli, model; "
-              "model._usable_cpus = lambda: 2; sys.exit(cli.main(sys.argv[1:]))")
+    SCRIPT = ("import sys; from lorabound import cli, workers; "
+              "workers.usable_cpus = lambda: 2; sys.exit(cli.main(sys.argv[1:]))")
+
+    def on_two_cpus(self, *argv) -> tuple[int, str]:
+        """The CLI's exit code and stderr at two usable CPUs, once it has
+        exited, checking that no process is left in its process group."""
+        src = str(Path(lorabound.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", self.SCRIPT, *map(str, argv)], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, start_new_session=True,
+            env={**os.environ, "PYTHONPATH": src})
+        _, err = proc.communicate(timeout=120)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)      # no process is left in the run's group
+        return proc.returncode, err
 
     @pytest.mark.parametrize("lr, code", [(1e-3, 0), (1e20, 2)])
     def test_pretrain_leaves_no_process_running(self, tmp_path, monkeypatch, lr, code):
         cfg = {**MICRO_CFG, "pretrain": {**MICRO_CFG["pretrain"], "lr": lr}}
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-        src = str(Path(lorabound.__file__).resolve().parents[1])
-        proc = subprocess.Popen(
-            [sys.executable, "-c", self.SCRIPT, "pretrain", "--config", tmp_path / "cfg.json",
-             "--out", tmp_path / "base.lbwt"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True, start_new_session=True, env={**os.environ, "PYTHONPATH": src})
-        _, err = proc.communicate(timeout=120)
-        assert proc.returncode == code, err
+        returncode, err = self.on_two_cpus("pretrain", "--config", tmp_path / "cfg.json",
+                                           "--out", tmp_path / "base.lbwt")
+        assert returncode == code, err
         if code == 2:
             # only the named error, whichever process ran the chunk that overflowed
             [line] = err.splitlines()
             assert line.startswith("error: pretrain epoch 1, step ")
             assert "non-finite loss nan" in line
-        with pytest.raises(ProcessLookupError):
-            os.killpg(proc.pid, 0)      # no process is left in the run's group
         if code == 0:
             # the same bytes as a run in this process alone
-            monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
+            monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
             one = tmp_path / "one"
             one.mkdir()
             assert run("pretrain", "--config", tmp_path / "cfg.json",
@@ -425,13 +432,38 @@ class TestTrainingProcesses:
             for name in ("base.lbwt", "base.lbwt.manifest.json"):
                 assert (one / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
-    def test_only_training_loads_multiprocessing(self):
+    def test_report_leaves_no_process_running(self, pipeline, tmp_path, monkeypatch):
+        # the whole validation split, of several prompt lengths, so the
+        # length batches span both processes
+        validation = load_dataset(pipeline["data"]).splits["validation"]
+        assert len({len(s.prompt_ids) for s in validation}) > 1
+        cfg = {**MICRO_CFG, "probe": {**MICRO_CFG["probe"], "sample_budget": len(validation)}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        argv = ("report", "--config", tmp_path / "cfg.json", "--model", pipeline["base"],
+                "--data", pipeline["data"], "--adapters", pipeline["full"], "--out-dir")
+        returncode, err = self.on_two_cpus(*argv, tmp_path / "two")
+        assert returncode == 0, err
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+        assert run(*argv, tmp_path / "one") == 0
+        names = sorted(path.name for path in (tmp_path / "one").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "two").iterdir())
+        for name in names:
+            assert ((tmp_path / "one" / name).read_bytes()
+                    == (tmp_path / "two" / name).read_bytes()), name
+
+    def test_a_probe_on_one_cpu_loads_no_multiprocessing(self, pipeline, tmp_path):
         src = str(Path(lorabound.__file__).resolve().parents[1])
+        script = ("import sys; from lorabound import cli, workers; "
+                  "workers.usable_cpus = lambda: 1; assert cli.main(sys.argv[1:]) == 0; "
+                  "print(sorted({'mmap', 'multiprocessing'} & set(sys.modules)))")
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, lorabound.cli; "
-             "print(sorted({'mmap', 'multiprocessing'} & set(sys.modules)))"],
+            [sys.executable, "-c", script, "probe", "--config", pipeline["cfg"],
+             "--model", pipeline["base"], "--data", pipeline["data"],
+             "--adapters", pipeline["full"], "--out", tmp_path / "probe.tsv"],
             capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
-        assert proc.stdout == "[]\n", proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [

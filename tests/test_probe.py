@@ -1,13 +1,13 @@
 """Layer readout probing: invariants, sampling, drop levels."""
 
 import os
-import sys
-import threading
+import signal
+import time
 
 import numpy as np
 import pytest
 
-from lorabound import model, probe
+from lorabound import model, probe, workers
 from lorabound.errors import InputError
 from lorabound.lora import drop_above, init_adapters
 from lorabound.model import (DECODE_BATCH_ROWS, ModelConfig, decode_batch,
@@ -16,7 +16,7 @@ from lorabound.numerics import softmax_rows
 from lorabound.probe import (ProbeReport, probe_ground_truth, probe_under_drop,
                              samples_hash, select_samples)
 
-from helpers import randomize_adapters, randomize_weights
+from helpers import randomize_adapters, randomize_weights, worker_spy
 from oracles import probe_oracle
 
 MICRO = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=16,
@@ -275,7 +275,7 @@ class TestEngineAgainstOracle:
             return forward_collect(weights, adapters, tokens)
 
         monkeypatch.setattr(probe, "forward_collect", spy)
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 1)     # ordered calls
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)    # ordered calls
         self.assert_matches(base, lset, samples, [0, 2, 4], n_tokens=2)
         cap = DECODE_BATCH_ROWS
         assert batches == [(cap, 7), (cap, 7), (5, 7)]
@@ -390,7 +390,7 @@ class TestEngineAgainstOracle:
         decode_rows = model._decode_rows
         monkeypatch.setattr(probe, "forward_collect", probe_spy)
         monkeypatch.setattr(model, "_decode_rows", decode_spy)
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 1)     # ordered calls
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)    # ordered calls
         samples = [(p, rng.integers(4, 16, size=2).tolist()) for p in prompts]
         probe_ground_truth(base, lset, samples, n_tokens=2)
         decode_batch(base, lset, [(p, 4) for p in prompts], 1, None)
@@ -412,8 +412,13 @@ class TestEngineAgainstOracle:
                              n_tokens=n_tokens)
 
 
+class Boom(Exception):
+    """A failure raised in a probe worker; defined here so that it pickles."""
+
+
 class TestWorkerPool:
-    """The length batches run on a thread pool; its size never shows in the output."""
+    """The length batches run on the worker engine; its process count never
+    shows in the output."""
 
     engine = TestEngineAgainstOracle()
 
@@ -423,39 +428,26 @@ class TestWorkerPool:
         base, lset = self.engine.model_and_adapters(seed=seed, std=8.0)
         samples = self.engine.samples(24, seed=seed + 1)
         batches = list(model._length_batches([len(p) for p, _ in samples]))
-        assert len(batches) >= 4
+        assert len(batches) >= 4 and batches[0][0] != batches[1][0]
         return base, lset, samples, batches
 
-    def run(self, base, lset, samples, call=lambda engine, *a, **kw: engine(*a, **kw)):
+    def run(self, base, lset, samples):
         """probe_under_drop at every level, then probe_ground_truth, as comparable tuples."""
         levels = range(self.engine.CFG.n_layers + 1)
-        reports = [rep for _, rep in call(probe_under_drop, base, lset, samples,
-                                          keeps=levels, n_tokens=3)]
-        reports.append(call(probe_ground_truth, base, lset, samples, n_tokens=3))
+        reports = [rep for _, rep in probe_under_drop(base, lset, samples, keeps=levels,
+                                                      n_tokens=3)]
+        reports.append(probe_ground_truth(base, lset, samples, n_tokens=3))
         return [(rep.gt_curve.tobytes(), rep.max_curve.tobytes(), rep.sample_count,
                  rep.config) for rep in reports]
 
-    @staticmethod
-    def pool_sizes(monkeypatch) -> list:
-        """The max_workers of every pool the engine opens from now on."""
-        sizes = []
-
-        class Pool(probe.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(probe, "ThreadPoolExecutor", Pool)
-        return sizes
-
     def test_curves_are_the_same_at_any_worker_count(self, monkeypatch):
         base, lset, samples, batches = self.inputs()
-        sizes = self.pool_sizes(monkeypatch)
+        engines = worker_spy(monkeypatch)
         outputs = {}
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(model, "_usable_cpus", lambda n=workers: n)
-            outputs[workers] = self.run(base, lset, samples)
-        assert sizes == [1, 1, 2, 2, 3, 3]
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(workers, "usable_cpus", lambda n=cpus: n)
+            outputs[cpus] = self.run(base, lset, samples)
+        assert [len(engine.procs) for engine in engines] == [0, 0, 1, 1, 2, 2]
         assert outputs[2] == outputs[1]
         assert outputs[3] == outputs[1]
         for k, (gt, mx, count, _) in enumerate(outputs[1][:-1]):
@@ -464,68 +456,47 @@ class TestWorkerPool:
             assert count == len(samples)
         assert outputs[1][-1][:2] == outputs[1][-2][:2]     # ground truth = full keep
 
-    def test_more_workers_than_cores_with_fast_thread_switches(self, monkeypatch):
-        base, lset = self.engine.model_and_adapters(seed=33, std=8.0)
-        samples = self.engine.samples(60, seed=34, prompt_lengths=(1, 9))
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
-        serial = self.run(base, lset, samples)
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 4 * (os.cpu_count() or 1))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(3):
-                assert self.run(base, lset, samples) == serial
-        finally:
-            sys.setswitchinterval(interval)
-
     def test_workers_are_capped_by_the_batch_count(self, monkeypatch):
         base, lset, samples, batches = self.inputs()
-        sizes = self.pool_sizes(monkeypatch)
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 64)
+        engines = worker_spy(monkeypatch)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: len(batches) + 3)
         probe_ground_truth(base, lset, samples, n_tokens=3)
-        assert sizes == [len(batches)]
+        assert [len(engine.procs) for engine in engines] == [len(batches) - 1]
 
-    def test_usable_cpus_is_the_affinity_mask(self):
+    def test_usable_cpus_is_the_affinity_mask(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
-            assert model._usable_cpus() == len(os.sched_getaffinity(0))
-        assert model._usable_cpus() >= 1
+            assert workers.usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        assert workers.usable_cpus() == 1      # no affinity API: nothing forks
 
-    def test_batches_finishing_out_of_order(self, monkeypatch):
+    def test_batches_finishing_out_of_order(self, monkeypatch, tmp_path):
         base, lset, samples, batches = self.inputs()
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
         serial = self.run(base, lset, samples)
 
-        first, last = batches[0][1], batches[-1][1]
-        last_done = threading.Event()
-        finished = []
+        first, second = batches[0][1], batches[1][1]      # this process's, the worker's
+        done = tmp_path / "second batch done"
         probe_batch = probe._probe_batch
 
         def spy(*args):
             batch = args[6]
-            if batch == first:      # held until the last batch has written its rows
-                assert last_done.wait(timeout=30), "the last batch never ran"
+            if batch == first:      # held until the worker has written its rows
+                deadline = time.monotonic() + 30
+                while not done.exists():
+                    assert time.monotonic() < deadline, "the worker's batch never ran"
+                    time.sleep(0.001)
+                done.unlink()
             probe_batch(*args)
-            finished.append(batch)
-            if batch == last:
-                last_done.set()
-
-        def probe_once(engine, *args, **kwargs):
-            last_done.clear()
-            finished.clear()
-            out = engine(*args, **kwargs)
-            assert finished[-1] == first and len(finished) == len(batches)
-            return out
+            if batch == second:
+                done.touch()
 
         monkeypatch.setattr(probe, "_probe_batch", spy)
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
-        assert self.run(base, lset, samples, probe_once) == serial
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        assert self.run(base, lset, samples) == serial
 
     def test_a_worker_exception_reaches_the_caller(self, monkeypatch):
         base, lset, samples, batches = self.inputs()
-        width = batches[1][0] + 3      # prompt length + n_tokens
-
-        class Boom(Exception):
-            pass
+        width = batches[1][0] + 3      # prompt length + n_tokens of worker 1's batch
 
         def spy(weights, adapters, tokens):
             if tokens.shape[1] == width:
@@ -533,8 +504,24 @@ class TestWorkerPool:
             return forward_collect(weights, adapters, tokens)
 
         monkeypatch.setattr(probe, "forward_collect", spy)
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
-        with pytest.raises(Boom, match="batch failed"):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        with pytest.raises(Boom, match="batch failed") as info:
+            probe_under_drop(base, lset, samples, keeps=[0, 2, 4], n_tokens=3)
+        assert info.value.__notes__ == ["raised in probe worker 1"]
+
+    def test_a_killed_worker_is_named(self, monkeypatch):
+        base, lset, samples, _ = self.inputs()
+        parent, real = os.getpid(), forward_collect
+
+        def killed_in_a_worker(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(probe, "forward_collect", killed_in_a_worker)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        with pytest.raises(ChildProcessError,
+                           match=r"probe worker 1 \(pid \d+\) exited with code -9"):
             probe_under_drop(base, lset, samples, keeps=[0, 2, 4], n_tokens=3)
 
 

@@ -13,13 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lorabound import model, train
+from lorabound import train, workers
 from lorabound.errors import CompatibilityError, ConfigError, InputError
-from lorabound.lora import drop_above, init_adapters, lora_param_dict
+from lorabound.lora import drop_above, init_adapters
 from lorabound.model import PROJECTIONS, ModelConfig, init_base, next_token_logits
 from lorabound.train import GRAD_CLIP, TrainConfig, finetune_lora, pretrain, write_train_log
 
-from helpers import randomize_adapters, randomize_weights, rel_error
+from helpers import randomize_adapters, randomize_weights, rel_error, worker_spy
 from oracles import train_step_oracle
 
 MICRO = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=16,
@@ -28,9 +28,14 @@ MICRO = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=16,
 FAST = TrainConfig(lr=1e-2, epochs=2, batch=4, seed=0)
 
 
-def ORACLE_STEP(examples, grad_fn, params, state, workers=None):
+def ORACLE_STEP(examples, grads, params, state):
     """The oracle step in train._batched_step's place, at the loop's one
-    ceiling; it runs every row in this process, whatever the workers."""
+    ceiling; a one-chunk call of the run's grads runs in this process."""
+    def grad_fn(*chunk):
+        out = []
+        grads([chunk], lambda rows, loss, g: out.append((loss, g)))
+        return out[0]
+
     return train_step_oracle(examples, grad_fn, params, state, GRAD_CLIP)
 
 
@@ -178,7 +183,7 @@ class TestFinetune:
             return real(weights, adapters, inputs, targets, mask, **kwargs)
 
         monkeypatch.setattr(train, "loss_and_grads", spy)
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 1)   # a worker's calls go unseen
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)   # a worker's calls go unseen
         finetune_lora(base, [([4, 5, 6], [7, 8])] * 4, TrainConfig(epochs=1, batch=4), fresh())
         # inputs 4 5 6 7 predict 5 6 7 8: only the targets 7 and 8 count
         assert [m.tolist() for m in masks] == [[[False, False, True, True]] * 4]
@@ -208,8 +213,8 @@ class TestFinetune:
             raise AssertionError("a set for another model reached training")
 
         monkeypatch.setattr(train, "loss_and_grads", no_compute)
-        monkeypatch.setattr(train, "_workers_for", no_compute)
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(train, "_Grads", no_compute)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         lset = init_adapters(other)
         fingerprint = lset.fingerprint
         with pytest.raises(CompatibilityError):
@@ -264,7 +269,7 @@ def shape_spy(monkeypatch):
         return real(weights, adapters, inputs, *args, **kwargs)
 
     monkeypatch.setattr(train, "loss_and_grads", spy)
-    monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
     return shapes
 
 
@@ -330,7 +335,7 @@ class TestChunkedStep:
 
 
 class TestStepMemory:
-    def test_a_chunks_gradients_are_gone_before_the_next_chunk_runs(self):
+    def test_a_chunks_gradients_are_gone_before_the_next_chunk_runs(self, monkeypatch):
         # four one-row chunks; each chunk's arrays either become the step
         # total (the first of their name) or are folded in and dropped
         cfg = TestChunkedStep.LONG
@@ -341,18 +346,22 @@ class TestStepMemory:
             ids = rng.integers(4, 16, size=int(rng.integers(100, 129)))
             examples.append((ids[:-1], ids[1:], np.ones(ids.size - 1, dtype=bool)))
         adopted, folded, checked = set(), [], []
+        real = train.loss_and_grads
 
-        def grad_fn(inputs, targets, mask):
+        def spy(*args):
             checked.append([r() is None for r in folded])
-            loss, grads = train.loss_and_grads(weights, None, inputs, targets, mask)
+            loss, grads = real(*args)
             for name, g in grads.items():
                 if name in adopted:
                     folded.append(weakref.ref(g))
                 adopted.add(name)
             return loss, grads
 
+        monkeypatch.setattr(train, "loss_and_grads", spy)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
         state = train.AdamState(lr=1e-3)
-        train._batched_step(examples, grad_fn, weights.tensors, state)
+        grads = train._Grads(weights, None, weights.tensors)
+        train._batched_step(examples, grads, weights.tensors, state)
         assert [len(c) for c in checked] == [0, 0, len(weights.tensors),
                                              2 * len(weights.tensors)]
         assert all(all(c) for c in checked)
@@ -364,13 +373,13 @@ class TestStepMemory:
         # defaults faults ~10k freed pages in again (a desk model, ~118-token rows)
         script = textwrap.dedent("""
             import resource
-            from lorabound import model
+            from lorabound import workers
             from lorabound.model import ModelConfig
             from lorabound.tasks import gen_pretrain_corpus
             from lorabound.train import TrainConfig, pretrain
             corpus = gen_pretrain_corpus(0, n_tokens=1500, max_seq=128)
             # one process: a second run would fork its workers again
-            model._usable_cpus = lambda: 1
+            workers.usable_cpus = lambda: 1
             def faults():
                 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 pretrain(ModelConfig(), TrainConfig(lr=1e-3, epochs=2, batch=8), corpus)
@@ -384,19 +393,6 @@ class TestStepMemory:
                                                 "OPENBLAS_NUM_THREADS": "1"})
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 256
-
-
-def worker_spy(monkeypatch):
-    """The processes of every run's workers, in the order they are forked."""
-    procs, real = [], train._workers_for
-
-    def recorded(*args):
-        workers = real(*args)
-        procs.extend(workers.procs if workers else [])
-        return workers
-
-    monkeypatch.setattr(train, "_workers_for", recorded)
-    return procs
 
 
 def long_corpus(seed, n=10):
@@ -422,7 +418,7 @@ class TestWorkerProcesses:
         monkeypatch.setattr(train, "loss_and_grads", spy)
         runs = []
         for n in (1, 2, 3):
-            monkeypatch.setattr(model, "_usable_cpus", lambda n=n: n)
+            monkeypatch.setattr(workers, "usable_cpus", lambda n=n: n)
             calls.clear()
             runs.append(pretrain(TestChunkedStep.LONG, tcfg, corpus))
             # six chunks a step, then four: this process runs chunks 0, n, 2n, ...
@@ -451,7 +447,7 @@ class TestWorkerProcesses:
 
         runs = []
         for n in (1, 2, 3):
-            monkeypatch.setattr(model, "_usable_cpus", lambda n=n: n)
+            monkeypatch.setattr(workers, "usable_cpus", lambda n=n: n)
             runs.append(run())
         monkeypatch.setattr(train, "_batched_step", ORACLE_STEP)
         want, want_history = run()
@@ -468,10 +464,10 @@ class TestWorkerProcesses:
 
     def test_workers_exit_when_their_run_ends(self, monkeypatch):
         mask = os.sched_getaffinity(0)
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 3)
-        procs = worker_spy(monkeypatch)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
+        engines = worker_spy(monkeypatch)
         pretrain(MICRO, FAST, tiny_corpus())
-        assert [proc.exitcode for proc in procs] == [0, 0]
+        assert [proc.exitcode for proc in engines[0].procs] == [0, 0]
         assert os.sched_getaffinity(0) == mask      # training never touches the mask
 
     @pytest.mark.parametrize("guard", ["mixed dtypes", "no affinity API"])
@@ -483,17 +479,21 @@ class TestWorkerProcesses:
                  for _ in range(12)]
         tcfg = TrainConfig(lr=1e-2, epochs=2, batch=12, seed=25)    # three chunks a step
         dtype = np.float64 if guard == "mixed dtypes" else np.float32
-        if guard == "no affinity API":
-            monkeypatch.delattr(os, "sched_getaffinity")
+        rule, engines = workers.usable_cpus, worker_spy(monkeypatch)
 
-        def run(n):
-            monkeypatch.setattr(model, "_usable_cpus", lambda: n)
+        def run(cpus):
+            monkeypatch.setattr(workers, "usable_cpus", cpus)
             lset = randomize_adapters(init_adapters(cfg, rank=2, seed=26),
                                       np.random.default_rng(27), dtype=dtype)
-            assert train._workers_for(base, lset, lora_param_dict(lset)) is None
             return finetune_lora(base, pairs, tcfg, adapters=lset)
 
-        (want, want_history), (got, history) = run(1), run(2)
+        want, want_history = run(lambda: 1)
+        if guard == "no affinity API":      # the CPU rule itself counts one CPU
+            monkeypatch.delattr(os, "sched_getaffinity")
+            got, history = run(rule)
+        else:
+            got, history = run(lambda: 2)
+        assert [engine.procs for engine in engines] == [[], []]
         assert history == want_history
         for key, ad in got.adapters.items():
             assert ad.a.dtype == dtype
@@ -505,18 +505,14 @@ class TestWorkerProcesses:
         rows = [np.array(seq) for seq in long_corpus(20, n=2)]
         rows[1][50] = 99        # chunk 1, a worker's
         examples = [(ids[:-1], ids[1:], np.ones(ids.size - 1, dtype=bool)) for ids in rows]
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
-        workers = train._workers_for(weights, None, weights.tensors)
-
-        def grad_fn(inputs, targets, mask):
-            return train.loss_and_grads(weights, None, inputs, targets, mask)
-
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        grads = train._Grads(weights, None, weights.tensors)
         try:
             with pytest.raises(InputError, match=r"token ids must lie in \[0, 16\)") as info:
-                train._batched_step(examples, grad_fn, weights.tensors,
-                                    train.AdamState(lr=1e-3), workers)
+                train._batched_step(examples, grads, weights.tensors,
+                                    train.AdamState(lr=1e-3))
         finally:
-            workers.close()
+            grads.pool.close()
         assert info.value.__notes__ == ["raised in training worker 1"]
 
     def test_a_workers_runtime_warning_is_raised_here_by_name(self, monkeypatch):
@@ -528,7 +524,7 @@ class TestWorkerProcesses:
             return real(*args)
 
         monkeypatch.setattr(train, "loss_and_grads", warns_in_a_worker)
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         with pytest.raises(RuntimeWarning, match="divide by zero") as info:
             pretrain(TestChunkedStep.LONG, TrainConfig(epochs=1, batch=2), long_corpus(21))
         assert info.value.__notes__ == ["raised in training worker 1"]
@@ -542,7 +538,7 @@ class TestWorkerProcesses:
             return real(*args)
 
         monkeypatch.setattr(train, "loss_and_grads", dies_in_a_worker)
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         with pytest.raises(ChildProcessError,
                            match=r"training worker 1 \(pid \d+\) exited with code 3"):
             pretrain(TestChunkedStep.LONG, TrainConfig(epochs=1, batch=2), long_corpus(22))
@@ -560,15 +556,15 @@ class TestWorkerProcesses:
             return real(*args)
 
         monkeypatch.setattr(train, "loss_and_grads", interrupted)
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
-        procs = worker_spy(monkeypatch)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        engines = worker_spy(monkeypatch)
         with pytest.raises(KeyboardInterrupt):
             pretrain(TestChunkedStep.LONG, tcfg, corpus)
         assert multiprocessing.active_children() == []
-        assert [proc.exitcode for proc in procs] == [0]     # a broken pipe is no error
+        assert [proc.exitcode for proc in engines[0].procs] == [0]   # a broken pipe is no error
         monkeypatch.setattr(train, "loss_and_grads", real)
         weights, history = pretrain(TestChunkedStep.LONG, tcfg, corpus)
-        monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
         want_weights, want_history = pretrain(TestChunkedStep.LONG, tcfg, corpus)
         assert history == want_history
         assert_identical(weights.tensors, snapshot(want_weights))
